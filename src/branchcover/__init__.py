@@ -25,7 +25,6 @@ from .charts import (
 )
 from .covering import (
     CoveringSurface,
-    branch_parity_check,
     build_covering,
     covering_equivalent,
 )

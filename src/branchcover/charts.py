@@ -36,6 +36,7 @@ import random
 from typing import Callable, Optional, Sequence
 
 from . import permutations
+from ._unionfind import ParityUnionFind, UnionFind
 from .braids import BraidWord
 from .hurwitz import BRAID, PERMUTATION, HurwitzSystem
 from .permutations import Permutation
@@ -162,24 +163,6 @@ class SweepRecord:
         return by_edge
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict = {}
-
-    def find(self, x):
-        p = self.parent.setdefault(x, x)
-        while p != self.parent[p]:
-            self.parent[p] = self.parent[self.parent[p]]
-            p = self.parent[p]
-        self.parent[x] = p
-        return p
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-
 def _sweep(chart: Chart, collect: bool = False) -> SweepRecord:
     """Run the sweep, validating every event; raises ChartError on violation.
 
@@ -190,7 +173,7 @@ def _sweep(chart: Chart, collect: bool = False) -> SweepRecord:
     word: list[Strand] = []
     next_seg = 0
     record = SweepRecord([], [], {}, {}, {})
-    edge_union = _UnionFind()
+    edge_union = UnionFind()
 
     def fail(idx: int, msg: str):
         raise ChartError(f"event {idx}: {msg}")
@@ -582,37 +565,17 @@ def chart_orientable(chart: Chart) -> OrientationResult:
         raise ChartError("chart is already oriented")
     record = sweep_record(chart)
 
-    # Parity union-find: sign(seg) = sign(root) * parity.
-    parent: dict[int, int] = {}
-    parity: dict[int, int] = {}
-
-    def find(x: int) -> tuple[int, int]:
-        parent.setdefault(x, x)
-        parity.setdefault(x, 1)
-        if parent[x] == x:
-            return x, 1
-        root, par = find(parent[x])
-        parent[x] = root
-        parity[x] = parity[x] * par
-        return root, parity[x]
-
-    def union(a: int, b: int, rel: int) -> bool:
-        ra, pa = find(a)
-        rb, pb = find(b)
-        if ra == rb:
-            return pa * pb == rel
-        parent[ra] = rb
-        parity[ra] = pa * pb * rel
-        return True
+    # Sign classes: parity 1 between two segments means opposite signs.
+    classes = ParityUnionFind()
 
     whites: list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, int]]] = []
     for ev, (cons, prod) in zip(chart.events, record.event_io):
         if ev.kind in ("cup", "cap"):
-            if not union(cons[0] if ev.kind == "cap" else prod[0],
-                         cons[1] if ev.kind == "cap" else prod[1], -1):
+            if not classes.union(cons[0] if ev.kind == "cap" else prod[0],
+                                 cons[1] if ev.kind == "cap" else prod[1], 1):
                 return OrientationResult(False)
         elif ev.kind == "crossing":
-            ok = union(cons[1], prod[0], 1) and union(cons[0], prod[1], 1)
+            ok = classes.union(cons[1], prod[0], 0) and classes.union(cons[0], prod[1], 0)
             if not ok:
                 return OrientationResult(False)
         elif ev.kind == "white":
@@ -627,7 +590,7 @@ def chart_orientable(chart: Chart) -> OrientationResult:
     roots = []
     seen_roots = set()
     for seg in segments:
-        r, _ = find(seg)
+        r, _ = classes.find(seg)
         if r not in seen_roots:
             seen_roots.add(r)
             roots.append((seg, r))  # keyed by least segment in the class
@@ -635,10 +598,10 @@ def chart_orientable(chart: Chart) -> OrientationResult:
     assignment: dict[int, int] = {}
 
     def seg_sign(seg: int) -> Optional[int]:
-        r, par = find(seg)
+        r, par = classes.find(seg)
         if r not in assignment:
             return None
-        return assignment[r] * par
+        return -assignment[r] if par else assignment[r]
 
     def whites_consistent() -> bool:
         for (cons, prod, _), combos in zip(whites, allowed):
@@ -660,8 +623,9 @@ def chart_orientable(chart: Chart) -> OrientationResult:
         if k == len(roots):
             return True
         least_seg, root = roots[k]
-        _, par = find(least_seg)
-        for value in (par, -par):  # least segment tries +1 first
+        _, par = classes.find(least_seg)
+        first = -1 if par else 1
+        for value in (first, -first):  # least segment tries +1 first
             assignment[root] = value
             if whites_consistent() and backtrack(k + 1):
                 return True

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import random
 import sys
 
 import click
@@ -102,10 +101,6 @@ def _print(data, fmt: str) -> None:
 format_option = click.option(
     "--format", "fmt", type=click.Choice(["json", "text"]), default="json",
     help="Output format.",
-)
-seed_option = click.option(
-    "--seed", type=int, default=0, show_default=True,
-    help="Seed for randomized searches; runs are deterministic.",
 )
 
 
@@ -279,11 +274,9 @@ def color(pd_file, degree, show_colors, fmt):
 @click.option("--conjugator-bound", type=int, default=links.DEFAULT_CONJUGATOR_BOUND,
               show_default=True)
 @click.option("--budget", type=int, default=links.DEFAULT_LIFT_BUDGET, show_default=True)
-@seed_option
 @format_option
-def lift(pd_file, coloring_file, conjugator_bound, budget, seed, fmt):
+def lift(pd_file, coloring_file, conjugator_bound, budget, fmt):
     """Search for a simple braid lift of a transposition coloring."""
-    random.seed(seed)  # lift search is deterministic; seed kept for symmetry
     dg = _load_diagram(pd_file)
     f = _load_coloring(coloring_file)
     try:
@@ -292,7 +285,6 @@ def lift(pd_file, coloring_file, conjugator_bound, budget, seed, fmt):
         raise DomainExit(str(exc))
     payload = {
         "found": result.lift is not None,
-        "certified_none": result.certified_none,
         "exhausted": result.exhausted,
         "checks": result.checks,
     }
@@ -362,7 +354,6 @@ def quandle_lift(pd_file, coloring_file, source_table, target_table, surjection,
         raise DomainExit(str(exc))
     payload = {
         "found": result.lift is not None,
-        "certified_none": result.certified_none,
         "exhausted": result.exhausted,
     }
     if result.lift is not None:

@@ -112,15 +112,6 @@ def build_covering(s: HurwitzSystem) -> CoveringSurface:
     return CoveringSurface(s.degree, len(s.entries), tuple(components))
 
 
-def branch_parity_check(s: HurwitzSystem) -> bool:
-    """True iff every component of the covering has even Euler characteristic.
-
-    For a simple system restricted to one orbit this says the branch points
-    meeting that orbit come in even number.
-    """
-    return all(c.euler_characteristic % 2 == 0 for c in build_covering(s).components)
-
-
 def covering_equivalent(s: HurwitzSystem, t: HurwitzSystem) -> bool:
     """Equivalence of the branched coverings (connected case): length equality.
 

@@ -16,6 +16,8 @@ import itertools
 import re
 from typing import Iterable, Sequence
 
+from ._unionfind import UnionFind
+
 MAX_DEGREE = 16
 
 
@@ -177,25 +179,13 @@ def all_transpositions(d: int) -> list[Permutation]:
 
 def orbits(perms: Sequence[Permutation], degree: int) -> list[frozenset[int]]:
     """Orbits of <perms> acting on {1..degree}, sorted by least element."""
-    parent = list(range(degree + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    classes = UnionFind(range(1, degree + 1))
     for p in perms:
         if p.degree != degree:
             raise ValueError(f"degree mismatch: {p.degree} vs {degree}")
-        for x in range(1, degree + 1):
-            a, b = find(x), find(p(x))
-            if a != b:
-                parent[a] = b
-    groups: dict[int, set[int]] = {}
-    for x in range(1, degree + 1):
-        groups.setdefault(find(x), set()).add(x)
-    return sorted((frozenset(g) for g in groups.values()), key=min)
+        for x, y in enumerate(p.images, 1):
+            classes.union(x, y)
+    return [frozenset(g) for g in classes.groups()]  # groups come in point order
 
 
 def is_transitive(perms: Sequence[Permutation], degree: int) -> bool:

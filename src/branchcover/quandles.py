@@ -22,7 +22,13 @@ from typing import Optional, Sequence
 from . import braids, links, permutations
 from .braids import BraidWord, canonical_key
 from .hurwitz import PERMUTATION, Simplicity, braid_simplicity
-from .links import LinkDiagram, LiftSearchResult, SimpleColoring, find_simple_lift
+from .links import (
+    LinkDiagram,
+    LiftSearchResult,
+    SimpleColoring,
+    _solve_colorings,
+    find_simple_lift,
+)
 from .permutations import Permutation
 
 
@@ -132,81 +138,28 @@ def make_Td(d: int) -> FiniteQuandle:
     return FiniteQuandle(op, names)
 
 
-def Td_elements(d: int) -> list[Permutation]:
-    return permutations.all_transpositions(d)
-
-
 # -- diagram colorings -------------------------------------------------------
+
+
+def _crossing_rule(q: FiniteQuandle):
+    """Outgoing under-arc element: u |> o, or the inverse translation at a
+    negative crossing."""
+    return lambda u, o, sign: q.apply(u, o) if sign == 1 else q.inverse_apply(u, o)
 
 
 def quandle_colorings(dg: LinkDiagram, q: FiniteQuandle) -> list[dict]:
     """All maps arc -> element satisfying the crossing rule.
 
-    Backtracks with propagation like the link module; returns plain dicts
-    (arc -> element index) in a deterministic order.
+    Plain dicts (arc -> element index), in lexicographic order of the
+    elements along the arcs.
     """
-    arcs = dg.arcs()
-    relations = dg.crossing_relations()
-    out: list[dict] = []
-    assignment: dict = {}
-
-    by_inputs: dict[int, list] = {}
-    for rel in relations:
-        by_inputs.setdefault(rel.under_in, []).append(rel)
-        by_inputs.setdefault(rel.over, []).append(rel)
-
-    def value_of(rel):
-        u = assignment[rel.under_in]
-        o = assignment[rel.over]
-        return q.apply(u, o) if rel.sign == 1 else q.inverse_apply(u, o)
-
-    def propagate(start) -> Optional[list]:
-        forced = []
-        queue = [start]
-        ok = True
-        while queue and ok:
-            x = queue.pop()
-            for rel in by_inputs.get(x, []):
-                if rel.under_in in assignment and rel.over in assignment:
-                    value = value_of(rel)
-                    if rel.under_out in assignment:
-                        if assignment[rel.under_out] != value:
-                            ok = False
-                            break
-                    else:
-                        assignment[rel.under_out] = value
-                        forced.append(rel.under_out)
-                        queue.append(rel.under_out)
-        if ok:
-            return forced
-        for fx in forced:
-            del assignment[fx]
-        return None
-
-    def backtrack(k: int):
-        while k < len(arcs) and arcs[k] in assignment:
-            k += 1
-        if k == len(arcs):
-            out.append(dict(assignment))
-            return
-        arc = arcs[k]
-        for v in range(len(q)):
-            assignment[arc] = v
-            forced = propagate(arc)
-            if forced is not None:
-                backtrack(k + 1)
-                for fx in forced:
-                    del assignment[fx]
-            del assignment[arc]
-
-    backtrack(0)
-    out.sort(key=lambda col: tuple(col[a] for a in arcs))
-    return out
+    candidates = dict.fromkeys(dg.arcs(), range(len(q)))
+    return _solve_colorings(dg, candidates, _crossing_rule(q))[0]
 
 
 def td_coloring_to_simple(dg: LinkDiagram, d: int, coloring: dict) -> SimpleColoring:
     """Dictionary between T_d colorings and simple permutation colorings."""
-    elements = Td_elements(d)
+    elements = permutations.all_transpositions(d)
     return SimpleColoring(
         d, PERMUTATION, {arc: elements[v] for arc, v in coloring.items()}
     )
@@ -237,9 +190,11 @@ def lift_through_surjection(
 ) -> Optional[dict]:
     """Lift a target-quandle coloring through p: source ->> target.
 
-    Complete backtracking over the fibers p^-1(color(arc)); returns a lifted
-    coloring or None, and None is a certificate (the finite search is
-    exhaustive).  Raises unless p is a surjective homomorphism.
+    Complete search over the fibers p^-1(color(arc)), with forced values
+    propagated through the crossings; returns the first lift in the
+    product order of the fibers along the arcs, or None, and None is a
+    certificate (the finite search is exhaustive).  Raises unless p is a
+    surjective homomorphism.
     """
     if not is_quandle_homomorphism(p, source, target):
         raise QuandleError("p is not a quandle homomorphism")
@@ -248,41 +203,19 @@ def lift_through_surjection(
     arcs = dg.arcs()
     if set(coloring) != set(arcs):
         raise QuandleError("coloring does not cover the arcs")
-    relations = dg.crossing_relations()
     fibers = {
         t: [x for x in range(len(source)) if p[x] == t] for t in range(len(target))
     }
-    assignment: dict = {}
-
-    def consistent() -> bool:
-        for rel in relations:
-            if (
-                rel.under_in in assignment
-                and rel.over in assignment
-                and rel.under_out in assignment
-            ):
-                u, o = assignment[rel.under_in], assignment[rel.over]
-                value = (
-                    source.apply(u, o) if rel.sign == 1 else source.inverse_apply(u, o)
-                )
-                if assignment[rel.under_out] != value:
-                    return False
-        return True
-
-    def backtrack(k: int) -> Optional[dict]:
-        if k == len(arcs):
-            return dict(assignment)
-        arc = arcs[k]
-        for v in fibers[coloring[arc]]:
-            assignment[arc] = v
-            if consistent():
-                got = backtrack(k + 1)
-                if got is not None:
-                    return got
-            del assignment[arc]
-        return None
-
-    return backtrack(0)
+    # A forced value leaves its fiber only where the coloring breaks a
+    # crossing rule; fits then prunes, and no lift is found.
+    found, _ = _solve_colorings(
+        dg,
+        {arc: fibers[coloring[arc]] for arc in arcs},
+        _crossing_rule(source),
+        fits=lambda arc, x: p[x] == coloring[arc],
+        limit=1,
+    )
+    return {arc: found[0][arc] for arc in arcs} if found else None  # keys in arc order
 
 
 def lift_to_Ad(
