@@ -48,7 +48,13 @@ _ARITY = {"white": (3, 3), "crossing": (2, 2), "cup": (0, 2), "cap": (2, 0)}
 
 
 class ChartError(ValueError):
-    pass
+    """Invalid chart; ``event_index`` names the offending event, if any."""
+
+    def __init__(self, message: str, event_index: Optional[int] = None):
+        if event_index is not None:
+            message = f"event {event_index}: {message}"
+        super().__init__(message)
+        self.event_index = event_index
 
 
 class MoveError(ChartError):
@@ -176,7 +182,7 @@ def _sweep(chart: Chart, collect: bool = False) -> SweepRecord:
     edge_union = UnionFind()
 
     def fail(idx: int, msg: str):
-        raise ChartError(f"event {idx}: {msg}")
+        raise ChartError(msg, idx)
 
     def new_segment(label: int, sign: int) -> int:
         nonlocal next_seg
@@ -266,8 +272,8 @@ def _sweep(chart: Chart, collect: bool = False) -> SweepRecord:
 
     if word:
         raise ChartError(
-            f"event {len(chart.events)}: sweep ends with nonempty word "
-            f"{tuple((l, s) for l, s, _ in word)}"
+            f"sweep ends with nonempty word {tuple((l, s) for l, s, _ in word)}",
+            len(chart.events),
         )
     if collect:
         record.words.append(tuple(word))
@@ -296,11 +302,7 @@ def validate_chart(chart: Chart) -> ChartReport:
     try:
         _sweep(chart)
     except ChartError as exc:
-        msg = str(exc)
-        idx = None
-        if msg.startswith("event "):
-            idx = int(msg.split(":", 1)[0].split()[1])
-        return ChartReport(False, msg, idx, 0)
+        return ChartReport(False, str(exc), exc.event_index, 0)
     return ChartReport(True, None, None, chart.black_count())
 
 
@@ -782,7 +784,7 @@ def chart_from_json(data: dict) -> Chart:
                 )
             )
         except (KeyError, TypeError, ChartError) as exc:
-            raise ChartError(f"event {k}: {exc}") from exc
+            raise ChartError(str(exc), k) from exc
     return Chart(degree, oriented, tuple(events))
 
 

@@ -21,8 +21,7 @@ from .hurwitz import (
     NonClosingSystemError,
     PERMUTATION,
     HurwitzError,
-    is_simple_system,
-    is_transitive,
+    _check_normal_preconditions,
     orbit_partition,
     total_monodromy,
 )
@@ -122,12 +121,8 @@ def covering_equivalent(s: HurwitzSystem, t: HurwitzSystem) -> bool:
     if s.degree != t.degree:
         raise HurwitzError("systems must share the degree")
     for name, sys_ in (("first", s), ("second", t)):
-        if sys_.flavor != PERMUTATION:
-            raise HurwitzError(f"{name} system is not permutation-flavored")
-        if not is_simple_system(sys_):
-            raise HurwitzError(f"{name} system is not simple")
-        if not total_monodromy(sys_).is_identity():
-            raise NonClosingSystemError(f"{name} system does not close up")
-        if not is_transitive(sys_):
-            raise HurwitzError(f"{name} system is intransitive")
+        try:
+            _check_normal_preconditions(sys_)
+        except HurwitzError as exc:
+            raise type(exc)(f"{name} system: {exc}") from None
     return len(s.entries) == len(t.entries)

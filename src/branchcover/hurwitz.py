@@ -13,15 +13,18 @@ products read left to right as everywhere in this package.
 The normal form for simple transitive closing permutation systems is
 ((12), ..., (12), (23), (23), (34), (34), ..., (d-1 d), (d-1 d)) with a
 positive even number of (12) entries.  ``hc_normal_form`` produces it together
-with a replayable move trace.
+with a replayable move trace, reducing one letter d, d-1, ..., 3 at a time
+with a terminating forward-move rule (``_reduce_letter``).  Since every such
+system of a given degree and length has this one normal form (the
+classification theorem of Hurwitz 1891 and Berstein-Edmonds 1984),
+``hc_equivalent`` decides those systems by comparing lengths, without
+computing normal forms.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-import heapq
-import itertools
 from collections import deque
 from typing import Iterable, Sequence, Union
 
@@ -292,11 +295,6 @@ class _Worker:
         self.entries[k], self.entries[k + 1] = b, a ** b
         self.trace.append(("H", k, "forward"))
 
-    def inv(self, k: int) -> None:
-        a, b = self.entries[k], self.entries[k + 1]
-        self.entries[k], self.entries[k + 1] = b ** a.inverse(), a
-        self.trace.append(("H", k, "inverse"))
-
     def conj(self, g: Permutation) -> None:
         self.entries = [e ** g for e in self.entries]
         self.trace.append(("C", g))
@@ -305,13 +303,6 @@ class _Worker:
         """Move the entry at j to position target > j; it is conjugated en route."""
         for k in range(j, target):
             self.fwd(k)
-
-    def key(self) -> tuple:
-        return tuple(e.images for e in self.entries)
-
-
-def _count_letter(entries: Sequence[Permutation], ell: int, end: int) -> int:
-    return sum(1 for e in entries[:end] if ell in e.support())
 
 
 def _gather_letter(w: _Worker, ell: int, end: int) -> int:
@@ -330,122 +321,51 @@ def _gather_letter(w: _Worker, ell: int, end: int) -> int:
     return end - 1 - target
 
 
-# Merge policies: (forward?, leftmost?).  A forward merge at site k keeps the
-# right entry (moved to k) and turns the left one into a non-ell leftover at
-# k+1; an inverse merge keeps the left entry (moved to k+1) with the leftover
-# at k.  When a state repeats we rotate to the next policy.
-_MERGE_POLICIES = ((True, True), (False, False), (True, False), (False, True))
+def _reduce_letter(w: _Worker, ell: int, end: int) -> None:
+    """Leave exactly two entries moving ell, equal and at the tail of entries[:end].
 
+    Each round gathers the entries (x ell) at the tail entries[start:end],
+    c = end - start of them, and stops at c <= 2.  Otherwise it either
+    forward-moves the leftmost differing tail pair,
+    (a ell)(b ell) -> (b ell)(a b), so that c drops by one, or, when all c
+    tail entries equal (x ell), borrows: it slides the rightmost prefix entry
+    (x y) to start-1 and forward-moves at start-1 and at start, which turns
+    (x y)(x ell)^c into (x ell)(x ell)(x y)(x ell)^(c-2); the next gather
+    makes that (y ell)(y ell)(x ell)^(c-2), whose first differing pair the
+    following round merges.
 
-def _reduce_letter_constructive(w: _Worker, ell: int, end: int, max_rounds: int) -> bool:
-    """Drive the count of ell-entries in the active block down to two.
-
-    Returns True on success; False if the policy loop detected it was cycling
-    (the complete search fallback then takes over).
+    Termination.  On entry the block entries[:end] moves only points of
+    {1..ell}, is closing, and is transitive on {1..ell}; Hurwitz moves keep
+    its product and the group it generates.
+      - c != 0, because the group moves ell.
+      - c != 1: a lone (x ell) would send ell to x, and the other entries,
+        which fix ell, never send it back.
+      - When all tail entries equal (x ell), the group is generated by the
+        prefix entries[:start], which fixes ell, and (x ell).  Transitivity
+        then needs the prefix to be transitive on {1..ell-1}, so (ell >= 3)
+        some prefix entry moves x and the borrow finds one.
+      - So c falls at least every two rounds.
+      - At c = 2 the pair is equal: (a ell)(b ell) with a != b would send
+        ell to a.
+    The tail pair (x ell)(x ell) has trivial product, so the remaining block
+    entries[:end-2] again meets the entry conditions on {1..ell-1} once x is
+    relabelled to ell-1, which is how hc_normal_form proceeds.
     """
-    seen: set[tuple] = set()
-    policy = 0
-    for _ in range(max_rounds):
-        count = _count_letter(w.entries, ell, end)
+    while True:
+        count = _gather_letter(w, ell, end)
         if count <= 2:
-            return True
-        _gather_letter(w, ell, end)
-        state = (tuple(w.entries[k].images for k in range(end)), policy)
-        if state in seen:
-            policy += 1
-            if policy >= len(_MERGE_POLICIES):
-                return False
-        seen.add(state)
+            return
         start = end - count
-        sites = [
-            k
-            for k in range(start, end - 1)
-            if w.entries[k] != w.entries[k + 1]
-        ]
-        if sites:
-            use_forward, leftmost = _MERGE_POLICIES[policy % len(_MERGE_POLICIES)]
-            k = sites[0] if leftmost else sites[-1]
-            if use_forward:
-                w.fwd(k)
-            else:
-                w.inv(k)
-        else:
-            # All tail entries equal (x ell): convert one x-carrying prefix
-            # entry into an ell-entry by sliding it into the tail.
-            x = min(w.entries[start].support() - {ell})
-            j = None
-            for k in range(start - 1, -1, -1):
-                if x in w.entries[k].support():
-                    j = k
-                    break
-            if j is None:
-                return False
-            w.push_right(j, start - 1)
-            w.fwd(start - 1)
-    return False
-
-
-def _reduce_letter_search(w: _Worker, ell: int, end: int) -> None:
-    """Complete best-first fallback over the move graph of the active block.
-
-    States are entry tuples; moves are Hurwitz moves inside the block plus
-    conjugations by transpositions of {1..ell-1} (these fix the finalized
-    letters).  The classification theorem guarantees a state with exactly two
-    ell-entries is reachable, and the state space at fixed (d, n) is finite.
-    """
-    d = w.degree
-    start_state = tuple(w.entries[:end])
-    conjugators = [
-        Permutation.transposition(d, i, j)
-        for i, j in itertools.combinations(range(1, ell), 2)
-    ]
-
-    def neighbors(state):
-        for k in range(len(state) - 1):
-            a, b = state[k], state[k + 1]
-            yield ("H", k, "forward"), state[:k] + (b, a ** b) + state[k + 2 :]
-            yield ("H", k, "inverse"), state[:k] + (b ** a.inverse(), a) + state[k + 2 :]
-        for g in conjugators:
-            yield ("C", g), tuple(e ** g for e in state)
-
-    def count(state):
-        return sum(1 for e in state if ell in e.support())
-
-    def skey(state):
-        return tuple(e.images for e in state)
-
-    came: dict[tuple, tuple] = {skey(start_state): (None, None, start_state)}
-    heap = [(count(start_state), 0, 0, start_state)]
-    tick = 0
-    goal = None
-    while heap:
-        c, _, _, state = heapq.heappop(heap)
-        if c <= 2:
-            goal = state
-            break
-        for move, nxt in neighbors(state):
-            k = skey(nxt)
-            if k in came:
-                continue
-            came[k] = (skey(state), move, nxt)
-            tick += 1
-            heapq.heappush(heap, (count(nxt), len(came), tick, nxt))
-    if goal is None:
-        raise HurwitzError("normal form search exhausted the move graph")
-    path = []
-    k = skey(goal)
-    while came[k][0] is not None:
-        prev, move, _ = came[k]
-        path.append(move)
-        k = prev
-    for move in reversed(path):
-        if move[0] == "H":
-            if move[2] == "forward":
-                w.fwd(move[1])
-            else:
-                w.inv(move[1])
-        else:
-            w.conj(move[1])
+        tail = w.entries[start:end]
+        k = next((k for k in range(count - 1) if tail[k] != tail[k + 1]), None)
+        if k is not None:
+            w.fwd(start + k)
+            continue
+        x = min(tail[0].support() - {ell})
+        j = max(k for k in range(start) if x in w.entries[k].support())
+        w.push_right(j, start - 1)
+        w.fwd(start - 1)
+        w.fwd(start)
 
 
 def _check_normal_preconditions(s: HurwitzSystem) -> None:
@@ -481,10 +401,7 @@ def hc_normal_form(s: HurwitzSystem) -> tuple[HurwitzSystem, Trace]:
     w = _Worker(s)
     end = n
     for ell in range(d, 2, -1):
-        max_rounds = 40 * (n + d) + 200
-        if not _reduce_letter_constructive(w, ell, end, max_rounds):
-            _reduce_letter_search(w, ell, end)
-        _gather_letter(w, ell, end)
+        _reduce_letter(w, ell, end)
         pair = w.entries[end - 2 : end]
         if pair[0] != pair[1] or ell not in pair[0].support():
             raise HurwitzError("letter reduction failed to produce an equal tail pair")
@@ -590,10 +507,15 @@ def hc_equivalent(
 ) -> Equivalence:
     """Decide HC-equivalence.
 
-    Permutation systems satisfying the normal-form preconditions are decided
-    completely through their normal forms.  Everything else falls back to a
-    bounded bidirectional search over the move graph, which reports UNKNOWN
-    when the budget is exhausted.
+    Cheap invariants (length, entry classes, total monodromy, orbit sizes)
+    certify DISTINCT first.  Two permutation systems of equal length that
+    are both simple, transitive and closing are then EQUIVALENT by the
+    classification of simple branched coverings (Hurwitz 1891;
+    Berstein-Edmonds 1984): both reduce to ``normal_form_template`` of their
+    degree and length, which ``hc_normal_form`` realizes with a move trace
+    when a certificate is wanted.  Everything else falls back to a bounded
+    bidirectional search over the move graph, which reports UNKNOWN when the
+    budget is exhausted.
     """
     if s.degree != t.degree or s.flavor != t.flavor:
         raise HurwitzError("systems must share degree and flavor")
@@ -601,16 +523,12 @@ def hc_equivalent(
         return Equivalence.DISTINCT
     if s.flavor == PERMUTATION:
         try:
-            nf_s, _ = hc_normal_form(s)
-            nf_t, _ = hc_normal_form(t)
+            _check_normal_preconditions(s)
+            _check_normal_preconditions(t)
         except HurwitzError:
             pass
         else:
-            return (
-                Equivalence.EQUIVALENT
-                if nf_s.entries == nf_t.entries
-                else Equivalence.DISTINCT
-            )
+            return Equivalence.EQUIVALENT
     return _bidirectional_search(s, t, budget)
 
 

@@ -119,7 +119,7 @@ class LinkDiagram:
                 choices.append(bool(par ^ par_t ^ 1))
             else:
                 # component never passes under anything: direction is free
-                bits.union(k, n, 1)
+                bits.union(k, n, 0)
                 choices.append(True)
         result = tuple(choices)
         object.__setattr__(self, "_over_cache", result)

@@ -12,6 +12,7 @@ from branchcover.hurwitz import (
     NonClosingSystemError,
     HurwitzError,
     conjugate_system,
+    hc_normal_form,
     hurwitz_move,
     iter_simple_closing_systems,
     total_monodromy,
@@ -171,15 +172,13 @@ class TestCoveringEquivalent:
                 perm_system(3, (1, 2), (2, 3)),
             )
 
-    def test_agrees_with_hc_equivalent(self):
-        from branchcover.hurwitz import Equivalence, hc_equivalent
-
+    def test_agrees_with_normal_forms(self):
         rng = random.Random(14)
         pool = {n: list(iter_simple_closing_systems(3, n)) for n in (4, 6)}
         for _ in range(30):
             n1, n2 = rng.choice([(4, 4), (6, 6), (4, 6)])
             s, t = rng.choice(pool[n1]), rng.choice(pool[n2])
-            want = hc_equivalent(s, t) is Equivalence.EQUIVALENT
+            want = hc_normal_form(s)[0] == hc_normal_form(t)[0]
             assert covering_equivalent(s, t) == want
 
 

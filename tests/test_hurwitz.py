@@ -195,10 +195,14 @@ class TestNormalForm:
             hc_normal_form(s)
 
     def test_six_entry_example(self):
-        s = perm_system(3, (1, 2), (2, 3), (2, 3), (1, 2), (1, 2), (1, 2))
-        nf, trace = hc_normal_form(s)
-        assert nf == normal_form_template(3, 6)
-        assert replay_trace(s, trace) == nf
+        for s in (
+            perm_system(3, (1, 2), (2, 3), (2, 3), (1, 2), (1, 2), (1, 2)),
+            # The letter-3 tail gathers to four equal entries: a borrow.
+            perm_system(3, (1, 2), (1, 3), (1, 3), (1, 3), (1, 3), (1, 2)),
+        ):
+            nf, trace = hc_normal_form(s)
+            assert nf == normal_form_template(3, 6)
+            assert replay_trace(s, trace) == nf
 
     def test_non_simple_rejected(self):
         s = HurwitzSystem.of_permutations(

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from branchcover.braids import BraidWord, braids_equal, project
@@ -5,6 +7,7 @@ from branchcover.links import (
     CORPUS,
     LinkError,
     SimpleColoring,
+    braid_closure_pd,
     Tangle,
     color_name,
     coloring_from_json,
@@ -78,6 +81,29 @@ class TestParsePd:
         assert corpus_diagram("5_2").component_count() == 1
         assert corpus_diagram("granny").component_count() == 1
         assert corpus_diagram("square").component_count() == 1
+
+
+class TestOrientation:
+    def test_every_edge_has_one_head(self):
+        # Words such as s1 s1^-1 close into a component that never passes
+        # under anything; its crossings must still be oriented consistently.
+        rng = random.Random(8)
+        words = [([1, -1], 2), ([-1, 1, 1, -1], 2), ([2, -2, 1, 1], 3)]
+        for _ in range(40):
+            strands = rng.choice((2, 3, 4))
+            letters = [
+                rng.choice((1, -1)) * rng.randrange(1, strands)
+                for _ in range(rng.randrange(1, 7))
+            ]
+            words.append((letters, strands))
+        for letters, strands in words:
+            dg = braid_closure_pd(letters, strands)
+            heads = [dg.edge_head(e) for e in dg.edges()]
+            assert len(set(heads)) == len(heads), (letters, strands)
+
+    def test_cancelling_pair_has_opposite_signs(self):
+        dg = braid_closure_pd([1, -1], 2)
+        assert sorted(dg.crossing_sign(k) for k in range(2)) == [-1, 1]
 
 
 class TestColorings:
