@@ -152,138 +152,115 @@ def white_sign_patterns(i: int, j: int) -> dict[tuple[int, int, int], tuple[int,
 Strand = tuple[int, int, int]  # (label, sign, segment id)
 
 
+def _produced(
+    ev: ChartEvent, consumed: Sequence[Sequence[int]], oriented: bool
+) -> tuple[tuple[int, int], ...]:
+    """The (label, sign) strands ``ev`` leaves in place of ``consumed``.
+
+    ``consumed`` holds the strands under the event's window, each read as
+    (label, sign, ...).  Raises ChartError, without an event index, when
+    they do not fit the event.  Unoriented sweeps carry sign 1 except on
+    cups, which keep a declared sign.
+    """
+    kind = ev.kind
+    if kind == "black":
+        lab = ev.labels[0]
+        if ev.insert:
+            if not oriented:
+                return ((lab, 1),)
+            if ev.sign is None:
+                raise ChartError("oriented black insert needs a sign")
+            # The event sign is the meridian exponent; the strand it births
+            # crosses slices with the opposite sign (that is what makes the
+            # total monodromy of a closed sweep trivial).
+            return ((lab, -ev.sign),)
+        got = consumed[0]
+        if got[0] != lab:
+            raise ChartError(f"strand at {ev.position} has label {got[0]}, expected {lab}")
+        if oriented and ev.sign is not None and ev.sign != got[1]:
+            raise ChartError(f"strand at {ev.position} has sign {got[1]}, expected {ev.sign}")
+        return ()
+    if kind == "cup":
+        lab = ev.labels[0]
+        sign = 1 if ev.sign is None else ev.sign
+        return ((lab, sign), (lab, -sign if oriented else sign))
+    if kind == "cap":
+        lab = ev.labels[0]
+        a, b = consumed
+        if a[0] != lab or b[0] != lab:
+            raise ChartError(f"cap labels ({a[0]}, {b[0]}) do not match {lab}")
+        if oriented and a[1] != -b[1]:
+            raise ChartError("cap needs opposite strand signs")
+        return ()
+    i, j = ev.labels
+    if kind == "crossing":
+        a, b = consumed
+        if a[0] != i or b[0] != j:
+            raise ChartError(f"strands at {ev.position} are ({a[0]}, {b[0]}), expected ({i}, {j})")
+        return ((j, b[1]), (i, a[1]))
+    a, b, c = consumed
+    labs = (a[0], b[0], c[0])
+    if labs != (i, j, i):
+        raise ChartError(f"strands at {ev.position} are {labs}, expected ({i}, {j}, {i})")
+    if not oriented:
+        return ((j, 1), (i, 1), (j, 1))
+    signs = (a[1], b[1], c[1])
+    out = white_sign_patterns(i, j).get(signs)
+    if out is None:
+        raise ChartError(f"sign pattern {signs} not admissible at a white vertex")
+    return ((j, out[0]), (i, out[1]), (j, out[2]))
+
+
 @dataclasses.dataclass
 class SweepRecord:
-    """Full strand bookkeeping of one sweep, shared by the chart algorithms."""
+    """Strand bookkeeping of one sweep, shared by the chart algorithms."""
 
     words: list[tuple[Strand, ...]]  # words[t] before event t; words[-1] final
     event_io: list[tuple[tuple[int, ...], tuple[int, ...]]]  # segment ids in/out
     segment_label: dict[int, int]
-    segment_sign: dict[int, int]  # sign carried in the word (oriented charts)
-    edge_of: dict[int, int]  # segment -> edge class (segments merged at cups/caps)
-
-    def edges(self) -> dict[int, list[int]]:
-        by_edge: dict[int, list[int]] = {}
-        for seg in sorted(self.segment_label):
-            by_edge.setdefault(self.edge_of[seg], []).append(seg)
-        return by_edge
 
 
-def _sweep(chart: Chart, collect: bool = False) -> SweepRecord:
-    """Run the sweep, validating every event; raises ChartError on violation.
-
-    With collect=True the full SweepRecord is built; otherwise only the word
-    evolution is checked (cheaper, same validation).
-    """
+def sweep_record(chart: Chart) -> SweepRecord:
+    """Run the sweep, validating every event; raises ChartError on violation."""
     d = chart.degree
     word: list[Strand] = []
-    next_seg = 0
-    record = SweepRecord([], [], {}, {}, {})
-    edge_union = UnionFind()
-
-    def fail(idx: int, msg: str):
-        raise ChartError(msg, idx)
-
-    def new_segment(label: int, sign: int) -> int:
-        nonlocal next_seg
-        seg = next_seg
-        next_seg += 1
-        record.segment_label[seg] = label
-        record.segment_sign[seg] = sign
-        edge_union.find(seg)
-        return seg
+    record = SweepRecord([], [], {})
+    segment_label = record.segment_label
 
     for idx, ev in enumerate(chart.events):
-        if collect:
-            record.words.append(tuple(word))
+        record.words.append(tuple(word))
         p = ev.position
         n_in, _ = ev.arity()
         for lab in ev.labels:
             if not (1 <= lab <= d - 1):
-                fail(idx, f"label {lab} out of range 1..{d - 1}")
+                raise ChartError(f"label {lab} out of range 1..{d - 1}", idx)
         if ev.kind == "crossing" and abs(ev.labels[0] - ev.labels[1]) <= 1:
-            fail(idx, f"crossing labels {ev.labels} must differ by more than 1")
+            raise ChartError(f"crossing labels {ev.labels} must differ by more than 1", idx)
         if ev.kind == "white" and abs(ev.labels[0] - ev.labels[1]) != 1:
-            fail(idx, f"white labels {ev.labels} must be adjacent")
+            raise ChartError(f"white labels {ev.labels} must be adjacent", idx)
         if not (0 <= p <= len(word) - n_in):
-            fail(idx, f"position {p} out of range for word length {len(word)}")
-        consumed = tuple(word[p + t][2] for t in range(n_in))
-
-        if ev.kind == "black":
-            lab = ev.labels[0]
-            if ev.insert:
-                # The event sign is the meridian exponent; the strand it
-                # births crosses slices with the opposite sign (that is what
-                # makes the total monodromy of a closed sweep trivial).
-                if chart.oriented and ev.sign is None:
-                    fail(idx, "oriented black insert needs a sign")
-                strand_sign = -ev.sign if (chart.oriented and ev.sign is not None) else 1
-                word.insert(p, (lab, strand_sign, new_segment(lab, strand_sign)))
-            else:
-                got_lab, got_sign, _seg = word[p]
-                if got_lab != lab:
-                    fail(idx, f"strand at {p} has label {got_lab}, expected {lab}")
-                if chart.oriented and ev.sign is not None and ev.sign != got_sign:
-                    fail(idx, f"strand at {p} has sign {got_sign}, expected {ev.sign}")
-                del word[p]
-        elif ev.kind == "cup":
-            lab = ev.labels[0]
-            sign = ev.sign if ev.sign is not None else 1
-            a = new_segment(lab, sign)
-            b = new_segment(lab, -sign if chart.oriented else sign)
-            edge_union.union(a, b)
-            word[p:p] = [(lab, sign, a), (lab, -sign if chart.oriented else sign, b)]
-        elif ev.kind == "cap":
-            lab = ev.labels[0]
-            (la, sa, ga), (lb, sb, gb) = word[p], word[p + 1]
-            if la != lab or lb != lab:
-                fail(idx, f"cap labels ({la}, {lb}) do not match {lab}")
-            if chart.oriented and sa != -sb:
-                fail(idx, "cap needs opposite strand signs")
-            edge_union.union(ga, gb)
-            del word[p : p + 2]
-        elif ev.kind == "crossing":
-            i, j = ev.labels
-            (la, sa, _), (lb, sb, _) = word[p], word[p + 1]
-            if (la, lb) != (i, j):
-                fail(idx, f"strands at {p} are ({la}, {lb}), expected ({i}, {j})")
-            segs = (new_segment(j, sb), new_segment(i, sa))
-            word[p : p + 2] = [(j, sb, segs[0]), (i, sa, segs[1])]
-        elif ev.kind == "white":
-            i, j = ev.labels
-            labs = tuple(word[p + t][0] for t in range(3))
-            if labs != (i, j, i):
-                fail(idx, f"strands at {p} are {labs}, expected ({i}, {j}, {i})")
-            signs = tuple(word[p + t][1] for t in range(3))
-            if chart.oriented:
-                table = white_sign_patterns(i, j)
-                if signs not in table:
-                    fail(idx, f"sign pattern {signs} not admissible at a white vertex")
-                out_signs = table[signs]
-            else:
-                out_signs = (1, 1, 1)
-            segs = tuple(new_segment(l, s) for l, s in zip((j, i, j), out_signs))
-            word[p : p + 3] = [
-                (j, out_signs[0], segs[0]),
-                (i, out_signs[1], segs[1]),
-                (j, out_signs[2], segs[2]),
-            ]
-        record.event_io.append((consumed, _produced_of(word, ev, p)))
+            raise ChartError(f"position {p} out of range for word length {len(word)}", idx)
+        consumed = word[p : p + n_in]
+        try:
+            produced = _produced(ev, consumed, chart.oriented)
+        except ChartError as exc:
+            raise ChartError(str(exc), idx) from None
+        first = len(segment_label)
+        strands = [(lab, sign, first + k) for k, (lab, sign) in enumerate(produced)]
+        for lab, _, seg in strands:
+            segment_label[seg] = lab
+        word[p : p + n_in] = strands
+        record.event_io.append(
+            (tuple(s[2] for s in consumed), tuple(range(first, first + len(strands))))
+        )
 
     if word:
         raise ChartError(
             f"sweep ends with nonempty word {tuple((l, s) for l, s, _ in word)}",
             len(chart.events),
         )
-    if collect:
-        record.words.append(tuple(word))
-        record.edge_of = {seg: edge_union.find(seg) for seg in record.segment_label}
+    record.words.append(())
     return record
-
-
-def _produced_of(word: list[Strand], ev: ChartEvent, p: int) -> tuple[int, ...]:
-    _, n_out = ev.arity()
-    return tuple(word[p + t][2] for t in range(n_out))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -300,15 +277,10 @@ def validate_chart(chart: Chart) -> ChartReport:
     Never raises; the report carries the first violation and its event index.
     """
     try:
-        _sweep(chart)
+        sweep_record(chart)
     except ChartError as exc:
         return ChartReport(False, str(exc), exc.event_index, 0)
     return ChartReport(True, None, None, chart.black_count())
-
-
-def sweep_record(chart: Chart) -> SweepRecord:
-    """Validated full sweep bookkeeping (words, segments, edges)."""
-    return _sweep(chart, collect=True)
 
 
 def chart_hurwitz_system(chart: Chart) -> HurwitzSystem:
@@ -357,6 +329,9 @@ def forget_orientation(chart: Chart) -> Chart:
 
 
 def _replace_events(chart: Chart, start: int, end: int, new_events: Sequence[ChartEvent]) -> Chart:
+    n = len(chart.events)
+    if not (0 <= start <= end <= n):
+        raise MoveError(f"event slice {start}:{end} out of range for {n} events")
     events = chart.events[:start] + tuple(new_events) + chart.events[end:]
     out = Chart(chart.degree, chart.oriented, events)
     report = validate_chart(out)
@@ -365,14 +340,23 @@ def _replace_events(chart: Chart, start: int, end: int, new_events: Sequence[Cha
     return out
 
 
+def _pair(chart: Chart, at: int) -> tuple[ChartEvent, ChartEvent]:
+    if not (0 <= at < len(chart.events) - 1):
+        raise MoveError("no event pair at this index")
+    return chart.events[at], chart.events[at + 1]
+
+
+def _cancel_pair(chart: Chart, at: int, kinds: tuple[str, str], name: str) -> Chart:
+    """Remove events at, at+1 of the given kinds: same position, mirrored labels."""
+    a, b = _pair(chart, at)
+    if (a.kind, b.kind) != kinds or a.position != b.position or a.labels != b.labels[::-1]:
+        raise MoveError(f"events are not a cancelling {name} pair")
+    return _replace_events(chart, at, at + 2, [])
+
+
 def cup_cap_cancel(chart: Chart, at: int) -> Chart:
     """Remove an adjacent cup followed by the cap closing it at the same spot."""
-    if at + 1 >= len(chart.events):
-        raise MoveError("no event pair at this index")
-    a, b = chart.events[at], chart.events[at + 1]
-    if not (a.kind == "cup" and b.kind == "cap" and a.position == b.position and a.labels == b.labels):
-        raise MoveError("events are not a cancelling cup/cap pair")
-    return _replace_events(chart, at, at + 2, [])
+    return _cancel_pair(chart, at, ("cup", "cap"), "cup/cap")
 
 
 def cup_cap_insert(chart: Chart, at: int, position: int, label: int, sign: int = 1) -> Chart:
@@ -385,17 +369,7 @@ def cup_cap_insert(chart: Chart, at: int, position: int, label: int, sign: int =
 
 def white_pair_cancel(chart: Chart, at: int) -> Chart:
     """Remove a white vertex immediately undone by its mirror."""
-    if at + 1 >= len(chart.events):
-        raise MoveError("no event pair at this index")
-    a, b = chart.events[at], chart.events[at + 1]
-    if not (
-        a.kind == "white"
-        and b.kind == "white"
-        and a.position == b.position
-        and a.labels == tuple(reversed(b.labels))
-    ):
-        raise MoveError("events are not a cancelling white pair")
-    return _replace_events(chart, at, at + 2, [])
+    return _cancel_pair(chart, at, ("white", "white"), "white")
 
 
 def white_pair_insert(chart: Chart, at: int, position: int, i: int, j: int) -> Chart:
@@ -404,17 +378,7 @@ def white_pair_insert(chart: Chart, at: int, position: int, i: int, j: int) -> C
 
 
 def crossing_pair_cancel(chart: Chart, at: int) -> Chart:
-    if at + 1 >= len(chart.events):
-        raise MoveError("no event pair at this index")
-    a, b = chart.events[at], chart.events[at + 1]
-    if not (
-        a.kind == "crossing"
-        and b.kind == "crossing"
-        and a.position == b.position
-        and a.labels == tuple(reversed(b.labels))
-    ):
-        raise MoveError("events are not a cancelling crossing pair")
-    return _replace_events(chart, at, at + 2, [])
+    return _cancel_pair(chart, at, ("crossing", "crossing"), "crossing")
 
 
 def crossing_pair_insert(chart: Chart, at: int, position: int, i: int, j: int) -> Chart:
@@ -423,9 +387,7 @@ def crossing_pair_insert(chart: Chart, at: int, position: int, i: int, j: int) -
 
 def event_swap(chart: Chart, at: int) -> Chart:
     """Reorder two consecutive events acting on disjoint strand windows."""
-    if at + 1 >= len(chart.events):
-        raise MoveError("no event pair at this index")
-    a, b = chart.events[at], chart.events[at + 1]
+    a, b = _pair(chart, at)
     a_in, a_out = a.arity()
     b_in, b_out = b.arity()
     delta_a = a_out - a_in
@@ -441,9 +403,7 @@ def event_swap(chart: Chart, at: int) -> Chart:
 
 def black_through_crossing(chart: Chart, at: int) -> Chart:
     """Slide a black vertex through a crossing on a commuting label."""
-    if at + 1 >= len(chart.events):
-        raise MoveError("no event pair at this index")
-    a, b = chart.events[at], chart.events[at + 1]
+    a, b = _pair(chart, at)
     if a.kind == "black" and b.kind == "crossing":
         i, j = b.labels
         p = b.position
@@ -463,9 +423,7 @@ def black_through_crossing(chart: Chart, at: int) -> Chart:
 
 def black_into_white(chart: Chart, at: int) -> Chart:
     """Absorb a black vertex across a white vertex (label changes i <-> j)."""
-    if at + 1 >= len(chart.events):
-        raise MoveError("no event pair at this index")
-    a, b = chart.events[at], chart.events[at + 1]
+    a, b = _pair(chart, at)
     if a.kind == "black" and b.kind == "white":
         i, j = b.labels
         p = b.position
@@ -670,38 +628,26 @@ def random_chart(
     events: list[ChartEvent] = []
     word: list[tuple[int, int]] = []  # (label, sign)
 
-    def admissible_whites():
-        out = []
-        for p in range(len(word) - 2):
-            (a, sa), (b, sb), (c, sc) = word[p : p + 3]
-            if a == c and abs(a - b) == 1:
-                if not oriented or (sa, sb, sc) in white_sign_patterns(a, b):
-                    out.append((p, a, b))
-        return out
-
-    def admissible_crossings():
-        return [
-            p
-            for p in range(len(word) - 1)
-            if abs(word[p][0] - word[p + 1][0]) > 1
-        ]
-
-    def admissible_caps():
-        out = []
-        for p in range(len(word) - 1):
-            (a, sa), (b, sb) = word[p], word[p + 1]
-            if a == b and ((sa == -sb) if oriented else True):
-                out.append(p)
-        return out
+    def fits(ev: ChartEvent) -> bool:
+        p, (n_in, _) = ev.position, ev.arity()
+        try:
+            _produced(ev, word[p : p + n_in], oriented)
+        except ChartError:
+            return False
+        return True
 
     while len(events) < size or word:
         growing = len(events) < size - len(word) - 1
         choices = []
         if growing:
             choices += ["black-insert"] * 3 + ["cup"] * 2
-        whites_ok = admissible_whites()
-        crossings_ok = admissible_crossings()
-        caps_ok = admissible_caps()
+        # Offer only events the sweep accepts: the label tests are the
+        # sweep's own, and _produced judges the strands.
+        pairs = [(p, word[p][0], word[p + 1][0]) for p in range(len(word) - 1)]
+        whites_ok = [ev for p, i, j in pairs[: len(word) - 2]
+                     if abs(i - j) == 1 and fits(ev := white(i, j, p))]
+        crossings_ok = [p for p, i, j in pairs if abs(i - j) > 1]
+        caps_ok = [ev for p, i, j in pairs if i == j and fits(ev := cap(i, p))]
         if word:
             choices += ["black-delete"] * (1 if growing else 4)
         if caps_ok:
@@ -714,38 +660,23 @@ def random_chart(
             choices = ["black-insert", "cup"]
         kind = rng.choice(choices)
         if kind == "black-insert":
-            lab = rng.randrange(1, degree)
-            p = rng.randrange(len(word) + 1)
-            sign = rng.choice([1, -1]) if oriented else None
-            events.append(black(lab, p, True, sign))
-            word.insert(p, (lab, -sign if sign is not None else 1))
+            ev = black(rng.randrange(1, degree), rng.randrange(len(word) + 1), True,
+                       rng.choice([1, -1]) if oriented else None)
         elif kind == "black-delete":
             p = rng.randrange(len(word))
             lab, sign = word[p]
-            events.append(black(lab, p, False, sign if oriented else None))
-            del word[p]
+            ev = black(lab, p, False, sign if oriented else None)
         elif kind == "cup":
-            lab = rng.randrange(1, degree)
-            p = rng.randrange(len(word) + 1)
-            sign = rng.choice([1, -1]) if oriented else None
-            events.append(cup(lab, p, sign))
-            s = sign if sign is not None else 1
-            word[p:p] = [(lab, s), (lab, -s if oriented else s)]
-        elif kind == "cap":
-            p = rng.choice(caps_ok)
-            events.append(cap(word[p][0], p))
-            del word[p : p + 2]
-        elif kind == "white":
-            p, i, j = rng.choice(whites_ok)
-            events.append(white(i, j, p))
-            signs = tuple(s for _, s in word[p : p + 3])
-            out_signs = white_sign_patterns(i, j)[signs] if oriented else (1, 1, 1)
-            word[p : p + 3] = [(j, out_signs[0]), (i, out_signs[1]), (j, out_signs[2])]
+            ev = cup(rng.randrange(1, degree), rng.randrange(len(word) + 1),
+                     rng.choice([1, -1]) if oriented else None)
         elif kind == "crossing":
             p = rng.choice(crossings_ok)
-            (i, si), (j, sj) = word[p], word[p + 1]
-            events.append(crossing(i, j, p))
-            word[p : p + 2] = [(j, sj), (i, si)]
+            ev = crossing(word[p][0], word[p + 1][0], p)
+        else:
+            ev = rng.choice(caps_ok if kind == "cap" else whites_ok)
+        events.append(ev)
+        p, (n_in, _) = ev.position, ev.arity()
+        word[p : p + n_in] = _produced(ev, word[p : p + n_in], oriented)
     return Chart(degree, oriented, tuple(events))
 
 
@@ -805,7 +736,17 @@ def chart_to_dot(chart: Chart) -> str:
             lines.append(f'  {name} [shape={shape}, label="{label}"];')
             for seg in cons + prod:
                 seg_ends[seg].append(name)
-    by_edge = record.edges()
+    # An edge is a chain of segments joined at cups and caps; it is named by
+    # the root its unions leave, in sweep order.
+    twins = UnionFind()
+    for ev, (cons, prod) in zip(chart.events, record.event_io):
+        if ev.kind == "cup":
+            twins.union(*prod)
+        elif ev.kind == "cap":
+            twins.union(*cons)
+    by_edge: dict[int, list[int]] = {}
+    for seg in sorted(record.segment_label):
+        by_edge.setdefault(twins.find(seg), []).append(seg)
     for edge_id, segs in sorted(by_edge.items()):
         ends = [v for seg in segs for v in seg_ends[seg]]
         lab = record.segment_label[segs[0]]

@@ -10,33 +10,29 @@ from __future__ import annotations
 import dataclasses
 import json
 import sys
+from typing import Any, Callable
 
 import click
 
 from . import charts, covering, hurwitz, links, quandles
-from .permutations import ParseError, cycle_string
+from .permutations import cycle_string
 
 EXIT_DOMAIN = 1
 EXIT_INPUT = 2
 
 
-class DomainExit(click.ClickException):
+class _JsonExit(click.ClickException):
+    def show(self, file=None):
+        json.dump({"error": str(self.message)}, sys.stderr)
+        sys.stderr.write("\n")
+
+
+class DomainExit(_JsonExit):
     exit_code = EXIT_DOMAIN
 
-    def show(self, file=None):
-        _emit_error(str(self.message))
 
-
-class InputExit(click.ClickException):
+class InputExit(_JsonExit):
     exit_code = EXIT_INPUT
-
-    def show(self, file=None):
-        _emit_error(str(self.message))
-
-
-def _emit_error(message: str) -> None:
-    json.dump({"error": message}, sys.stderr)
-    sys.stderr.write("\n")
 
 
 def _load_json(path: str) -> dict:
@@ -55,31 +51,12 @@ def _load_text(path: str) -> str:
         raise InputExit(f"{path}: {exc}")
 
 
-def _load_system(path: str) -> hurwitz.HurwitzSystem:
+def _load(path: str, parse: Callable, read: Callable[[str], Any] = _load_json):
+    """``parse(read(path))``; the parsers' errors are ValueErrors, reported as
+    input errors that name the file."""
     try:
-        return hurwitz.system_from_json(_load_json(path))
-    except (ValueError, ParseError) as exc:
-        raise InputExit(f"{path}: {exc}")
-
-
-def _load_chart(path: str) -> charts.Chart:
-    try:
-        return charts.chart_from_json(_load_json(path))
-    except charts.ChartError as exc:
-        raise InputExit(f"{path}: {exc}")
-
-
-def _load_diagram(path: str) -> links.LinkDiagram:
-    try:
-        return links.parse_pd(_load_text(path))
-    except (ParseError, links.LinkError) as exc:
-        raise InputExit(f"{path}: {exc}")
-
-
-def _load_coloring(path: str) -> links.SimpleColoring:
-    try:
-        return links.coloring_from_json(_load_json(path))
-    except (ValueError, ParseError) as exc:
+        return parse(read(path))
+    except ValueError as exc:
         raise InputExit(f"{path}: {exc}")
 
 
@@ -116,7 +93,7 @@ def main():
 @format_option
 def normalize(system_file, trace_out, fmt):
     """Normal form of a simple transitive closing permutation system."""
-    s = _load_system(system_file)
+    s = _load(system_file, hurwitz.system_from_json)
     try:
         nf, trace = hurwitz.hc_normal_form(s)
     except hurwitz.HurwitzError as exc:
@@ -143,7 +120,8 @@ def _trace_step_json(step):
 @format_option
 def equiv(system_a, system_b, mode, budget, fmt):
     """Decide HC-equivalence, or covering equivalence with --mode covering."""
-    s, t = _load_system(system_a), _load_system(system_b)
+    s = _load(system_a, hurwitz.system_from_json)
+    t = _load(system_b, hurwitz.system_from_json)
     try:
         if mode == "hc":
             verdict = hurwitz.hc_equivalent(s, t, budget=budget).value
@@ -159,7 +137,7 @@ def equiv(system_a, system_b, mode, budget, fmt):
 @format_option
 def cover(system_file, fmt):
     """Reconstruct the covering surface of a closing permutation system."""
-    s = _load_system(system_file)
+    s = _load(system_file, hurwitz.system_from_json)
     try:
         surface = covering.build_covering(s)
     except hurwitz.HurwitzError as exc:
@@ -172,7 +150,7 @@ def cover(system_file, fmt):
 @format_option
 def chart_validate(chart_file, fmt):
     """Validate a chart's sweep encoding."""
-    c = _load_chart(chart_file)
+    c = _load(chart_file, charts.chart_from_json)
     report = charts.validate_chart(c)
     payload = dataclasses.asdict(report)
     _print(payload, fmt)
@@ -185,7 +163,7 @@ def chart_validate(chart_file, fmt):
 @format_option
 def chart_monodromy(chart_file, fmt):
     """Hurwitz system induced by a chart."""
-    c = _load_chart(chart_file)
+    c = _load(chart_file, charts.chart_from_json)
     try:
         system = charts.chart_hurwitz_system(c)
     except charts.ChartError as exc:
@@ -199,7 +177,7 @@ def chart_monodromy(chart_file, fmt):
 @format_option
 def chart_orient(chart_file, witness_out, fmt):
     """Decide orientability; emits a braid-chart witness when one exists."""
-    c = _load_chart(chart_file)
+    c = _load(chart_file, charts.chart_from_json)
     try:
         result = charts.chart_orientable(c)
     except charts.ChartError as exc:
@@ -222,7 +200,7 @@ def chart_orient(chart_file, witness_out, fmt):
 @format_option
 def chart_move(chart_file, move_name, site, out, fmt):
     """Apply a named chart move at a site, e.g. --site at=2,position=0."""
-    c = _load_chart(chart_file)
+    c = _load(chart_file, charts.chart_from_json)
     kwargs = {}
     if site:
         for pair in site.split(","):
@@ -251,7 +229,7 @@ def chart_move(chart_file, move_name, site, out, fmt):
 @format_option
 def color(pd_file, degree, show_colors, fmt):
     """Enumerate simple colorings of a PD diagram."""
-    dg = _load_diagram(pd_file)
+    dg = _load(pd_file, links.parse_pd, _load_text)
     try:
         cols = links.enumerate_simple_colorings(dg, degree)
     except links.LinkError as exc:
@@ -277,8 +255,8 @@ def color(pd_file, degree, show_colors, fmt):
 @format_option
 def lift(pd_file, coloring_file, conjugator_bound, budget, fmt):
     """Search for a simple braid lift of a transposition coloring."""
-    dg = _load_diagram(pd_file)
-    f = _load_coloring(coloring_file)
+    dg = _load(pd_file, links.parse_pd, _load_text)
+    f = _load(coloring_file, links.coloring_from_json)
     try:
         result = links.find_simple_lift(dg, f, conjugator_bound, budget)
     except links.LinkError as exc:
@@ -323,7 +301,7 @@ def quandle_lift(pd_file, coloring_file, source_table, target_table, surjection,
                  conjugator_bound, budget, fmt):
     """Lift a coloring to the braid conjugation quandle (default) or
     through a finite surjective quandle homomorphism."""
-    dg = _load_diagram(pd_file)
+    dg = _load(pd_file, links.parse_pd, _load_text)
     if source_table or target_table or surjection:
         if not (source_table and target_table and surjection):
             raise InputExit("finite lifting needs --source-table, --target-table and --surjection")
@@ -347,7 +325,7 @@ def quandle_lift(pd_file, coloring_file, source_table, target_table, surjection,
             payload["lift"] = {str(a): v for a, v in lifted.items()}
         _print(payload, fmt)
         return
-    f = _load_coloring(coloring_file)
+    f = _load(coloring_file, links.coloring_from_json)
     try:
         result = quandles.lift_to_Ad(dg, f, conjugator_bound, budget)
     except links.LinkError as exc:
@@ -368,7 +346,7 @@ def quandle_lift(pd_file, coloring_file, source_table, target_table, surjection,
 @click.option("--out", "-o", type=click.Path(), help="Output file (stdout otherwise).")
 def render(chart_file, fmt, out):
     """Render a chart's sweep diagram as SVG or DOT."""
-    c = _load_chart(chart_file)
+    c = _load(chart_file, charts.chart_from_json)
     report = charts.validate_chart(c)
     if not report.valid:
         raise DomainExit(report.error or "invalid chart")

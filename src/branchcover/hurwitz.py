@@ -125,16 +125,6 @@ class HurwitzSystem:
         return f"[{self.flavor} d={self.degree}: {body}]"
 
 
-def _identity(degree: int, flavor: str) -> Entry:
-    if flavor == PERMUTATION:
-        return Permutation.identity(degree)
-    return BraidWord.identity(degree)
-
-
-def _conj(a: Entry, g: Entry) -> Entry:
-    return a ** g
-
-
 def hurwitz_move(s: HurwitzSystem, k: int, direction: str = "forward") -> HurwitzSystem:
     """One move at 0-based position k (acting on entries k and k+1).
 
@@ -146,9 +136,9 @@ def hurwitz_move(s: HurwitzSystem, k: int, direction: str = "forward") -> Hurwit
         raise IndexError(f"move position {k} out of range for {n} entries")
     a, b = s.entries[k], s.entries[k + 1]
     if direction == "forward":
-        pair = (b, _conj(a, b))
+        pair = (b, a ** b)
     elif direction == "inverse":
-        pair = (_conj(b, a.inverse()), a)
+        pair = (b ** a.inverse(), a)
     else:
         raise ValueError(f"direction must be 'forward' or 'inverse', not {direction!r}")
     entries = s.entries[:k] + pair + s.entries[k + 2 :]
@@ -162,7 +152,7 @@ def conjugate_system(s: HurwitzSystem, g: Entry) -> HurwitzSystem:
         raise ValueError(f"conjugator flavor does not match {s.flavor} system")
     if g.degree != s.degree:
         raise ValueError(f"conjugator degree {g.degree} != system degree {s.degree}")
-    return HurwitzSystem(s.degree, tuple(_conj(e, g) for e in s.entries), s.flavor)
+    return HurwitzSystem(s.degree, tuple(e ** g for e in s.entries), s.flavor)
 
 
 def total_monodromy(s: HurwitzSystem) -> Entry:
@@ -210,7 +200,7 @@ def braid_simplicity(
         next_frontier = []
         for u in frontier:
             for g in conjugators:
-                v = _conj(u, g)
+                v = u ** g
                 key = canonical_key(v)
                 if key in seen:
                     continue

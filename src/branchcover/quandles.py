@@ -244,11 +244,10 @@ class LazyBraidQuandle:
     concurrent readers and idempotent concurrent inserts.
     """
 
-    def __init__(self, degree: int, conjugacy_depth: int = 6):
+    def __init__(self, degree: int):
         if degree < 2:
             raise QuandleError("braid quandles need degree >= 2")
         self.degree = degree
-        self.conjugacy_depth = conjugacy_depth
         self._elements: dict = {}
         self._lock = threading.Lock()
         for i in range(1, degree):
@@ -264,7 +263,7 @@ class LazyBraidQuandle:
         """Materialize w as a quandle element (must be certified simple)."""
         if w.degree != self.degree:
             raise QuandleError(f"degree {w.degree} != quandle degree {self.degree}")
-        verdict = braid_simplicity(w, self.conjugacy_depth)
+        verdict = braid_simplicity(w)
         if verdict is not Simplicity.SIMPLE:
             raise QuandleError(f"element is {verdict.value}, not certified simple")
         return self._remember(w)

@@ -139,6 +139,7 @@ def test_criterion_2_braid_example():
     report(2, f"braid tuple collapses entrywise and is Hurwitz-equivalent ({elapsed:.3f}s)")
 
 
+@pytest.mark.slow
 def test_criterion_3_normal_form_exhaustive(exhaustive_family):
     transitive, _closing, normal_forms = exhaustive_family
     checked = 0
@@ -177,6 +178,7 @@ def test_criterion_3_normal_form_exhaustive(exhaustive_family):
     report(3, f"{checked} systems reach the template; BFS orbit agrees for d=3")
 
 
+@pytest.mark.slow
 def test_criterion_4_classification(exhaustive_family):
     transitive, _closing, normal_forms = exhaustive_family
     # Factorized universal check: within each (d, n) every normal form is the
@@ -210,6 +212,7 @@ def test_criterion_4_classification(exhaustive_family):
     report(4, f"verdict equals length-equality on all pairs ({calls} direct calls)")
 
 
+@pytest.mark.slow
 def test_criterion_5_parity_and_genus(exhaustive_family):
     transitive, closing, _normal_forms = exhaustive_family
     # Parity: no simple transitive closing system of odd length exists.

@@ -110,6 +110,33 @@ class TestValidation:
         )
         assert validate_chart(Chart(2, True, events)).valid
 
+    @pytest.mark.parametrize(
+        "chart, message, index",
+        [
+            (Chart(3, False, (black(1, 0, True), black(2, 0, False))),
+             "strand at 0 has label 1, expected 2", 1),
+            (Chart(3, False, (black(1, 0, True), black(2, 1, True), cap(1, 0))),
+             "cap labels (1, 2) do not match 1", 2),
+            (Chart(5, False, (black(1, 0, True), black(3, 1, True), crossing(3, 1, 0))),
+             "strands at 0 are (1, 3), expected (3, 1)", 2),
+            (Chart(3, False, (black(1, 0, True), black(2, 1, True), black(2, 2, True),
+                              white(1, 2, 0))),
+             "strands at 0 are (1, 2, 2), expected (1, 2, 1)", 3),
+            (Chart(3, True, (black(1, 0, True, -1), black(2, 1, True, 1),
+                             black(1, 2, True, -1), white(1, 2, 0))),
+             "sign pattern (1, -1, 1) not admissible at a white vertex", 3),
+            (Chart(2, True, (black(1, 0, True), black(1, 0, False))),
+             "oriented black insert needs a sign", 0),
+        ],
+        ids=["black-delete-label", "cap-labels", "crossing-strands", "white-strands",
+             "white-signs", "unsigned-insert"],
+    )
+    def test_sweep_rejections(self, chart, message, index):
+        report = validate_chart(chart)
+        assert not report.valid
+        assert message in report.error
+        assert report.event_index == index
+
 
 class TestMonodromy:
     def test_two_vertex(self):
@@ -291,6 +318,19 @@ class TestMoves:
     def test_inapplicable_site(self):
         with pytest.raises(MoveError):
             apply_chart_move(two_vertex_chart(), "cup-cap-cancel", at=0)
+
+    def test_swap_at_negative_site_rejected(self):
+        # A wrapped index would splice the last event before the first and
+        # return a valid chart with twice the black vertices.
+        c = Chart(3, False, (black(1, 0, True), black(2, 1, True), black(1, 0, False), black(2, 0, False)))
+        with pytest.raises(MoveError):
+            apply_chart_move(c, "swap", at=-1)
+
+    @pytest.mark.parametrize("at", [-1, 3])
+    def test_insert_out_of_range_site_rejected(self, at):
+        c = two_vertex_chart(3)
+        with pytest.raises(MoveError, match="out of range"):
+            apply_chart_move(c, "cup-cap-insert", at=at, position=0, label=2)
 
 
 def _applicable_move_sites(c):

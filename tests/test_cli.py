@@ -153,6 +153,13 @@ class TestChartVerbs:
         )
         assert result.exit_code == 1
 
+    def test_move_negative_site(self, runner, chart_file):
+        result = runner.invoke(
+            main, ["chart-move", chart_file, "--move", "swap", "--site", "at=-1"]
+        )
+        assert result.exit_code == 1
+        assert "no event pair" in json.loads(result.stderr)["error"]
+
     def test_render_svg_and_dot(self, runner, chart_file, tmp_path):
         out = tmp_path / "chart.svg"
         result = runner.invoke(main, ["render", chart_file, "-o", str(out)])

@@ -317,6 +317,17 @@ class TestLifts:
         assert res.lift is None
         assert res.exhausted
 
+    def test_closure_with_all_over_circle_lifts(self):
+        # The closure has an all-over circle; oriented wrongly, it makes the
+        # forced conjugates grow until memory runs out within the budget.
+        dg = braid_closure_pd([1, -1, 2, -2, 2, 2], 3)
+        colorings = enumerate_simple_colorings(dg, 3)
+        assert len(colorings) == 9
+        for f in colorings:
+            res = find_simple_lift(dg, f, budget=3000)
+            assert res.lift is not None and not res.exhausted
+            assert coloring_satisfies(dg, res.lift)
+
     def test_candidates_project_correctly(self):
         for target in (tr(3, 1, 2), tr(3, 1, 3)):
             cands = simple_braid_candidates(3, target, 2)
