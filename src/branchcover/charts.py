@@ -468,8 +468,8 @@ def patch_rewrite(chart: Chart, start: int, end: int, replacement: Sequence[Char
     new_before = new_record.words[start]
     new_after = new_record.words[start + len(replacement)]
 
-    def strip(w):
-        return tuple((l, s) for l, s, _ in w)
+    def strip(w):  # signs mean nothing on unoriented charts
+        return tuple((l, s) if chart.oriented else l for l, s, _ in w)
     if strip(new_before) != strip(before) or strip(new_after) != strip(after):
         raise MoveError("replacement does not reproduce the boundary words")
     return out
@@ -516,10 +516,23 @@ class OrientationResult:
 def chart_orientable(chart: Chart) -> OrientationResult:
     """Search for strand signs turning an unoriented chart into a braid chart.
 
-    Complete backtracking over the segment sign assignment: cups/caps force
-    opposite signs on their twins, crossings propagate signs, white vertices
-    admit only the tabulated patterns.  Returns the lexicographically least
-    witness (by segment id, + before -) or a certified negative.
+    Cups and caps give their twins opposite signs and crossings carry signs
+    across, so the segments fall into sign classes (a parity union-find);
+    an odd cycle of these relations is a certified negative.  The classes
+    are then linked through shared white vertices, and each linked component
+    is decided on its own: a class that no white vertex touches gives its
+    least segment +1 without branching, and the classes of a component are
+    searched in least-segment order, + before -.  Assigning a class
+    re-checks only the white vertices it touches against their tabulated
+    patterns, and a sign that every remaining pattern of such a vertex
+    forces is assigned at once (unit propagation); a trail undoes both on
+    backtracking.
+
+    Propagation removes only partial assignments that no valid assignment
+    extends, so each component's first solution is its lexicographically
+    least one.  Components share no constraint, so their least solutions
+    together are the least witness of the whole chart (by segment id, +
+    before -); a component without a solution is a certified negative.
     """
     if chart.oriented:
         raise ChartError("chart is already oriented")
@@ -527,75 +540,112 @@ def chart_orientable(chart: Chart) -> OrientationResult:
 
     # Sign classes: parity 1 between two segments means opposite signs.
     classes = ParityUnionFind()
-
-    whites: list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, int]]] = []
+    white_events = []
     for ev, (cons, prod) in zip(chart.events, record.event_io):
         if ev.kind in ("cup", "cap"):
-            if not classes.union(cons[0] if ev.kind == "cap" else prod[0],
-                                 cons[1] if ev.kind == "cap" else prod[1], 1):
+            twins = cons if ev.kind == "cap" else prod
+            if not classes.union(twins[0], twins[1], 1):
                 return OrientationResult(False)
         elif ev.kind == "crossing":
             ok = classes.union(cons[1], prod[0], 0) and classes.union(cons[0], prod[1], 0)
             if not ok:
                 return OrientationResult(False)
         elif ev.kind == "white":
-            whites.append((cons, prod, ev.labels))
+            white_events.append((cons + prod, ev.labels))
 
-    allowed: list[set[tuple[int, ...]]] = []
-    for cons, prod, (i, j) in whites:
-        table = white_sign_patterns(i, j)
-        allowed.append({c + p for c, p in table.items()})
+    # Each white vertex reads its six segments as (class root, sign flip).
+    whites = []
+    touching: dict[int, list[int]] = {}
+    links = UnionFind()
+    for w, (segs, (i, j)) in enumerate(white_events):
+        slots = []
+        for seg in segs:
+            root, par = classes.find(seg)
+            slots.append((root, -1 if par else 1))
+        patterns = [c + p for c, p in white_sign_patterns(i, j).items()]
+        whites.append((slots, patterns))
+        for root in dict.fromkeys(root for root, _ in slots):
+            touching.setdefault(root, []).append(w)
+            links.union(slots[0][0], root)
 
+    # The sign of each root that gives the least segment of its class +1.
     segments = sorted(record.segment_label)
-    roots = []
-    seen_roots = set()
+    first: dict[int, int] = {}
     for seg in segments:
-        r, _ = classes.find(seg)
-        if r not in seen_roots:
-            seen_roots.add(r)
-            roots.append((seg, r))  # keyed by least segment in the class
+        root, par = classes.find(seg)
+        first.setdefault(root, -1 if par else 1)
 
-    assignment: dict[int, int] = {}
+    sign: dict[int, int] = {}
+    trail: list[int] = []
 
-    def seg_sign(seg: int) -> Optional[int]:
-        r, par = classes.find(seg)
-        if r not in assignment:
-            return None
-        return -assignment[r] if par else assignment[r]
-
-    def whites_consistent() -> bool:
-        for (cons, prod, _), combos in zip(whites, allowed):
-            segs = cons + prod
-            signs = [seg_sign(s) for s in segs]
-            if any(s is None for s in signs):
-                candidates = [
-                    combo
-                    for combo in combos
-                    if all(s is None or s == c for s, c in zip(signs, combo))
-                ]
-                if not candidates:
+    def assign(root: int, value: int) -> bool:
+        """Set a root and everything it forces; False on a contradiction."""
+        queue = [(root, value)]
+        while queue:
+            root, value = queue.pop()
+            have = sign.get(root)
+            if have is not None:
+                if have != value:
                     return False
-            elif tuple(signs) not in combos:
-                return False
+                continue
+            sign[root] = value
+            trail.append(root)
+            for w in touching[root]:
+                slots, patterns = whites[w]
+                seen = [sign.get(r, 0) * f for r, f in slots]
+                live = [pat for pat in patterns
+                        if all(s == 0 or s == p for s, p in zip(seen, pat))]
+                if not live:
+                    return False
+                for k, (r, f) in enumerate(slots):
+                    if not seen[k]:
+                        forced = {pat[k] for pat in live}
+                        if len(forced) == 1:
+                            queue.append((r, forced.pop() * f))
         return True
 
-    def backtrack(k: int) -> bool:
-        if k == len(roots):
-            return True
-        least_seg, root = roots[k]
-        _, par = classes.find(least_seg)
-        first = -1 if par else 1
-        for value in (first, -first):  # least segment tries +1 first
-            assignment[root] = value
-            if whites_consistent() and backtrack(k + 1):
-                return True
-        del assignment[root]
-        return False
+    def undo(mark: int) -> None:
+        for root in trail[mark:]:
+            del sign[root]
+        del trail[mark:]
 
-    if not whites_consistent() or not backtrack(0):
+    def solve(order: list[int]) -> bool:
+        """Depth-first search over ``order``, keeping the first solution."""
+        decisions: list[tuple[int, int, int]] = []  # (index, trail mark, value)
+        k, value = 0, 0
+        while True:
+            if not value:  # next unassigned root, preferred sign first
+                while k < len(order) and order[k] in sign:
+                    k += 1
+                if k == len(order):
+                    return True
+                value = first[order[k]]
+            mark = len(trail)
+            if assign(order[k], value):
+                decisions.append((k, mark, value))
+                value = 0
+                continue
+            undo(mark)
+            while value != first[order[k]]:  # both signs failed here
+                if not decisions:
+                    return False
+                k, mark, value = decisions.pop()
+                undo(mark)
+            value = -value
+
+    components: dict[int, list[int]] = {}
+    for root in first:
+        if root in touching:
+            components.setdefault(links.find(root), []).append(root)
+        else:
+            sign[root] = first[root]
+    if not all(solve(order) for order in components.values()):
         return OrientationResult(False)
 
-    signs = {seg: seg_sign(seg) for seg in segments}
+    signs = {}
+    for seg in segments:
+        root, par = classes.find(seg)
+        signs[seg] = -sign[root] if par else sign[root]
     witness = _orient_with(chart, record, signs)
     return OrientationResult(True, witness, signs)
 
@@ -702,6 +752,8 @@ def chart_from_json(data: dict) -> Chart:
         raw = data["events"]
     except (KeyError, TypeError) as exc:
         raise ChartError(f"chart file needs degree/oriented/events: {exc}") from exc
+    if isinstance(degree, bool) or not isinstance(degree, int):
+        raise ChartError(f"chart degree must be an integer, got {degree!r}")
     events = []
     for k, item in enumerate(raw):
         try:

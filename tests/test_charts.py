@@ -1,8 +1,10 @@
+import itertools
 import random
+import time
 
 import pytest
 
-from branchcover.braids import BraidWord, braid_product, braids_equal
+from branchcover.braids import BraidWord, braid_product, braids_equal, project
 from branchcover.charts import (
     Chart,
     ChartError,
@@ -27,6 +29,7 @@ from branchcover.charts import (
     forget_orientation,
     patch_rewrite,
     random_chart,
+    sweep_record,
     validate_chart,
     white,
     white_pair_cancel,
@@ -311,6 +314,16 @@ class TestMoves:
         with pytest.raises(MoveError):
             patch_rewrite(c, 1, 3, [cup(1, 1)])
 
+    def test_patch_rewrite_ignores_signs_when_unoriented(self):
+        # An unoriented sweep keeps a cup's declared sign; the boundary words
+        # of the patch must still compare by labels alone.
+        patch = [cup(1, 0), cap(1, 2)]
+        for sign in (1, -1):
+            c = Chart(3, False, (black(1, 0, True), cup(1, 1, sign), black(1, 0, False), cap(1, 0)))
+            out = patch_rewrite(c, 2, 2, patch)
+            assert out.events == c.events[:2] + tuple(patch) + c.events[2:]
+            assert chart_hurwitz_system(out).entries == chart_hurwitz_system(c).entries
+
     def test_unknown_move(self):
         with pytest.raises(MoveError, match="unknown move"):
             apply_chart_move(two_vertex_chart(), "no-such-move")
@@ -471,10 +484,89 @@ class TestOrientability:
                     break
             assert not ok, f"assignment {combo} orients a nonorientable chart"
 
+    def test_matches_brute_force(self):
+        # Independent oracle: the first valid assignment in product order over
+        # the sorted segments is the lexicographically least witness.  Half
+        # the charts join two closed charts with white vertices, so their
+        # signs split into two or more white-linked components.
+        rng = random.Random(26)
+        charts = []
+        while len(charts) < 60:
+            c = _small_chart_with_whites(rng)
+            if len(charts) >= 30:
+                b = _small_chart_with_whites(rng)
+                c = Chart(max(c.degree, b.degree), False, c.events + b.events)
+            if len(sweep_record(c).segment_label) <= 16:
+                charts.append(c)
+        for c in charts:
+            signs = _first_valid_signs(c)
+            res = chart_orientable(c)
+            if signs is None:
+                assert not res.orientable and res.witness is None
+            else:
+                assert res.orientable and res.segment_signs == signs
+
+    def test_gadget_after_long_free_prefix_is_fast(self):
+        # 24 free arcs are 24 sign classes that no white vertex touches;
+        # they take their signs without branching (2^24 nodes otherwise).
+        prefix = []
+        for k in range(24):
+            prefix += [black(1 + k % 2, 0, True), black(1 + k % 2, 0, False)]
+        c = Chart(3, False, tuple(prefix) + self.NONORIENTABLE)
+        start = time.perf_counter()
+        res = chart_orientable(c)
+        assert time.perf_counter() - start < 1.0
+        assert not res.orientable and res.witness is None
+
+    def test_scan_chart_is_fast(self):
+        # A 165-event chart with 32 white vertices; it ran past 20 s under
+        # a search that assigned every class in order without propagation.
+        plain = forget_orientation(random_chart(4, 160, random.Random(160002), oriented=True))
+        start = time.perf_counter()
+        res = chart_orientable(plain)
+        assert time.perf_counter() - start < 1.0
+        assert res.orientable
+        assert validate_chart(res.witness).valid
+        assert forget_orientation(res.witness).events == plain.events
+        entries = chart_hurwitz_system(res.witness).entries
+        assert tuple(project(e) for e in entries) == chart_hurwitz_system(plain).entries
+
     def test_oriented_input_rejected(self):
         c = Chart(2, True, (black(1, 0, True, 1), black(1, 0, False, 1)))
         with pytest.raises(ChartError):
             chart_orientable(c)
+
+
+def _small_chart_with_whites(rng):
+    while True:
+        c = random_chart(rng.choice([3, 4]), rng.randrange(4, 9), rng, oriented=rng.random() < 0.5)
+        if any(e.kind == "white" for e in c.events):
+            return forget_orientation(c)
+
+
+def _first_valid_signs(chart):
+    """Brute force: the first segment sign assignment, in itertools.product
+    order over the sorted segments, that every cup, cap, crossing and white
+    vertex admits; None when there is none."""
+    rec = sweep_record(chart)
+    segs = sorted(rec.segment_label)
+    for combo in itertools.product((1, -1), repeat=len(segs)):
+        sign = dict(zip(segs, combo))
+        ok = True
+        for ev, (cons, prod) in zip(chart.events, rec.event_io):
+            if ev.kind in ("cup", "cap"):
+                a, b = prod if ev.kind == "cup" else cons
+                ok = sign[a] == -sign[b]
+            elif ev.kind == "crossing":
+                ok = sign[prod[0]] == sign[cons[1]] and sign[prod[1]] == sign[cons[0]]
+            elif ev.kind == "white":
+                table = white_sign_patterns(*ev.labels)
+                ok = table.get(tuple(sign[s] for s in cons)) == tuple(sign[s] for s in prod)
+            if not ok:
+                break
+        if ok:
+            return sign
+    return None
 
 
 class TestSerialization:
@@ -488,6 +580,11 @@ class TestSerialization:
     def test_json_error(self):
         with pytest.raises(ChartError):
             chart_from_json({"degree": 3})
+
+    @pytest.mark.parametrize("degree", ["x", 3.0, True])
+    def test_json_degree_must_be_integer(self, degree):
+        with pytest.raises(ChartError, match="degree"):
+            chart_from_json({"degree": degree, "oriented": False, "events": []})
 
     def test_dot_and_svg_emit(self):
         c = torus_chart()

@@ -128,6 +128,13 @@ class TestChartVerbs:
         assert result.exit_code == 1
         assert json.loads(result.output)["valid"] is False
 
+    def test_validate_non_integer_degree_exits_2(self, runner, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"degree": "x", "oriented": False, "events": []}))
+        result = runner.invoke(main, ["chart-validate", str(path)])
+        assert result.exit_code == 2
+        assert "degree" in json.loads(result.output)["error"]
+
     def test_monodromy(self, runner, chart_file):
         result = runner.invoke(main, ["chart-monodromy", chart_file])
         assert result.exit_code == 0
