@@ -12,6 +12,7 @@ from .braids import (
     braids_equal,
     canonical,
     exponent_sum,
+    garside_normal_form,
     parse_braid,
     project,
 )

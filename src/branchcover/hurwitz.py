@@ -29,7 +29,7 @@ from collections import deque
 from typing import Iterable, Sequence, Union
 
 from . import braids, permutations
-from .braids import BraidWord, braid_product, canonical_key, parse_braid, word_string
+from .braids import BraidWord, braid_product, garside_normal_form, parse_braid, word_string
 from .permutations import Permutation, cycle_string, parse_permutation
 
 Entry = Union[Permutation, BraidWord]
@@ -38,7 +38,6 @@ PERMUTATION = "permutation"
 BRAID = "braid"
 
 DEFAULT_EQUIV_BUDGET = 100_000
-DEFAULT_CONJUGACY_DEPTH = 6
 
 
 class HurwitzError(ValueError):
@@ -60,7 +59,6 @@ class NonClosingSystemError(HurwitzError):
 class Simplicity(enum.Enum):
     SIMPLE = "simple"
     NOT_SIMPLE = "not_simple"
-    UNDETERMINED = "undetermined"
 
 
 class Equivalence(enum.Enum):
@@ -118,7 +116,7 @@ class HurwitzSystem:
         """Hashable identity up to group equality of the entries."""
         if self.flavor == PERMUTATION:
             return tuple(e.images for e in self.entries)
-        return tuple(canonical_key(e) for e in self.entries)
+        return tuple(garside_normal_form(e) for e in self.entries)
 
     def __str__(self) -> str:
         body = ", ".join(str(e) for e in self.entries)
@@ -169,71 +167,44 @@ def is_closing(s: HurwitzSystem) -> bool:
 # -- simplicity ----------------------------------------------------------
 
 
-def braid_simplicity(
-    w: BraidWord, max_conjugator_length: int = DEFAULT_CONJUGACY_DEPTH
-) -> Simplicity:
+def braid_simplicity(w: BraidWord) -> Simplicity:
     """Is w a conjugate of some generator or inverse generator?
 
-    Exponent sum and projection give certified negatives; a bounded conjugacy
-    search (conjugators up to the given generator length) gives certified
-    positives.  Exhaustion without a certificate is UNDETERMINED, which is
-    deliberately distinct from NOT_SIMPLE.
+    Decided by three tests.  The exponent sum must be +1 or -1 and the
+    projection a transposition.  For d = 2 that suffices (B_2 is infinite
+    cyclic).  For d >= 3, take u = w, or u = w^-1 when the sum is -1: u is
+    a conjugate of a generator iff its super summit invariants
+    (inf_s, sup_s) are (0, 1) (``braids.summit``).  Such a summit element
+    is a single simple factor of length e = 1, an atom, and all atoms are
+    conjugate; conversely the generators have inf 0 and sup 1, which the
+    exponent sum makes extremal (inf_s <= e / ||Delta|| <= sup_s).  The
+    summit search stops as soon as it reaches (0, 1), and its conjugator is
+    the certificate.
     """
-    if braids.exponent_sum(w) not in (1, -1):
+    e = braids.exponent_sum(w)
+    if e not in (1, -1):
         return Simplicity.NOT_SIMPLE
     if not permutations.is_transposition(braids.project(w)):
         return Simplicity.NOT_SIMPLE
-    d = w.degree
-    targets = set()
-    for i in range(1, d):
-        targets.add(canonical_key(BraidWord(d, (i,))))
-        targets.add(canonical_key(BraidWord(d, (-i,))))
-    start = canonical_key(w)
-    if start in targets:
+    if w.degree == 2:
         return Simplicity.SIMPLE
-    seen = {start}
-    frontier = [w]
-    conjugators = [BraidWord(d, (i,)) for i in range(1, d)] + [
-        BraidWord(d, (-i,)) for i in range(1, d)
-    ]
-    for _ in range(max_conjugator_length):
-        next_frontier = []
-        for u in frontier:
-            for g in conjugators:
-                v = u ** g
-                key = canonical_key(v)
-                if key in seen:
-                    continue
-                if key in targets:
-                    return Simplicity.SIMPLE
-                seen.add(key)
-                next_frontier.append(v)
-        frontier = next_frontier
-        if not frontier:
-            break
-    return Simplicity.UNDETERMINED
+    inf, sup, _ = braids.summit(w if e == 1 else w.inverse())
+    return Simplicity.SIMPLE if (inf, sup) == (0, 1) else Simplicity.NOT_SIMPLE
 
 
-def entry_simplicity_verdicts(
-    s: HurwitzSystem, max_conjugator_length: int = DEFAULT_CONJUGACY_DEPTH
-) -> list[Simplicity]:
-    """Per-entry verdicts; permutation entries are never undetermined."""
+def entry_simplicity_verdicts(s: HurwitzSystem) -> list[Simplicity]:
+    """Per-entry verdicts: transpositions, or conjugates of braid generators."""
     if s.flavor == PERMUTATION:
         return [
             Simplicity.SIMPLE if permutations.is_transposition(e) else Simplicity.NOT_SIMPLE
             for e in s.entries
         ]
-    return [braid_simplicity(e, max_conjugator_length) for e in s.entries]
+    return [braid_simplicity(e) for e in s.entries]
 
 
-def is_simple_system(
-    s: HurwitzSystem, max_conjugator_length: int = DEFAULT_CONJUGACY_DEPTH
-) -> bool:
-    """True iff every entry is certified simple (see entry_simplicity_verdicts)."""
-    return all(
-        v is Simplicity.SIMPLE
-        for v in entry_simplicity_verdicts(s, max_conjugator_length)
-    )
+def is_simple_system(s: HurwitzSystem) -> bool:
+    """True iff every entry is simple (see entry_simplicity_verdicts)."""
+    return all(v is Simplicity.SIMPLE for v in entry_simplicity_verdicts(s))
 
 
 def is_transitive(s: HurwitzSystem) -> bool:
@@ -437,12 +408,15 @@ def _screen_distinct(s: HurwitzSystem, t: HurwitzSystem) -> bool:
         _entry_class_invariant(e) for e in t.entries
     ):
         return True
-    if _entry_class_invariant(total_monodromy(s)) != _entry_class_invariant(
-        total_monodromy(t)
-    ):
+    total_s, total_t = total_monodromy(s), total_monodromy(t)
+    if _entry_class_invariant(total_s) != _entry_class_invariant(total_t):
         return True
     if sorted(map(len, orbit_partition(s))) != sorted(map(len, orbit_partition(t))):
         return True
+    if s.flavor == BRAID and s.degree >= 3:
+        # The total monodromy changes only by conjugation, so its super
+        # summit invariants (inf_s, sup_s) are HC-invariants.
+        return braids.summit(total_s)[:2] != braids.summit(total_t)[:2]
     return False
 
 
@@ -497,13 +471,14 @@ def hc_equivalent(
 ) -> Equivalence:
     """Decide HC-equivalence.
 
-    Cheap invariants (length, entry classes, total monodromy, orbit sizes)
-    certify DISTINCT first.  Two permutation systems of equal length that
-    are both simple, transitive and closing are then EQUIVALENT by the
-    classification of simple branched coverings (Hurwitz 1891;
-    Berstein-Edmonds 1984): both reduce to ``normal_form_template`` of their
-    degree and length, which ``hc_normal_form`` realizes with a move trace
-    when a certificate is wanted.  Everything else falls back to a bounded
+    Cheap invariants (length, entry classes, total monodromy, orbit sizes,
+    and for braid systems of degree >= 3 the super summit invariants of the
+    total monodromy) certify DISTINCT first.  Two permutation systems of
+    equal length that are both simple, transitive and closing are then
+    EQUIVALENT by the classification of simple branched coverings (Hurwitz
+    1891; Berstein-Edmonds 1984): both reduce to ``normal_form_template`` of
+    their degree and length, which ``hc_normal_form`` realizes with a move
+    trace when a certificate is wanted.  Everything else falls back to a bounded
     bidirectional search over the move graph, which reports UNKNOWN when the
     budget is exhausted.
     """

@@ -28,7 +28,14 @@ from typing import Callable, Optional, Sequence
 
 from . import braids, permutations
 from ._unionfind import ParityUnionFind, UnionFind
-from .braids import BraidWord, braids_equal, canonical_key, parse_braid, word_string
+from .braids import (
+    BraidWord,
+    braids_equal,
+    canonical_key,
+    garside_normal_form,
+    parse_braid,
+    word_string,
+)
 from .hurwitz import BRAID, PERMUTATION
 from .permutations import ParseError, Permutation, cycle_string, parse_permutation
 
@@ -306,7 +313,7 @@ class SimpleColoring:
         if self.flavor == PERMUTATION:
             items = tuple(sorted((a, v.images) for a, v in self.assignment.items()))
         else:
-            items = tuple(sorted((a, canonical_key(v)) for a, v in self.assignment.items()))
+            items = tuple(sorted((a, garside_normal_form(v)) for a, v in self.assignment.items()))
         return (self.degree, self.flavor, items)
 
     def __eq__(self, other):
@@ -333,7 +340,7 @@ def _conjugated(u, o, sign: int):
 
 
 def coloring_satisfies(dg: LinkDiagram, coloring: SimpleColoring) -> bool:
-    """Check every Wirtinger relation (exact equality via canonical forms)."""
+    """Check every Wirtinger relation (exact equality via normal forms)."""
     if set(coloring.assignment) != set(dg.arcs()):
         return False
     equal = operator.eq if coloring.flavor == PERMUTATION else braids_equal
@@ -729,15 +736,14 @@ class LiftSearchResult:
     checks: int = 0
 
 
-def simple_braid_candidates(
-    d: int, target: Permutation, conjugator_bound: int
-) -> list[BraidWord]:
-    """All conjugates w g^e w^-1 (|w| <= bound) projecting to the target."""
+def _simple_conjugates(d: int, conjugator_bound: int) -> list[BraidWord]:
+    """The distinct conjugates w g^e w^-1 (|w| <= bound), first spelling
+    found breadth-first, sorted by their free-group images."""
     generators = [BraidWord(d, (i * s,)) for i in range(1, d) for s in (1, -1)]
     seen: dict = {}
     frontier = []
     for w in generators:
-        key = canonical_key(w)
+        key = garside_normal_form(w)
         if key not in seen:
             seen[key] = w
             frontier.append(w)
@@ -746,14 +752,19 @@ def simple_braid_candidates(
         for u in frontier:
             for g in generators:
                 v = u ** g
-                key = canonical_key(v)
+                key = garside_normal_form(v)
                 if key not in seen:
                     seen[key] = v
                     nxt.append(v)
         frontier = nxt
-    out = [w for w in seen.values() if braids.project(w) == target]
-    out.sort(key=canonical_key)
-    return out
+    return sorted(seen.values(), key=canonical_key)
+
+
+def simple_braid_candidates(
+    d: int, target: Permutation, conjugator_bound: int
+) -> list[BraidWord]:
+    """All conjugates w g^e w^-1 (|w| <= bound) projecting to the target."""
+    return [w for w in _simple_conjugates(d, conjugator_bound) if braids.project(w) == target]
 
 
 def find_simple_lift(
@@ -764,7 +775,8 @@ def find_simple_lift(
 ) -> LiftSearchResult:
     """Search for a braid coloring projecting to f arc by arc.
 
-    Candidates per arc are bounded conjugates of generators; crossing
+    Candidates per arc are the bounded conjugates of generators projecting
+    to the arc's color, computed once per call; crossing
     relations propagate forced values, which project to f because f
     satisfies the relations and projection is a homomorphism.  Each relation
     is checked by exact braid equality as soon as its under-in and over arcs
@@ -778,9 +790,9 @@ def find_simple_lift(
     if not coloring_satisfies(dg, f):
         raise LinkError("the base coloring does not satisfy the diagram")
     d = f.degree
+    pool = [(w, braids.project(w)) for w in _simple_conjugates(d, conjugator_bound)]
     candidates = {
-        arc: simple_braid_candidates(d, f.assignment[arc], conjugator_bound)
-        for arc in dg.arcs()
+        arc: [w for w, image in pool if image == f.assignment[arc]] for arc in dg.arcs()
     }
     try:
         found, checks = _solve_colorings(

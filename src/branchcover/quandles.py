@@ -5,7 +5,7 @@ bijective right translations, and is right self-distributive; conjugation
 x |> y = y^-1 x y in a group is the guiding example.  Two families matter
 here: the transpositions of S_d under conjugation (finite) and the
 conjugates of braid generators and their inverses under conjugation
-(infinite, materialized lazily with canonical-form keys so equality stays
+(infinite, materialized lazily with normal-form keys so equality stays
 exact).
 
 Diagram colorings by a quandle follow the same crossing rule as the link
@@ -20,7 +20,7 @@ import threading
 from typing import Optional, Sequence
 
 from . import braids, links, permutations
-from .braids import BraidWord, canonical_key
+from .braids import BraidWord, garside_normal_form
 from .hurwitz import PERMUTATION, Simplicity, braid_simplicity
 from .links import (
     LinkDiagram,
@@ -238,9 +238,9 @@ def lift_to_Ad(
 class LazyBraidQuandle:
     """Conjugates of the braid generators and inverses, under conjugation.
 
-    Elements materialize on demand, keyed by their canonical forms, so
-    equality is exact despite laziness; the membership certificate is the
-    bounded conjugacy search from the hurwitz module.  The cache tolerates
+    Elements materialize on demand, keyed by their Garside normal forms, so
+    equality is exact despite laziness; membership is decided by
+    ``braid_simplicity`` (exponent sum, projection and super summit).  The cache tolerates
     concurrent readers and idempotent concurrent inserts.
     """
 
@@ -255,7 +255,7 @@ class LazyBraidQuandle:
                 self._remember(BraidWord(degree, (i * s,)))
 
     def _remember(self, w: BraidWord) -> BraidWord:
-        key = canonical_key(w)
+        key = garside_normal_form(w)
         with self._lock:
             return self._elements.setdefault(key, w)
 

@@ -235,3 +235,64 @@ def fox_three_colorings(dg) -> int:
         if ok:
             count += 1
     return count
+
+
+def bounded_conjugacy_simple(w, max_conjugator_length: int = 6):
+    """Is the braid w a conjugate of a generator or its inverse?  True, False
+    or None (undecided), by screens and a bounded conjugator search.
+
+    Exponent sum and projection certify False.  A breadth-first search over
+    conjugates by up to ``max_conjugator_length`` generators, compared
+    through free-group images, certifies True.  Exhaustion is None.
+    """
+    from branchcover import permutations
+    from branchcover.braids import BraidWord, canonical_key, exponent_sum, project
+
+    if exponent_sum(w) not in (1, -1):
+        return False
+    if not permutations.is_transposition(project(w)):
+        return False
+    d = w.degree
+    targets = {canonical_key(BraidWord(d, (x,))) for i in range(1, d) for x in (i, -i)}
+    start = canonical_key(w)
+    if start in targets:
+        return True
+    seen = {start}
+    frontier = [w]
+    conjugators = [BraidWord(d, (x,)) for x in list(range(1, d)) + list(range(-1, -d, -1))]
+    for _ in range(max_conjugator_length):
+        next_frontier = []
+        for u in frontier:
+            for g in conjugators:
+                v = u ** g
+                key = canonical_key(v)
+                if key in seen:
+                    continue
+                if key in targets:
+                    return True
+                seen.add(key)
+                next_frontier.append(v)
+        frontier = next_frontier
+        if not frontier:
+            break
+    return None
+
+
+def chart_entries_by_products(chart) -> list:
+    """Meridian images of a permutation chart, each as the product
+    pw (lab lab+1) pw^-1 of its prefix word pw, composed generator by
+    generator (the direct reading of the sweep)."""
+    from branchcover import permutations
+    from branchcover.charts import sweep_record
+    from branchcover.permutations import Permutation
+
+    d = chart.degree
+    entries = []
+    for ev, word in zip(chart.events, sweep_record(chart).words):
+        if ev.kind != "black":
+            continue
+        pw = permutations.product(
+            (Permutation.adjacent(d, l) for l, _, _ in word[: ev.position]), degree=d
+        )
+        entries.append(pw * Permutation.adjacent(d, ev.labels[0]) * pw.inverse())
+    return entries

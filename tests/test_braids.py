@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +14,10 @@ from branchcover.braids import (
     canonical_key,
     exponent_sum,
     free_reduce,
+    garside_normal_form,
     parse_braid,
     project,
+    summit,
     word_string,
 )
 from branchcover.permutations import ParseError, Permutation, compose
@@ -135,14 +138,127 @@ def test_relator_multiplication_preserves_equality(data):
     d = data.draw(st.integers(3, 5))
     gens = [i for i in range(1, d)] + [-i for i in range(1, d)]
     w = bw(d, *data.draw(st.lists(st.sampled_from(gens), max_size=12)))
-    relators = []
+    r = data.draw(st.sampled_from(relators(d)))
+    assert braids_equal(w, w * bw(d, *r))
+
+
+def relators(d):
+    out = []
     for i, j in itertools.combinations(range(1, d), 2):
         if j - i == 1:
-            relators.append((i, j, i, -j, -i, -j))
+            out.append((i, j, i, -j, -i, -j))
         else:
-            relators.append((i, j, -i, -j))
-    r = data.draw(st.sampled_from(relators))
-    assert braids_equal(w, w * bw(d, *r))
+            out.append((i, j, -i, -j))
+    return out
+
+
+@st.composite
+def word_pairs(draw):
+    """A random word and either another random word or a respelling of it:
+    relators, their inverses and cancelling pairs inserted at random places."""
+    d = draw(st.integers(2, 5))
+    gens = [i for i in range(1, d)] + [-i for i in range(1, d)]
+    letters = st.sampled_from(gens)
+    u = draw(st.lists(letters, max_size=14))
+    if draw(st.booleans()):
+        return d, u, draw(st.lists(letters, max_size=14))
+    v = list(u)
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(v)))
+        if d > 2 and draw(st.booleans()):
+            r = draw(st.sampled_from(relators(d)))
+            piece = list(r) if draw(st.booleans()) else [-x for x in reversed(r)]
+        else:
+            x = draw(letters)
+            piece = [x, -x]
+        v[at:at] = piece
+    return d, u, v
+
+
+class TestGarside:
+    @given(word_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_same_equality_as_free_group_images(self, pair):
+        d, u, v = pair
+        u, v = bw(d, *u), bw(d, *v)
+        same = garside_normal_form(u) == garside_normal_form(v)
+        assert same == (canonical_key(u) == canonical_key(v))
+        assert braids_equal(u, v) == same
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_form_is_left_weighted_and_spells_the_element(self, data):
+        d = data.draw(st.integers(3, 5))
+        gens = [i for i in range(1, d)] + [-i for i in range(1, d)]
+        w = bw(d, *data.draw(st.lists(st.sampled_from(gens), max_size=14)))
+        p, factors = garside_normal_form(w)
+        identity, delta = tuple(range(d)), tuple(range(d - 1, -1, -1))
+
+        def starting(a):  # generators left-dividing a: strands j, j+1 cross
+            pos = {s: k for k, s in enumerate(a)}
+            return {j for j in range(d - 1) if pos[j] > pos[j + 1]}
+
+        def finishing(a):  # generators right-dividing a
+            return {j for j in range(d - 1) if a[j] > a[j + 1]}
+
+        def letters(a):
+            a, out = list(a), []
+            while finishing(a):
+                j = min(finishing(a))
+                a[j], a[j + 1] = a[j + 1], a[j]
+                out.append(j + 1)
+            return out[::-1]
+
+        assert all(sorted(a) == list(identity) and a not in (identity, delta) for a in factors)
+        assert all(starting(b) <= finishing(a) for a, b in zip(factors, factors[1:]))
+        word = letters(delta) * p if p >= 0 else [-x for x in letters(delta)[::-1]] * -p
+        for a in factors:
+            word += letters(a)
+        assert canonical_key(bw(d, *word)) == canonical_key(w)
+
+    def test_long_word_is_fast(self):
+        rng = random.Random(512)
+        w = bw(4, *[rng.choice([1, 2, 3, -1, -2, -3]) for _ in range(512)])
+        start = time.perf_counter()
+        p, factors = garside_normal_form(w)
+        assert time.perf_counter() - start < 5
+        assert garside_normal_form(w * w.inverse()) == (0, ())
+
+
+class TestSummit:
+    def test_trivial_and_weak_screen_pair(self):
+        assert summit(bw(3))[:2] == (0, 0)
+        assert summit(bw(3, 1, 1, -2, -2))[:2] == (-2, 2)
+
+    def test_full_twist_is_its_own_summit(self):
+        inf, sup, c = summit(bw(3, 1, 2, 1, 1, 2, 1))
+        assert (inf, sup) == (2, 2)
+
+    def test_conjugator_reaches_a_generator(self):
+        rng = random.Random(11)
+        for _ in range(120):
+            d = rng.choice([3, 4, 5])
+            gens = [i for i in range(1, d)] + [-i for i in range(1, d)]
+            g = bw(d, rng.randrange(1, d))
+            w = g ** bw(d, *[rng.choice(gens) for _ in range(rng.randrange(0, 8))])
+            inf, sup, c = summit(w)
+            assert (inf, sup) == (0, 1)
+            atoms = {canonical_key(bw(d, i)) for i in range(1, d)}
+            assert canonical_key(w ** c) in atoms
+            inf, sup, c = summit(w.inverse())
+            assert (inf, sup) == (-1, 0)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_conjugation_invariant(self, data):
+        d = data.draw(st.integers(3, 5))
+        gens = [i for i in range(1, d)] + [-i for i in range(1, d)]
+        w = bw(d, *data.draw(st.lists(st.sampled_from(gens), max_size=10)))
+        g = bw(d, *data.draw(st.lists(st.sampled_from(gens), max_size=6)))
+        inf, sup, c = summit(w)
+        assert summit(w ** g)[:2] == (inf, sup)
+        assert garside_normal_form(w ** c)[0] == inf
+        assert garside_normal_form(w ** c)[0] + len(garside_normal_form(w ** c)[1]) == sup
 
 
 class TestText:

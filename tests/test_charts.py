@@ -41,6 +41,7 @@ from branchcover.hurwitz import (
     total_monodromy,
 )
 from branchcover.permutations import Permutation
+from oracles import chart_entries_by_products
 
 
 def two_vertex_chart(d=2):
@@ -200,6 +201,13 @@ class TestMonodromy:
             c = random_chart(rng.choice([2, 3, 4]), rng.randrange(4, 16), rng, oriented=True)
             assert validate_chart(c).valid
             assert total_monodromy(chart_hurwitz_system(c)).is_identity()
+
+    def test_entries_match_prefix_products(self):
+        rng = random.Random(22)
+        for k in range(40):
+            c = random_chart(rng.choice([2, 3, 4, 5]), rng.randrange(4, 60), rng, oriented=k % 2 == 1)
+            c = forget_orientation(c)
+            assert list(chart_hurwitz_system(c).entries) == chart_entries_by_products(c)
 
 
 class TestWhitePatterns:

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 
@@ -27,6 +28,7 @@ from branchcover.hurwitz import (
     total_monodromy,
 )
 from branchcover.permutations import Permutation, all_transpositions
+from oracles import bounded_conjugacy_simple
 
 
 def tr(d, i, j):
@@ -153,6 +155,30 @@ class TestSimplicity:
             seed = BraidWord.generator(d, rng.randrange(1, d), rng.choice([1, -1]))
             assert braid_simplicity(seed ** conj) is Simplicity.SIMPLE
 
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_formerly_undetermined_word_decides_fast(self, d):
+        # s1^3 s2^-2: exponent sum 1 and a transposition, yet not simple.
+        start = time.perf_counter()
+        assert braid_simplicity(BraidWord(d, (1, 1, 1, -2, -2))) is Simplicity.NOT_SIMPLE
+        assert time.perf_counter() - start < 0.1
+
+    def test_agrees_with_bounded_conjugacy_search(self):
+        rng = random.Random(12)
+        decided = 0
+        for _ in range(400):
+            d = rng.choice([3, 4, 5])
+            gens = [i for i in range(1, d)] + [-i for i in range(1, d)]
+            if rng.random() < 0.5:
+                conj = BraidWord(d, tuple(rng.choice(gens) for _ in range(rng.randrange(6))))
+                w = BraidWord(d, (rng.choice(gens),)) ** conj
+            else:
+                w = BraidWord(d, tuple(rng.choice(gens) for _ in range(rng.choice([1, 3, 5, 7]))))
+            expected = bounded_conjugacy_simple(w, 3)
+            if expected is not None:
+                decided += 1
+                assert (braid_simplicity(w) is Simplicity.SIMPLE) == expected, w
+        assert decided > 300
+
 
 class TestTransitivity:
     def test_cases(self):
@@ -265,6 +291,14 @@ class TestEquivalence:
         s = braid_system(4, (1,), (3,), (-3,), (-1,))
         t = braid_system(4, (1,), (-1,), (3,), (-3,))
         assert hc_equivalent(s, t, budget=1) is Equivalence.UNKNOWN
+
+    @pytest.mark.parametrize("x, y", [(1, 2), (2, 1)])
+    def test_summit_screen_separates_weak_pair(self, x, y):
+        # Entry classes and total exponent sum and projection agree; the
+        # totals 1 and x^2 y^-2 have summits (0, 0) and (-2, 2).
+        s = braid_system(3, (x,), (-x,), (y,), (-y,))
+        t = braid_system(3, (x,), (x,), (-y,), (-y,))
+        assert hc_equivalent(s, t, budget=1) is Equivalence.DISTINCT
 
     def test_degree_mismatch_raises(self):
         with pytest.raises(ValueError):
