@@ -15,9 +15,9 @@ in the sphere).  Event kinds and their effect on the word at ``position`` p:
 
 Unoriented charts induce permutation monodromies through i -> (i i+1);
 oriented charts carry a sign per strand and induce braid monodromies through
-i -> i-th generator.  The sign patterns admitted at an oriented white vertex
-are exactly the six rotational readings of the relator, tabulated in
-``white_sign_patterns``.
+i -> i-th generator.  At an oriented white vertex the six rotational
+readings of the relator say two things: the consumed signs never alternate,
+(s, -s, s), and the produced strands carry them reversed.
 
 Monodromy convention: the base point sits at the end of the sweep; the
 meridian entry of a black event with prefix word P and letter x is P x P^-1,
@@ -31,7 +31,6 @@ event indices are 0-based.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import random
 from typing import Callable, Optional, Sequence
 
@@ -72,9 +71,14 @@ class ChartEvent:
     def __post_init__(self):
         if self.kind not in EVENT_KINDS:
             raise ChartError(f"unknown event kind {self.kind!r}")
+        # type() rather than isinstance(): bool is an int subclass.
+        if any(type(n) is not int for n in (self.position, *self.labels)):
+            raise ChartError(f"position/labels must be integers: {self.position!r} {self.labels}")
         if self.kind == "black" and self.insert is None:
             raise ChartError("black events need insert=True or insert=False")
-        if self.sign is not None and self.sign not in (1, -1):
+        if self.insert is not None and type(self.insert) is not bool:
+            raise ChartError(f"insert must be true or false, got {self.insert!r}")
+        if self.sign is not None and (type(self.sign) is not int or self.sign not in (1, -1)):
             raise ChartError(f"sign must be +1 or -1, got {self.sign!r}")
         want = {"black": 1, "cup": 1, "cap": 1, "crossing": 2, "white": 2}[self.kind]
         if len(self.labels) != want:
@@ -122,31 +126,6 @@ class Chart:
 
     def black_count(self) -> int:
         return sum(1 for e in self.events if e.kind == "black")
-
-
-@functools.lru_cache(maxsize=None)
-def white_sign_patterns(i: int, j: int) -> dict[tuple[int, int, int], tuple[int, int, int]]:
-    """Admissible oriented readings of a white vertex with labels (i, j).
-
-    Keys are the signs of the consumed strands (i, j, i); values are the signs
-    of the produced strands (j, i, j).  Derived from the six rotations of the
-    relator read around the vertex: consumed letters left to right, produced
-    letters reversed with signs flipped.
-    """
-    out: dict[tuple[int, int, int], tuple[int, int, int]] = {}
-    base_signs = (1, 1, 1, -1, -1, -1)
-    for first in (i, j):
-        second = j if first == i else i
-        labels = (first, second) * 3
-        for r in range(6):
-            lab = labels[r:] + labels[:r]
-            sgn = base_signs[r:] + base_signs[:r]
-            if lab[:3] != (i, j, i):
-                continue
-            consumed = sgn[:3]
-            produced = tuple(-s for s in reversed(sgn[3:]))
-            out[consumed] = produced
-    return out
 
 
 Strand = tuple[int, int, int]  # (label, sign, segment id)
@@ -204,11 +183,9 @@ def _produced(
         raise ChartError(f"strands at {ev.position} are {labs}, expected ({i}, {j}, {i})")
     if not oriented:
         return ((j, 1), (i, 1), (j, 1))
-    signs = (a[1], b[1], c[1])
-    out = white_sign_patterns(i, j).get(signs)
-    if out is None:
-        raise ChartError(f"sign pattern {signs} not admissible at a white vertex")
-    return ((j, out[0]), (i, out[1]), (j, out[2]))
+    if a[1] == c[1] == -b[1]:
+        raise ChartError(f"sign pattern {(a[1], b[1], c[1])} not admissible at a white vertex")
+    return ((j, c[1]), (i, b[1]), (j, a[1]))
 
 
 @dataclasses.dataclass
@@ -518,23 +495,29 @@ class OrientationResult:
 def chart_orientable(chart: Chart) -> OrientationResult:
     """Search for strand signs turning an unoriented chart into a braid chart.
 
-    Cups and caps give their twins opposite signs and crossings carry signs
-    across, so the segments fall into sign classes (a parity union-find);
-    an odd cycle of these relations is a certified negative.  The classes
-    are then linked through shared white vertices, and each linked component
-    is decided on its own: a class that no white vertex touches gives its
-    least segment +1 without branching, and the classes of a component are
-    searched in least-segment order, + before -.  Assigning a class
-    re-checks only the white vertices it touches against their tabulated
-    patterns, and a sign that every remaining pattern of such a vertex
-    forces is assigned at once (unit propagation); a trail undoes both on
-    backtracking.
+    Cups and caps give their twins opposite signs; crossings and white
+    vertices hand each consumed sign to the produced strand that mirrors it.
+    So the segments fall into sign classes (a parity union-find), and an odd
+    cycle of these relations is a certified negative.  Each white vertex
+    adds one clause: its consumed signs (x0, x1, x2) never alternate, that
+    is NAE(x0, -x1, x2).  The classes are linked through shared clauses,
+    and each linked component is decided on its own: a class that no clause
+    touches gives its least segment +1 without branching, and the classes
+    of a component are searched in least-segment order, + before -.
+    Assigning a class re-checks only the clauses it touches: three equal
+    literals are a contradiction, and two equal ones force the third to the
+    opposite value (unit propagation); a trail undoes both on backtracking.
 
     Propagation removes only partial assignments that no valid assignment
     extends, so each component's first solution is its lexicographically
     least one.  Components share no constraint, so their least solutions
     together are the least witness of the whole chart (by segment id, +
     before -); a component without a solution is a certified negative.
+
+    The worst case stays exponential: parity constraints with NAE-3 clauses
+    are NP-complete as a constraint language (Schaefer 1978).  Planar
+    NAE-3SAT is polynomial (Moret 1988), but strands pass through crossings,
+    so the clause graph of a chart need not be planar.
     """
     if chart.oriented:
         raise ChartError("chart is already oriented")
@@ -542,33 +525,28 @@ def chart_orientable(chart: Chart) -> OrientationResult:
 
     # Sign classes: parity 1 between two segments means opposite signs.
     classes = ParityUnionFind()
-    white_events = []
     for ev, (cons, prod) in zip(chart.events, record.event_io):
         if ev.kind in ("cup", "cap"):
             twins = cons if ev.kind == "cap" else prod
             if not classes.union(twins[0], twins[1], 1):
                 return OrientationResult(False)
-        elif ev.kind == "crossing":
-            ok = classes.union(cons[1], prod[0], 0) and classes.union(cons[0], prod[1], 0)
-            if not ok:
+        elif ev.kind in ("crossing", "white"):
+            if not all(classes.union(a, b, 0) for a, b in zip(cons, reversed(prod))):
                 return OrientationResult(False)
-        elif ev.kind == "white":
-            white_events.append((cons + prod, ev.labels))
 
-    # Each white vertex reads its six segments as (class root, sign flip).
-    whites = []
-    touching: dict[int, list[int]] = {}
+    # Each clause reads its consumed segments as (class root, literal flip);
+    # the middle flip is negated, so the literals must not all be equal.
+    touching: dict[int, list[list[tuple[int, int]]]] = {}
     links = UnionFind()
-    for w, (segs, (i, j)) in enumerate(white_events):
-        slots = []
-        for seg in segs:
-            root, par = classes.find(seg)
-            slots.append((root, -1 if par else 1))
-        patterns = [c + p for c, p in white_sign_patterns(i, j).items()]
-        whites.append((slots, patterns))
-        for root in dict.fromkeys(root for root, _ in slots):
-            touching.setdefault(root, []).append(w)
-            links.union(slots[0][0], root)
+    for ev, (cons, _) in zip(chart.events, record.event_io):
+        if ev.kind == "white":
+            clause = []
+            for seg, negate in zip(cons, (1, -1, 1)):
+                root, par = classes.find(seg)
+                clause.append((root, -negate if par else negate))
+            for root in dict.fromkeys(root for root, _ in clause):
+                touching.setdefault(root, []).append(clause)
+                links.union(clause[0][0], root)
 
     # The sign of each root that gives the least segment of its class +1.
     segments = sorted(record.segment_label)
@@ -592,18 +570,16 @@ def chart_orientable(chart: Chart) -> OrientationResult:
                 continue
             sign[root] = value
             trail.append(root)
-            for w in touching[root]:
-                slots, patterns = whites[w]
-                seen = [sign.get(r, 0) * f for r, f in slots]
-                live = [pat for pat in patterns
-                        if all(s == 0 or s == p for s, p in zip(seen, pat))]
-                if not live:
+            for clause in touching[root]:
+                # An unset literal reads 0, so three equal literals sum to
+                # +-3 and two equal ones beside an unset one to +-2.
+                literals = [sign.get(r, 0) * f for r, f in clause]
+                total = sum(literals)
+                if abs(total) == 3:
                     return False
-                for k, (r, f) in enumerate(slots):
-                    if not seen[k]:
-                        forced = {pat[k] for pat in live}
-                        if len(forced) == 1:
-                            queue.append((r, forced.pop() * f))
+                if abs(total) == 2:
+                    r, f = clause[literals.index(0)]
+                    queue.append((r, -total // 2 * f))
         return True
 
     def undo(mark: int) -> None:
@@ -750,12 +726,15 @@ def chart_to_json(chart: Chart) -> dict:
 def chart_from_json(data: dict) -> Chart:
     try:
         degree = data["degree"]
-        oriented = bool(data["oriented"])
+        oriented = data["oriented"]
         raw = data["events"]
     except (KeyError, TypeError) as exc:
         raise ChartError(f"chart file needs degree/oriented/events: {exc}") from exc
-    if isinstance(degree, bool) or not isinstance(degree, int):
-        raise ChartError(f"chart degree must be an integer, got {degree!r}")
+    for name, value, want, text in (("degree", degree, int, "an integer"),
+                                    ("oriented", oriented, bool, "true or false"),
+                                    ("events", raw, list, "a list")):
+        if type(value) is not want:
+            raise ChartError(f"chart {name} must be {text}, got {value!r}")
     events = []
     for k, item in enumerate(raw):
         try:

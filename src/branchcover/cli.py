@@ -313,7 +313,10 @@ def quandle_lift(pd_file, coloring_file, source_table, target_table, surjection,
             raise InputExit(str(exc))
         data = _load_json(coloring_file)
         try:
-            coloring = {int(a): int(v) for a, v in data["assignment"].items()}
+            raw = data["assignment"]
+            if not isinstance(raw, dict) or any(type(v) is not int for v in raw.values()):
+                raise TypeError(f"assignment must map arcs to element numbers, got {raw!r}")
+            coloring = {int(a): v for a, v in raw.items()}
         except (KeyError, TypeError, ValueError) as exc:
             raise InputExit(f"{coloring_file}: {exc}")
         try:

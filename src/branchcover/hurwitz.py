@@ -547,6 +547,8 @@ def system_from_json(data: dict) -> HurwitzSystem:
         raw = data["entries"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"system file needs degree/flavor/entries: {exc}") from exc
+    if not isinstance(raw, list) or not all(isinstance(text, str) for text in raw):
+        raise ValueError(f"system entries must be a list of strings, got {raw!r}")
     if flavor == PERMUTATION:
         entries = tuple(parse_permutation(text, degree) for text in raw)
     elif flavor == BRAID:

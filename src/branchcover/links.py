@@ -830,6 +830,10 @@ def coloring_from_json(data: dict) -> SimpleColoring:
         raw = data["assignment"]
     except (KeyError, TypeError) as exc:
         raise LinkError(f"coloring file needs degree/flavor/assignment: {exc}") from exc
+    if type(degree) is not int:
+        raise LinkError(f"coloring degree must be an integer, got {degree!r}")
+    if not isinstance(raw, dict) or not all(isinstance(text, str) for text in raw.values()):
+        raise LinkError(f"coloring assignment must map arcs to strings, got {raw!r}")
     assignment = {}
     for arc, text in raw.items():
         value = (

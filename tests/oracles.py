@@ -8,6 +8,8 @@ directly, so agreement with the library is a two-route check.
 
 from __future__ import annotations
 
+import functools
+
 from branchcover.hurwitz import HurwitzSystem
 
 
@@ -296,3 +298,28 @@ def chart_entries_by_products(chart) -> list:
         )
         entries.append(pw * Permutation.adjacent(d, ev.labels[0]) * pw.inverse())
     return entries
+
+
+@functools.lru_cache(maxsize=None)
+def white_sign_patterns(i: int, j: int) -> dict[tuple[int, int, int], tuple[int, int, int]]:
+    """Admissible oriented readings of a white vertex with labels (i, j).
+
+    Keys are the signs of the consumed strands (i, j, i); values are the signs
+    of the produced strands (j, i, j).  Derived from the six rotations of the
+    relator read around the vertex: consumed letters left to right, produced
+    letters reversed with signs flipped.
+    """
+    out: dict[tuple[int, int, int], tuple[int, int, int]] = {}
+    base_signs = (1, 1, 1, -1, -1, -1)
+    for first in (i, j):
+        second = j if first == i else i
+        labels = (first, second) * 3
+        for r in range(6):
+            lab = labels[r:] + labels[:r]
+            sgn = base_signs[r:] + base_signs[:r]
+            if lab[:3] != (i, j, i):
+                continue
+            consumed = sgn[:3]
+            produced = tuple(-s for s in reversed(sgn[3:]))
+            out[consumed] = produced
+    return out

@@ -33,7 +33,6 @@ from branchcover.charts import (
     validate_chart,
     white,
     white_pair_cancel,
-    white_sign_patterns,
 )
 from branchcover.hurwitz import (
     Equivalence,
@@ -41,7 +40,7 @@ from branchcover.hurwitz import (
     total_monodromy,
 )
 from branchcover.permutations import Permutation
-from oracles import chart_entries_by_products
+from oracles import chart_entries_by_products, white_sign_patterns
 
 
 def two_vertex_chart(d=2):
@@ -230,6 +229,31 @@ class TestWhitePatterns:
                     [BraidWord(d, (l * s,)) for l, s in zip((j, i, j), prod)], d
                 )
                 assert braids_equal(u, v), (i, j, cons, prod)
+
+    @pytest.mark.parametrize("i, j", [(1, 2), (2, 1), (2, 3), (3, 4)])
+    def test_sweep_follows_table(self, i, j):
+        # Three signed strands (i, j, i) meet one white vertex and die; the
+        # sweep must admit exactly the tabulated triples and emit their rows.
+        table = white_sign_patterns(i, j)
+        for cons in itertools.product((1, -1), repeat=3):
+            events = (
+                black(i, 0, True, -cons[0]),
+                black(j, 1, True, -cons[1]),
+                black(i, 2, True, -cons[2]),
+                white(i, j, 0),
+                black(j, 0, False),
+                black(i, 0, False),
+                black(j, 0, False),
+            )
+            c = Chart(max(i, j) + 1, True, events)
+            report = validate_chart(c)
+            assert report.valid == (cons in table), cons
+            if not report.valid:
+                assert report.event_index == 3 and "not admissible" in report.error
+                continue
+            words = sweep_record(c).words
+            assert tuple((l, s) for l, s, _ in words[3]) == tuple(zip((i, j, i), cons))
+            assert tuple((l, s) for l, s, _ in words[4]) == tuple(zip((j, i, j), table[cons]))
 
 
 def assert_hc_equivalent_systems(c1, c2, budget=30_000):
@@ -593,6 +617,37 @@ class TestSerialization:
     def test_json_degree_must_be_integer(self, degree):
         with pytest.raises(ChartError, match="degree"):
             chart_from_json({"degree": degree, "oriented": False, "events": []})
+
+    @pytest.mark.parametrize(
+        "top, first, field",
+        [
+            ({"oriented": "false"}, {}, "oriented"),
+            ({"oriented": 0}, {}, "oriented"),
+            ({"events": 5}, {}, "events"),
+            ({}, {"position": "0"}, "position"),
+            ({}, {"position": True}, "position"),
+            ({}, {"labels": ["1"]}, "labels"),
+            ({}, {"labels": [True]}, "labels"),
+            ({}, {"insert": "yes"}, "insert"),
+            ({}, {"sign": True}, "sign"),
+        ],
+        ids=["oriented-string", "oriented-int", "events-int", "position-string",
+             "position-bool", "label-string", "label-bool", "insert-string", "sign-bool"],
+    )
+    def test_json_fields_must_have_their_types(self, top, first, field):
+        data = chart_to_json(two_vertex_chart())
+        data["events"][0].update(first)
+        data.update(top)
+        with pytest.raises(ChartError, match=field):
+            chart_from_json(data)
+
+    def test_event_fields_must_have_their_types(self):
+        with pytest.raises(ChartError, match="position"):
+            black(1, 0.0, True)
+        with pytest.raises(ChartError, match="labels"):
+            white(1, "2", 0)
+        with pytest.raises(ChartError, match="insert"):
+            black(1, 0, 1)
 
     def test_dot_and_svg_emit(self):
         c = torus_chart()

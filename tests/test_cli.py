@@ -105,6 +105,13 @@ class TestCover:
         result = runner.invoke(main, ["cover", str(path)])
         assert result.exit_code == 1
 
+    def test_non_list_entries_is_input_error(self, runner, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"degree": 3, "flavor": "permutation", "entries": 5}))
+        result = runner.invoke(main, ["cover", str(path)])
+        assert result.exit_code == 2
+        assert "entries" in json.loads(result.stderr)["error"]
+
 
 class TestChartVerbs:
     @pytest.fixture
@@ -134,6 +141,18 @@ class TestChartVerbs:
         result = runner.invoke(main, ["chart-validate", str(path)])
         assert result.exit_code == 2
         assert "degree" in json.loads(result.output)["error"]
+
+    def test_validate_string_oriented_exits_2(self, runner, tmp_path):
+        # bool("false") is True: the valid unsigned chart would be read as
+        # oriented and rejected for its missing signs.
+        c = Chart(2, False, (black(1, 0, True), black(1, 0, False)))
+        data = chart_to_json(c)
+        data["oriented"] = "false"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        result = runner.invoke(main, ["chart-validate", str(path)])
+        assert result.exit_code == 2
+        assert "oriented" in json.loads(result.output)["error"]
 
     def test_monodromy(self, runner, chart_file):
         result = runner.invoke(main, ["chart-monodromy", chart_file])
@@ -215,6 +234,20 @@ class TestLift:
         assert data["found"] is True
         assert data["lift"]["flavor"] == "braid"
 
+    @pytest.mark.parametrize(
+        "degree, assignment, field",
+        [(2, [1, 2], "assignment"), (2, {"1": 5}, "assignment"), ("x", {}, "degree")],
+        ids=["list", "non-string", "string-degree"],
+    )
+    def test_malformed_coloring_is_input_error(self, runner, trefoil_file, tmp_path,
+                                               degree, assignment, field):
+        cpath = tmp_path / "coloring.json"
+        cpath.write_text(json.dumps({"degree": degree, "flavor": "permutation",
+                                     "assignment": assignment}))
+        result = runner.invoke(main, ["lift", trefoil_file, str(cpath)])
+        assert result.exit_code == 2
+        assert field in json.loads(result.stderr)["error"]
+
 
 class TestQuandleVerbs:
     def test_check_valid(self, runner, tmp_path):
@@ -262,6 +295,24 @@ class TestQuandleVerbs:
         ])
         assert result.exit_code == 0
         assert json.loads(result.output)["found"] is False
+
+    # A float element was truncated by int() and silently accepted.
+    @pytest.mark.parametrize("assignment", [[1, 2], {"1": 1.5}], ids=["list", "float"])
+    def test_lift_through_surjection_bad_assignment(self, runner, trefoil_file, tmp_path,
+                                                   assignment):
+        table = tmp_path / "t3.quandle"
+        table.write_text(quandle_to_text(make_Td(3)))
+        surj = tmp_path / "id.map"
+        surj.write_text("0 1 2")
+        cpath = tmp_path / "col.json"
+        cpath.write_text(json.dumps({"assignment": assignment}))
+        result = runner.invoke(main, [
+            "quandle-lift", trefoil_file, str(cpath),
+            "--source-table", str(table), "--target-table", str(table),
+            "--surjection", str(surj),
+        ])
+        assert result.exit_code == 2
+        assert "assignment" in json.loads(result.stderr)["error"]
 
 
 class TestRoundTrips:
