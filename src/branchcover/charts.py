@@ -738,6 +738,10 @@ def chart_from_json(data: dict) -> Chart:
     events = []
     for k, item in enumerate(raw):
         try:
+            if type(item) is not dict:
+                raise ChartError(f"event must be an object, got {item!r}")
+            if type(item.get("labels")) is not list:
+                raise ChartError(f"event labels must be a list, got {item.get('labels')!r}")
             events.append(
                 ChartEvent(
                     item["kind"],

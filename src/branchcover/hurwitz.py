@@ -29,8 +29,8 @@ from collections import deque
 from typing import Iterable, Sequence, Union
 
 from . import braids, permutations
-from .braids import BraidWord, braid_product, garside_normal_form, parse_braid, word_string
-from .permutations import Permutation, cycle_string, parse_permutation
+from .braids import BraidWord, braid_product, garside_normal_form, parse_braid
+from .permutations import Permutation, parse_permutation
 
 Entry = Union[Permutation, BraidWord]
 
@@ -532,12 +532,19 @@ def iter_simple_closing_systems(
 # -- JSON files ----------------------------------------------------------
 
 
+# Entry text by flavor: str(e) writes it, the parser reads it back.
+_ENTRY_PARSERS = {PERMUTATION: parse_permutation, BRAID: parse_braid}
+
+
+def entry_parser(flavor):
+    """The entry-text parser ``(text, degree) -> entry`` of a flavor."""
+    if not isinstance(flavor, str) or flavor not in _ENTRY_PARSERS:
+        raise ValueError(f"unknown flavor {flavor!r}")
+    return _ENTRY_PARSERS[flavor]
+
+
 def system_to_json(s: HurwitzSystem) -> dict:
-    if s.flavor == PERMUTATION:
-        entries = [cycle_string(e) for e in s.entries]
-    else:
-        entries = [word_string(e) for e in s.entries]
-    return {"degree": s.degree, "flavor": s.flavor, "entries": entries}
+    return {"degree": s.degree, "flavor": s.flavor, "entries": [str(e) for e in s.entries]}
 
 
 def system_from_json(data: dict) -> HurwitzSystem:
@@ -549,10 +556,5 @@ def system_from_json(data: dict) -> HurwitzSystem:
         raise ValueError(f"system file needs degree/flavor/entries: {exc}") from exc
     if not isinstance(raw, list) or not all(isinstance(text, str) for text in raw):
         raise ValueError(f"system entries must be a list of strings, got {raw!r}")
-    if flavor == PERMUTATION:
-        entries = tuple(parse_permutation(text, degree) for text in raw)
-    elif flavor == BRAID:
-        entries = tuple(parse_braid(text, degree) for text in raw)
-    else:
-        raise ValueError(f"unknown flavor {flavor!r}")
-    return HurwitzSystem(degree, entries, flavor)
+    parse = entry_parser(flavor)
+    return HurwitzSystem(degree, tuple(parse(text, degree) for text in raw), flavor)

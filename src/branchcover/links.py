@@ -33,11 +33,9 @@ from .braids import (
     braids_equal,
     canonical_key,
     garside_normal_form,
-    parse_braid,
-    word_string,
 )
-from .hurwitz import BRAID, PERMUTATION
-from .permutations import ParseError, Permutation, cycle_string, parse_permutation
+from .hurwitz import BRAID, PERMUTATION, entry_parser
+from .permutations import ParseError, Permutation
 
 DEFAULT_CONJUGATOR_BOUND = 3
 DEFAULT_LIFT_BUDGET = 1_000_000
@@ -302,6 +300,8 @@ class SimpleColoring:
     assignment: dict
 
     def __post_init__(self):
+        if self.flavor not in (PERMUTATION, BRAID):
+            raise LinkError(f"unknown flavor {self.flavor!r}")
         want = Permutation if self.flavor == PERMUTATION else BraidWord
         for arc, value in self.assignment.items():
             if not isinstance(value, want):
@@ -812,14 +812,10 @@ def find_simple_lift(
 
 
 def coloring_to_json(coloring: SimpleColoring) -> dict:
-    if coloring.flavor == PERMUTATION:
-        assignment = {str(a): cycle_string(v) for a, v in coloring.assignment.items()}
-    else:
-        assignment = {str(a): word_string(v) for a, v in coloring.assignment.items()}
     return {
         "degree": coloring.degree,
         "flavor": coloring.flavor,
-        "assignment": assignment,
+        "assignment": {str(a): str(v) for a, v in coloring.assignment.items()},
     }
 
 
@@ -834,12 +830,6 @@ def coloring_from_json(data: dict) -> SimpleColoring:
         raise LinkError(f"coloring degree must be an integer, got {degree!r}")
     if not isinstance(raw, dict) or not all(isinstance(text, str) for text in raw.values()):
         raise LinkError(f"coloring assignment must map arcs to strings, got {raw!r}")
-    assignment = {}
-    for arc, text in raw.items():
-        value = (
-            parse_permutation(text, degree)
-            if flavor == PERMUTATION
-            else parse_braid(text, degree)
-        )
-        assignment[int(arc)] = value
+    parse = entry_parser(flavor)
+    assignment = {int(arc): parse(text, degree) for arc, text in raw.items()}
     return SimpleColoring(degree, flavor, assignment)

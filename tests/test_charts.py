@@ -630,9 +630,12 @@ class TestSerialization:
             ({}, {"labels": [True]}, "labels"),
             ({}, {"insert": "yes"}, "insert"),
             ({}, {"sign": True}, "sign"),
+            ({"events": [5]}, {}, "event 0: event must be an object"),
+            ({}, {"labels": 1}, "event 0: event labels must be a list"),
         ],
         ids=["oriented-string", "oriented-int", "events-int", "position-string",
-             "position-bool", "label-string", "label-bool", "insert-string", "sign-bool"],
+             "position-bool", "label-string", "label-bool", "insert-string", "sign-bool",
+             "event-int", "labels-int"],
     )
     def test_json_fields_must_have_their_types(self, top, first, field):
         data = chart_to_json(two_vertex_chart())

@@ -221,6 +221,12 @@ class TestColor:
         result = runner.invoke(main, ["color", str(path), "--degree", "3"])
         assert result.exit_code == 2
 
+    def test_degree_above_cap_is_domain_error(self, runner, trefoil_file):
+        result = runner.invoke(main, ["color", trefoil_file, "--degree", "17"])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert "exceeds the configured cap" in json.loads(result.stderr)["error"]
+
 
 class TestLift:
     def test_trefoil_d2(self, runner, trefoil_file, tmp_path):
@@ -248,6 +254,13 @@ class TestLift:
         assert result.exit_code == 2
         assert field in json.loads(result.stderr)["error"]
 
+    def test_unknown_flavor_is_input_error(self, runner, trefoil_file, tmp_path):
+        cpath = tmp_path / "coloring.json"
+        cpath.write_text(json.dumps({"degree": 2, "flavor": "foo", "assignment": {}}))
+        result = runner.invoke(main, ["lift", trefoil_file, str(cpath)])
+        assert result.exit_code == 2
+        assert "unknown flavor 'foo'" in json.loads(result.stderr)["error"]
+
 
 class TestQuandleVerbs:
     def test_check_valid(self, runner, tmp_path):
@@ -271,6 +284,8 @@ class TestQuandleVerbs:
         result = runner.invoke(main, ["quandle-lift", trefoil_file, str(cpath)])
         assert result.exit_code == 0
         assert json.loads(result.output)["found"] is True
+        plain = runner.invoke(main, ["lift", trefoil_file, str(cpath)])
+        assert result.stdout == plain.stdout
 
     def test_lift_through_surjection(self, runner, trefoil_file, tmp_path):
         from branchcover.quandles import dihedral_quandle, quandle_colorings
@@ -313,6 +328,13 @@ class TestQuandleVerbs:
         ])
         assert result.exit_code == 2
         assert "assignment" in json.loads(result.stderr)["error"]
+
+
+@pytest.mark.parametrize("name", sorted(set(main.commands) - {"render"}))
+def test_only_render_takes_format(runner, name):
+    result = runner.invoke(main, [name, "--format", "json"])
+    assert result.exit_code == 2
+    assert "No such option" in result.stderr and "--format" in result.stderr
 
 
 class TestRoundTrips:

@@ -158,6 +158,13 @@ class TestJson:
         c = SimpleColoring(2, "braid", {-1: BraidWord(2, (1,))})
         assert coloring_from_json(coloring_to_json(c)) == c
 
+    def test_unknown_flavor(self):
+        # A flavor other than "permutation" used to be read as braid.
+        with pytest.raises(LinkError, match="unknown flavor 'foo'"):
+            SimpleColoring(2, "foo", {-1: BraidWord(2, (1,))})
+        with pytest.raises(ValueError, match="unknown flavor 'foo'"):
+            coloring_from_json({"degree": 2, "flavor": "foo", "assignment": {"-1": "s1"}})
+
 
 def surjective_trefoil_coloring():
     cols = enumerate_simple_colorings(TREFOIL, 3)
