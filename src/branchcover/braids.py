@@ -8,9 +8,9 @@ like everything else in this package.
 Equality of group elements is decided by the left normal form
 Delta^p A_1 ... A_r over permutation braids (``garside_normal_form``;
 El-Rifai and Morton 1994, Epstein et al., *Word Processing in Groups*,
-ch. 9): two words are equal in B_d iff their normal forms coincide, and the
-normal form costs polynomial time in the word length.  Its super summit
-invariants (``summit``; Birman, Ko and Lee) are conjugacy invariants.
+ch. 9): two words are equal in B_d, and as BraidWords, iff their normal forms
+coincide; the form costs polynomial time in the word length.  Its super
+summit invariants (``summit``; Birman, Ko and Lee) are conjugacy invariants.
 
 The documented ``canonical`` view is the action on the free group F_d: the
 i-th generator maps x_i -> x_i x_{i+1} x_i^-1 and x_{i+1} -> x_i, fixing the
@@ -24,6 +24,7 @@ words are tuples of nonzero ints with the same sign convention.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import re
 from typing import Iterable, Sequence
 
@@ -88,9 +89,10 @@ class FreeWord:
         return " ".join(f"x{x}" if x > 0 else f"x{-x}^-1" for x in self.letters)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class BraidWord:
-    """A word in the generators of B_d; value semantics up to free spelling."""
+    """A word in the generators of B_d that compares and hashes as the group
+    element it spells, by its left normal form (computed once per word)."""
 
     degree: int
     letters: tuple[Letter, ...]
@@ -129,8 +131,23 @@ class BraidWord:
             return NotImplemented
         return g.inverse() * self * g
 
+    @functools.cached_property
+    def _normal_form(self):
+        return garside_normal_form(self)
+
+    def __eq__(self, other):
+        if not isinstance(other, BraidWord):
+            return NotImplemented
+        return self.degree == other.degree and (
+            self.letters == other.letters
+            or exponent_sum(self) == exponent_sum(other) and self._normal_form == other._normal_form
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.degree, self._normal_form))
+
     def is_identity(self) -> bool:
-        return garside_normal_form(self) == (0, ())
+        return self._normal_form == (0, ())
 
     def __str__(self) -> str:
         return word_string(self)
@@ -183,11 +200,7 @@ def braids_equal(u: BraidWord, v: BraidWord) -> bool:
     """True iff u and v represent the same element of B_d (by normal forms)."""
     if u.degree != v.degree:
         raise ValueError(f"degree mismatch: {u.degree} vs {v.degree}")
-    if u.letters == v.letters:
-        return True
-    if exponent_sum(u) != exponent_sum(v):
-        return False
-    return garside_normal_form(u) == garside_normal_form(v)
+    return u == v
 
 
 def project(w: BraidWord) -> Permutation:

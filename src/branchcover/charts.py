@@ -31,6 +31,7 @@ event indices are 0-based.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import random
 from typing import Callable, Optional, Sequence
 
@@ -57,6 +58,10 @@ class ChartError(ValueError):
 
 
 class MoveError(ChartError):
+    pass
+
+
+class SiteError(MoveError):
     pass
 
 
@@ -470,7 +475,10 @@ MOVES: dict[str, Callable] = {
 def apply_chart_move(chart: Chart, move: str, **site) -> Chart:
     """Apply a named move at a site given by keyword arguments.
 
-    Raises MoveError when the move does not exist or does not apply there.
+    Raises MoveError when the move does not exist or does not apply there,
+    and its subclass SiteError when the site's keys do not fit the move.  The
+    keys are bound only after a TypeError (binding costs a tenth of a move);
+    if they bind, the TypeError came from inside the move and propagates.
     """
     try:
         fn = MOVES[move]
@@ -478,8 +486,14 @@ def apply_chart_move(chart: Chart, move: str, **site) -> Chart:
         raise MoveError(f"unknown move {move!r}; known: {sorted(MOVES)}") from None
     try:
         return fn(chart, **site)
-    except TypeError as exc:
-        raise MoveError(f"bad site for {move}: {exc}") from exc
+    except TypeError:
+        signature = inspect.signature(fn)
+        try:
+            signature.bind(chart, **site)
+        except TypeError:
+            keys = ", ".join(list(signature.parameters)[1:])
+            raise SiteError(f"move {move} takes site keys {keys}; got {sorted(site)}") from None
+        raise
 
 
 # -- orientability -------------------------------------------------------

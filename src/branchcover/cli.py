@@ -4,8 +4,9 @@ Every subcommand except ``render`` (SVG or DOT) prints one JSON object on
 stdout.  Exit codes: 0 success; 1 when the library refuses valid input (any
 library error, for example an intransitive system or a degree above the
 cap) or a chart or quandle table fails validation; 2 when an input file
-cannot be read or parsed, or a ``--site`` value is malformed.  Those errors
-go to stderr as one JSON object; click's own usage errors also exit 2.
+cannot be read or parsed, an output file cannot be written, or a ``--site``
+value is malformed or its keys do not fit the move.  Those errors go to
+stderr as one JSON object; click's own usage errors also exit 2.
 """
 
 from __future__ import annotations
@@ -48,6 +49,15 @@ def _load(path: str, parse: Callable, text: bool = False):
         raise InputExit(f"{path}: {exc}")
 
 
+def _write(path: str, text: str) -> None:
+    """Write an output file; failing to is an input error that names the file."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputExit(f"{path}: {exc}")
+
+
 def _print(data) -> None:
     json.dump(data, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
@@ -55,10 +65,12 @@ def _print(data) -> None:
 
 class _Main(click.Group):
     def invoke(self, ctx):
-        # The library raises ValueError (HurwitzError, ChartError, LinkError,
-        # QuandleError, degree checks) for requests that valid input cannot meet.
+        # Library ValueErrors (HurwitzError, ChartError, LinkError, QuandleError,
+        # degree checks) refuse valid input; a SiteError is a bad --site.
         try:
             return super().invoke(ctx)
+        except charts.SiteError as exc:
+            raise InputExit(str(exc)) from exc
         except ValueError as exc:
             raise DomainExit(str(exc)) from exc
 
@@ -79,8 +91,7 @@ def normalize(system_file, trace_out):
     payload = hurwitz.system_to_json(nf)
     payload["moves"] = len(trace)
     if trace_out:
-        with open(trace_out, "w") as fh:
-            json.dump([_trace_step_json(step) for step in trace], fh)
+        _write(trace_out, json.dumps([_trace_step_json(step) for step in trace]))
     _print(payload)
 
 
@@ -142,8 +153,7 @@ def chart_orient(chart_file, witness_out):
     if result.orientable:
         payload["witness"] = charts.chart_to_json(result.witness)
         if witness_out:
-            with open(witness_out, "w") as fh:
-                json.dump(payload["witness"], fh)
+            _write(witness_out, json.dumps(payload["witness"]))
     _print(payload)
 
 
@@ -168,8 +178,7 @@ def chart_move(chart_file, move_name, site, out):
                 raise InputExit(f"site values must be integers, got {value!r}")
     payload = charts.chart_to_json(charts.apply_chart_move(c, move_name, **kwargs))
     if out:
-        with open(out, "w") as fh:
-            json.dump(payload, fh)
+        _write(out, json.dumps(payload))
     _print(payload)
 
 
@@ -279,8 +288,7 @@ def render(chart_file, fmt, out):
         raise DomainExit(report.error or "invalid chart")
     text = charts.chart_to_svg(c) if fmt == "svg" else charts.chart_to_dot(c)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        _write(out, text)
     else:
         sys.stdout.write(text + "\n")
 

@@ -29,7 +29,7 @@ from collections import deque
 from typing import Iterable, Sequence, Union
 
 from . import braids, permutations
-from .braids import BraidWord, braid_product, garside_normal_form, parse_braid
+from .braids import BraidWord, braid_product, parse_braid
 from .permutations import Permutation, parse_permutation
 
 Entry = Union[Permutation, BraidWord]
@@ -113,10 +113,8 @@ class HurwitzSystem:
         return HurwitzSystem(degree, tuple(entries), BRAID)
 
     def key(self):
-        """Hashable identity up to group equality of the entries."""
-        if self.flavor == PERMUTATION:
-            return tuple(e.images for e in self.entries)
-        return tuple(garside_normal_form(e) for e in self.entries)
+        """The entries; they compare and hash as group elements."""
+        return self.entries
 
     def __str__(self) -> str:
         body = ", ".join(str(e) for e in self.entries)
@@ -437,13 +435,9 @@ def _neighbors(s: HurwitzSystem) -> Iterable[HurwitzSystem]:
 def _bidirectional_search(
     s: HurwitzSystem, t: HurwitzSystem, budget: int
 ) -> Equivalence:
-    skey, tkey = s.key(), t.key()
-    if skey == tkey:
+    if s == t:
         return Equivalence.EQUIVALENT
-    sides = [
-        {skey: s},
-        {tkey: t},
-    ]
+    sides = [{s}, {t}]
     frontiers = [deque([s]), deque([t])]
     explored = 0
     while explored < budget:
@@ -453,12 +447,11 @@ def _bidirectional_search(
         side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
         current = frontiers[side].popleft()
         for nxt in _neighbors(current):
-            key = nxt.key()
-            if key in sides[side]:
+            if nxt in sides[side]:
                 continue
-            if key in sides[1 - side]:
+            if nxt in sides[1 - side]:
                 return Equivalence.EQUIVALENT
-            sides[side][key] = nxt
+            sides[side].add(nxt)
             frontiers[side].append(nxt)
             explored += 1
             if explored >= budget:

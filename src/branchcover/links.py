@@ -22,18 +22,12 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-import operator
 import re
 from typing import Callable, Optional, Sequence
 
 from . import braids, permutations
 from ._unionfind import ParityUnionFind, UnionFind
-from .braids import (
-    BraidWord,
-    braids_equal,
-    canonical_key,
-    garside_normal_form,
-)
+from .braids import BraidWord, canonical_key
 from .hurwitz import BRAID, PERMUTATION, entry_parser
 from .permutations import ParseError, Permutation
 
@@ -290,7 +284,7 @@ def color_name(p: Permutation) -> Optional[str]:
     return None
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
+@dataclasses.dataclass(frozen=True)
 class SimpleColoring:
     """Arc -> meridian image; permutation flavor carries transpositions,
     braid flavor certified conjugates of generators or their inverses."""
@@ -309,20 +303,8 @@ class SimpleColoring:
             if value.degree != self.degree:
                 raise LinkError(f"arc {arc}: degree {value.degree} != {self.degree}")
 
-    def _key(self):
-        if self.flavor == PERMUTATION:
-            items = tuple(sorted((a, v.images) for a, v in self.assignment.items()))
-        else:
-            items = tuple(sorted((a, garside_normal_form(v)) for a, v in self.assignment.items()))
-        return (self.degree, self.flavor, items)
-
-    def __eq__(self, other):
-        if not isinstance(other, SimpleColoring):
-            return NotImplemented
-        return self._key() == other._key()
-
     def __hash__(self):
-        return hash(self._key())
+        return hash((self.degree, self.flavor, frozenset(self.assignment.items())))
 
     def is_transitive(self) -> bool:
         perms = [
@@ -343,11 +325,10 @@ def coloring_satisfies(dg: LinkDiagram, coloring: SimpleColoring) -> bool:
     """Check every Wirtinger relation (exact equality via normal forms)."""
     if set(coloring.assignment) != set(dg.arcs()):
         return False
-    equal = operator.eq if coloring.flavor == PERMUTATION else braids_equal
     for rel in dg.crossing_relations():
         u = coloring.assignment[rel.under_in]
         o = coloring.assignment[rel.over]
-        if not equal(coloring.assignment[rel.under_out], _conjugated(u, o, rel.sign)):
+        if coloring.assignment[rel.under_out] != _conjugated(u, o, rel.sign):
             return False
     return True
 
@@ -361,7 +342,6 @@ def _solve_colorings(
     candidates: dict,
     act: Callable,
     fits: Optional[Callable] = None,
-    equal: Callable = operator.eq,
     limit: Optional[int] = None,
     budget: float = math.inf,
 ) -> tuple[list[dict], int]:
@@ -370,7 +350,7 @@ def _solve_colorings(
     Arcs are branched in increasing order over ``candidates[arc]``, in the
     given order.  A crossing whose under-in and over arcs are both colored
     forces its under-out color ``act(u, o, sign)``: a colored under-out must
-    be ``equal`` to it, an uncolored one must pass ``fits(arc, value)`` and
+    equal it, an uncolored one must pass ``fits(arc, value)`` and
     takes it.  So every relation is evaluated once both its inputs are set,
     and each completed assignment satisfies all of them.  Solutions come in
     lexicographic order of candidate positions along the arcs, at most
@@ -401,7 +381,7 @@ def _solve_colorings(
                 value = act(assignment[rel.under_in], assignment[rel.over], rel.sign)
                 out = rel.under_out
                 if out in assignment:
-                    if equal(assignment[out], value):
+                    if assignment[out] == value:
                         continue
                 elif fits is None or fits(out, value):
                     assignment[out] = value
@@ -740,24 +720,17 @@ def _simple_conjugates(d: int, conjugator_bound: int) -> list[BraidWord]:
     """The distinct conjugates w g^e w^-1 (|w| <= bound), first spelling
     found breadth-first, sorted by their free-group images."""
     generators = [BraidWord(d, (i * s,)) for i in range(1, d) for s in (1, -1)]
-    seen: dict = {}
-    frontier = []
-    for w in generators:
-        key = garside_normal_form(w)
-        if key not in seen:
-            seen[key] = w
-            frontier.append(w)
+    seen, frontier = set(generators), generators
     for _ in range(conjugator_bound):
         nxt = []
         for u in frontier:
             for g in generators:
                 v = u ** g
-                key = garside_normal_form(v)
-                if key not in seen:
-                    seen[key] = v
+                if v not in seen:
+                    seen.add(v)
                     nxt.append(v)
         frontier = nxt
-    return sorted(seen.values(), key=canonical_key)
+    return sorted(seen, key=canonical_key)
 
 
 def simple_braid_candidates(
@@ -795,9 +768,7 @@ def find_simple_lift(
         arc: [w for w, image in pool if image == f.assignment[arc]] for arc in dg.arcs()
     }
     try:
-        found, checks = _solve_colorings(
-            dg, candidates, _conjugated, equal=braids_equal, limit=1, budget=budget
-        )
+        found, checks = _solve_colorings(dg, candidates, _conjugated, limit=1, budget=budget)
     except SearchExhausted as exc:
         return LiftSearchResult(None, exhausted=True, checks=exc.args[0])
     if not found:

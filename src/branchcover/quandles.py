@@ -20,7 +20,7 @@ import threading
 from typing import Optional, Sequence
 
 from . import braids, links, permutations
-from .braids import BraidWord, garside_normal_form
+from .braids import BraidWord
 from .hurwitz import PERMUTATION, Simplicity, braid_simplicity
 from .links import (
     LinkDiagram,
@@ -238,10 +238,11 @@ def lift_to_Ad(
 class LazyBraidQuandle:
     """Conjugates of the braid generators and inverses, under conjugation.
 
-    Elements materialize on demand, keyed by their Garside normal forms, so
-    equality is exact despite laziness; membership is decided by
-    ``braid_simplicity`` (exponent sum, projection and super summit).  The cache tolerates
-    concurrent readers and idempotent concurrent inserts.
+    Elements materialize on demand, keyed by the words themselves, which
+    compare and hash as group elements, so equality is exact despite
+    laziness; membership is decided by ``braid_simplicity`` (exponent sum,
+    projection and super summit).  The cache tolerates concurrent readers
+    and idempotent concurrent inserts.
     """
 
     def __init__(self, degree: int):
@@ -255,9 +256,8 @@ class LazyBraidQuandle:
                 self._remember(BraidWord(degree, (i * s,)))
 
     def _remember(self, w: BraidWord) -> BraidWord:
-        key = garside_normal_form(w)
         with self._lock:
-            return self._elements.setdefault(key, w)
+            return self._elements.setdefault(w, w)
 
     def element(self, w: BraidWord) -> BraidWord:
         """Materialize w as a quandle element (must be certified simple)."""

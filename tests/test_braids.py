@@ -20,6 +20,8 @@ from branchcover.braids import (
     summit,
     word_string,
 )
+from branchcover.hurwitz import BRAID, HurwitzSystem
+from branchcover.links import SimpleColoring
 from branchcover.permutations import ParseError, Permutation, compose
 
 
@@ -184,6 +186,22 @@ class TestGarside:
         same = garside_normal_form(u) == garside_normal_form(v)
         assert same == (canonical_key(u) == canonical_key(v))
         assert braids_equal(u, v) == same
+        assert (u == v) == same
+        if same:
+            assert hash(u) == hash(v)
+
+    def test_respellings_are_one_element_everywhere(self):
+        u, v = parse_braid("s1 s2 s1", 3), parse_braid("s2 s1 s2", 3)
+        pairs = [
+            (u, v),
+            (HurwitzSystem.of_braids([u], 3), HurwitzSystem.of_braids([v], 3)),
+            (SimpleColoring(3, BRAID, {0: u}), SimpleColoring(3, BRAID, {0: v})),
+        ]
+        for a, b in pairs:
+            assert a == b
+            assert len({a, b}) == 1
+        assert u != parse_braid("s1 s2", 3)
+        assert u != BraidWord(4, (1, 2, 1))
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)

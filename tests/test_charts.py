@@ -10,6 +10,7 @@ from branchcover.charts import (
     ChartError,
     MoveError,
     MOVES,
+    SiteError,
     apply_chart_move,
     black,
     black_into_white,
@@ -359,6 +360,20 @@ class TestMoves:
     def test_unknown_move(self):
         with pytest.raises(MoveError, match="unknown move"):
             apply_chart_move(two_vertex_chart(), "no-such-move")
+
+    def test_site_keys_must_fit_the_move(self):
+        with pytest.raises(SiteError, match=r"keys at, position, label, sign; got \['at'\]"):
+            apply_chart_move(two_vertex_chart(), "cup-cap-insert", at=0)
+        with pytest.raises(SiteError, match=r"takes site keys at; got \['foo'\]"):
+            apply_chart_move(two_vertex_chart(), "swap", foo=1)
+
+    def test_type_error_inside_a_move_is_not_a_site_error(self, monkeypatch):
+        def broken(chart, at):
+            raise TypeError("inside the move")
+
+        monkeypatch.setitem(MOVES, "broken", broken)
+        with pytest.raises(TypeError, match="inside the move"):
+            apply_chart_move(two_vertex_chart(), "broken", at=0)
 
     def test_inapplicable_site(self):
         with pytest.raises(MoveError):

@@ -179,6 +179,32 @@ class TestChartVerbs:
         )
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize("move, site, keys", [
+        ("cup-cap-cancel", "foo=2", ["at", "foo"]),
+        ("cup-cap-insert", "at=0", ["position", "label"]),
+    ])
+    def test_move_site_keys_are_input_errors(self, runner, chart_file, move, site, keys):
+        result = runner.invoke(main, ["chart-move", chart_file, "--move", move, "--site", site])
+        assert result.exit_code == 2
+        error = json.loads(result.stderr)["error"]
+        assert move in error and all(key in error for key in keys)
+        assert "keyword argument" not in error
+
+    @pytest.mark.parametrize("command", [
+        ["normalize", "{system}", "--trace-out", "{out}"],
+        ["chart-orient", "{chart}", "--witness-out", "{out}"],
+        ["chart-move", "{chart}", "--move", "cup-cap-cancel", "--site", "at=1", "--out", "{out}"],
+        ["render", "{chart}", "-o", "{out}"],
+    ])
+    def test_unwritable_output_is_input_error(
+        self, runner, torus_system_file, chart_file, tmp_path, command
+    ):
+        out = str(tmp_path / "missing" / "out")
+        args = [a.format(system=torus_system_file, chart=chart_file, out=out) for a in command]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert out in json.loads(result.stderr)["error"]
+
     def test_move_negative_site(self, runner, chart_file):
         result = runner.invoke(
             main, ["chart-move", chart_file, "--move", "swap", "--site", "at=-1"]
