@@ -811,17 +811,18 @@ def chart_to_dot(chart: Chart) -> str:
     return "\n".join(lines)
 
 
+_SVG_CELL = 36  # pixels per event step and per strand position
 _PALETTE = (
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
     "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf",
 )
 
 
-def chart_to_svg(chart: Chart, cell: int = 36) -> str:
+def chart_to_svg(chart: Chart) -> str:
     """Sweep picture: time runs right, strand positions run up."""
     record = sweep_record(chart)
-    width = (len(chart.events) + 2) * cell
-    height = (max((len(w) for w in record.words), default=0) + 2) * cell
+    width = (len(chart.events) + 2) * _SVG_CELL
+    height = (max((len(w) for w in record.words), default=0) + 2) * _SVG_CELL
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
@@ -829,7 +830,7 @@ def chart_to_svg(chart: Chart, cell: int = 36) -> str:
     ]
 
     def xy(t: int, pos: int) -> tuple[int, int]:
-        return (t + 1) * cell, height - (pos + 1) * cell - cell // 2
+        return (t + 1) * _SVG_CELL, height - (pos + 1) * _SVG_CELL - _SVG_CELL // 2
 
     # Strand polylines per slice transition.
     for t, word in enumerate(record.words[:-1]):
@@ -849,7 +850,7 @@ def chart_to_svg(chart: Chart, cell: int = 36) -> str:
                 f'stroke="{color}" stroke-width="2"/>'
             )
         color = _PALETTE[(ev.labels[0] - 1) % len(_PALETTE)]
-        mid_x = xy(t, p)[0] + cell // 2
+        mid_x = xy(t, p)[0] + _SVG_CELL // 2
         if ev.kind == "black":
             bx, by = (xy(t + 1, p) if ev.insert else xy(t, p))
             parts.append(f'<circle cx="{bx}" cy="{by}" r="4" fill="black"/>')
@@ -870,14 +871,14 @@ def chart_to_svg(chart: Chart, cell: int = 36) -> str:
             x2, y2 = xy(t + 1, p)
             x3, y3 = xy(t + 1, p + 1)
             parts.append(
-                f'<path d="M {x2} {y2} C {x2 - cell} {y2}, {x3 - cell} {y3}, {x3} {y3}" '
+                f'<path d="M {x2} {y2} C {x2 - _SVG_CELL} {y2}, {x3 - _SVG_CELL} {y3}, {x3} {y3}" '
                 f'fill="none" stroke="{color}" stroke-width="2"/>'
             )
         elif ev.kind == "cap":
             x1, y1 = xy(t, p)
             x2, y2 = xy(t, p + 1)
             parts.append(
-                f'<path d="M {x1} {y1} C {x1 + cell} {y1}, {x2 + cell} {y2}, {x2} {y2}" '
+                f'<path d="M {x1} {y1} C {x1 + _SVG_CELL} {y1}, {x2 + _SVG_CELL} {y2}, {x2} {y2}" '
                 f'fill="none" stroke="{color}" stroke-width="2"/>'
             )
     parts.append("</svg>")

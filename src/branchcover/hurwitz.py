@@ -464,30 +464,39 @@ def hc_equivalent(
 ) -> Equivalence:
     """Decide HC-equivalence.
 
-    Cheap invariants (length, entry classes, total monodromy, orbit sizes,
-    and for braid systems of degree >= 3 the super summit invariants of the
-    total monodromy) certify DISTINCT first.  Two permutation systems of
-    equal length that are both simple, transitive and closing are then
-    EQUIVALENT by the classification of simple branched coverings (Hurwitz
-    1891; Berstein-Edmonds 1984): both reduce to ``normal_form_template`` of
-    their degree and length, which ``hc_normal_form`` realizes with a move
-    trace when a certificate is wanted.  Everything else falls back to a bounded
-    bidirectional search over the move graph, which reports UNKNOWN when the
-    budget is exhausted.
+    Permutation systems are first asked whether they are simple, transitive
+    and closing; moves and conjugation keep each of the three (cycle types,
+    the generated group up to conjugacy, a trivial product).  Two such
+    systems are EQUIVALENT exactly when their lengths agree, by the
+    classification of simple branched coverings (Hurwitz 1891;
+    Berstein-Edmonds 1984): both reduce to ``normal_form_template`` of their
+    degree and length, which ``hc_normal_form`` realizes with a move trace
+    when a certificate is wanted.  When only one of them is, they are
+    DISTINCT.  Otherwise cheap invariants (length, entry classes, total
+    monodromy, orbit sizes, and for braid systems of degree >= 3 the super
+    summit invariants of the total monodromy) certify DISTINCT, and
+    everything else falls back to a bounded bidirectional search over the
+    move graph, which reports UNKNOWN when the budget is exhausted.
     """
     if s.degree != t.degree or s.flavor != t.flavor:
         raise HurwitzError("systems must share degree and flavor")
+    if s.flavor == PERMUTATION:
+        normal = [_meets_normal_preconditions(s), _meets_normal_preconditions(t)]
+        if all(normal):
+            return Equivalence.EQUIVALENT if len(s) == len(t) else Equivalence.DISTINCT
+        if any(normal):
+            return Equivalence.DISTINCT
     if _screen_distinct(s, t):
         return Equivalence.DISTINCT
-    if s.flavor == PERMUTATION:
-        try:
-            _check_normal_preconditions(s)
-            _check_normal_preconditions(t)
-        except HurwitzError:
-            pass
-        else:
-            return Equivalence.EQUIVALENT
     return _bidirectional_search(s, t, budget)
+
+
+def _meets_normal_preconditions(s: HurwitzSystem) -> bool:
+    try:
+        _check_normal_preconditions(s)
+    except HurwitzError:
+        return False
+    return True
 
 
 # -- enumeration (shared by tests and the covering classification) --------

@@ -7,26 +7,26 @@ the segments between crossings; Wirtinger arcs (overpasses) are the chains
 of edges welded through the b-d slots, and it is the arcs that carry
 meridian colors.
 
-Orientation is solved globally rather than read off the edge numbering:
-under-slots anchor each edge's head (arrival) and tail (departure), the
-over direction at each crossing is a boolean unknown, and the requirement
-that every edge has one head and one tail propagates to a unique answer
-(all-over circle components get an arbitrary one).  The crossing sign is
-+1 when the over strand runs d -> b.  At a crossing of sign e the outgoing
-under-arc color is o^-e u o^e for over-color o and incoming color u; for
-transposition colors both signs conjugate identically.
+Orientation is read off the strands rather than the edge numbering: a PD
+code is a set of closed strands, and one walk along each, leaving every
+under-crossing at c, orients every edge and every over-passage, cuts the
+strand into arcs at its under-arrivals and counts the components.  A strand
+that never passes under runs b -> d at its first crossing.  The crossing
+sign is +1 when the over strand runs d -> b.  At a crossing of sign e the
+outgoing under-arc color is o^-e u o^e for over-color o and incoming color
+u; for transposition colors both signs conjugate identically.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 import re
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import braids, permutations
-from ._unionfind import ParityUnionFind, UnionFind
 from .braids import BraidWord, canonical_key
 from .hurwitz import BRAID, PERMUTATION, entry_parser
 from .permutations import ParseError, Permutation
@@ -49,8 +49,24 @@ class CrossingRelation:
     sign: int
 
 
+class _Strands(NamedTuple):
+    """What one walk along every strand of a diagram finds."""
+
+    heads: dict[int, tuple[int, int]]  # edge -> (crossing, slot) it arrives at
+    b_to_d: tuple[bool, ...]  # per crossing: the over strand runs b -> d
+    arcs: dict[int, int]  # edge -> the least edge of its Wirtinger arc
+    count: int  # closed strands with crossings
+
+
 @dataclasses.dataclass(frozen=True)
 class LinkDiagram:
+    """A PD code plus crossingless unknot components.
+
+    >>> dg = LinkDiagram(((1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)))
+    >>> dg.arcs(), [dg.crossing_sign(k) for k in range(3)], dg.component_count()
+    ([1, 2, 4], [-1, -1, -1], 1)
+    """
+
     crossings: tuple[tuple[int, int, int, int], ...]
     free_loops: int = 0  # crossingless unknot components
 
@@ -66,78 +82,67 @@ class LinkDiagram:
             raise LinkError(f"edge {bad[0]} appears {counts[bad[0]]} times, expected 2")
         if self.free_loops < 0:
             raise LinkError("free_loops must be nonnegative")
-        self._over_choices()  # orientation consistency is part of validity
+        self._strands  # orientation consistency is part of validity
 
-    # -- orientation ---------------------------------------------------
+    # -- the strand walk -----------------------------------------------
 
-    def _occurrences(self) -> dict[int, list[tuple[int, int]]]:
-        occ: dict[int, list[tuple[int, int]]] = {}
+    @functools.cached_property
+    def _strands(self) -> _Strands:
+        """Walk every closed strand once, raising LinkError when no
+        consistent orientation exists.
+
+        A walk leaves a crossing through its departure slot, follows the
+        edge to its other end and passes straight through: a -> c under,
+        b -> d or d -> b over.  Walks start where a strand leaves an
+        under-crossing at c, then, for each strand that never passes under,
+        at its first crossing running b -> d.  Arriving at a c slot means
+        the strand's under-crossings disagree.  An arc ends each time the
+        walk arrives at an a slot, and a strand that never does is one arc.
+        """
+        ends: dict[int, list[tuple[int, int]]] = {}
         for k, quad in enumerate(self.crossings):
             for slot, e in enumerate(quad):
-                occ.setdefault(e, []).append((k, slot))
-        return occ
+                ends.setdefault(e, []).append((k, slot))
+        heads: dict[int, tuple[int, int]] = {}
+        arcs: dict[int, int] = {}
+        b_to_d: list[Optional[bool]] = [None] * len(self.crossings)
+        count = 0
 
-    def _over_choices(self) -> tuple[bool, ...]:
-        """Per crossing: True when the over strand runs b -> d.
+        def walk(k: int, slot: int) -> None:
+            arc = []
+            while (e := self.crossings[k][slot]) not in heads:
+                arc.append(e)
+                first, second = ends[e]
+                k, slot = second if first == (k, slot) else first
+                heads[e] = (k, slot)
+                if slot == 2:
+                    raise LinkError("orientation inconsistent")
+                if slot == 0:
+                    arcs.update(dict.fromkeys(arc, min(arc)))
+                    arc, slot = [], 2
+                else:
+                    b_to_d[k] = slot == 1
+                    slot = 4 - slot
+            if arc:
+                arcs.update(dict.fromkeys(arc, min(arc)))
 
-        Cached; raises LinkError when no globally consistent orientation
-        exists.  Slot roles: a arrives, c departs; b arrives iff the choice
-        is True; d departs iff the choice is True.
-        """
-        if hasattr(self, "_over_cache"):
-            return self._over_cache
-
-        n = len(self.crossings)
-        # bit k is the choice at crossing k; item n is the constant True
-        bits = ParityUnionFind(range(n + 1))
-
-        # Occurrence role as (var, flip): head(occurrence) = x_var ^ flip,
-        # where var n is the constant True.
-        def role(k, slot):
-            if slot == 0:
-                return n, 0  # head
-            if slot == 2:
-                return n, 1  # tail
-            if slot == 1:
-                return k, 0  # head iff choice[k]
-            return k, 1  # slot 3: head iff not choice[k]
-
-        for e, occs in self._occurrences().items():
-            (k1, s1), (k2, s2) = occs
-            v1, f1 = role(k1, s1)
-            v2, f2 = role(k2, s2)
-            # exactly one head: head1 != head2
-            if not bits.union(v1, v2, 1 ^ f1 ^ f2):
-                raise LinkError("orientation inconsistent")
-
-        choices = []
-        for k in range(n):
-            root, par = bits.find(k)
-            root_t, par_t = bits.find(n)
-            if root == root_t:
-                choices.append(bool(par ^ par_t ^ 1))
-            else:
-                # component never passes under anything: direction is free
-                bits.union(k, n, 0)
-                choices.append(True)
-        result = tuple(choices)
-        object.__setattr__(self, "_over_cache", result)
-        return result
+        for k, quad in enumerate(self.crossings):
+            if quad[2] not in heads:
+                count += 1
+                walk(k, 2)
+        for k in range(len(self.crossings)):
+            if b_to_d[k] is None:
+                count += 1
+                walk(k, 3)
+        return _Strands(heads, tuple(b_to_d), arcs, count)
 
     def crossing_sign(self, k: int) -> int:
         """+1 when the over strand runs d -> b, -1 when b -> d."""
-        return -1 if self._over_choices()[k] else 1
+        return -1 if self._strands.b_to_d[k] else 1
 
     def edge_head(self, edge: int) -> tuple[int, int]:
         """(crossing, slot) where the edge arrives."""
-        for k, slot in self._occurrences()[edge]:
-            if slot == 0:
-                return k, slot
-            if slot in (1, 3):
-                choice = self._over_choices()[k]
-                if (slot == 1 and choice) or (slot == 3 and not choice):
-                    return k, slot
-        raise LinkError(f"edge {edge} has no head")
+        return self._strands.heads[edge]
 
     # -- derived structure -------------------------------------------
 
@@ -147,44 +152,22 @@ class LinkDiagram:
     def arcs(self) -> list[int]:
         """Wirtinger arcs, each named by its least edge; free loops are
         negative identifiers."""
-        return sorted({self.arc_of(e) for e in self.edges()}) + [
+        return sorted(set(self._strands.arcs.values())) + [
             -(k + 1) for k in range(self.free_loops)
         ]
 
     def arc_of(self, edge: int) -> int:
-        return self._arc_names()[edge]
-
-    def _arc_names(self) -> dict[int, int]:
-        """Edge -> the least edge of its Wirtinger arc."""
-        if not hasattr(self, "_arc_cache"):
-            welds = UnionFind(self.edges())
-            for _, b, _, d in self.crossings:
-                welds.union(b, d)
-            names = {}
-            for arc in welds.groups():
-                names.update(dict.fromkeys(arc, min(arc)))
-            object.__setattr__(self, "_arc_cache", names)
-        return self._arc_cache
+        return self._strands.arcs[edge]
 
     def crossing_relations(self) -> list[CrossingRelation]:
-        out = []
-        for k, (a, b, c, d) in enumerate(self.crossings):
-            out.append(
-                CrossingRelation(
-                    under_in=self.arc_of(a),
-                    over=self.arc_of(b),
-                    under_out=self.arc_of(c),
-                    sign=self.crossing_sign(k),
-                )
-            )
-        return out
+        arcs = self._strands.arcs
+        return [
+            CrossingRelation(arcs[a], arcs[b], arcs[c], self.crossing_sign(k))
+            for k, (a, b, c, _) in enumerate(self.crossings)
+        ]
 
     def component_count(self) -> int:
-        strands = UnionFind(self.edges())
-        for a, b, c, d in self.crossings:
-            strands.union(a, c)
-            strands.union(b, d)
-        return len(strands.groups()) + self.free_loops
+        return self._strands.count + self.free_loops
 
 
 # -- PD text format --------------------------------------------------------
@@ -464,6 +447,11 @@ def extract_tangle(dg: LinkDiagram, sites: Sequence[int]) -> Tangle:
     return Tangle(tuple(dg.crossings[k] for k in sites))
 
 
+def _fresh_ids(dg: LinkDiagram, n: int) -> list[int]:
+    base = max(dg.edges(), default=0)
+    return [base + k + 1 for k in range(n)]
+
+
 def montesinos_replace(
     dg: LinkDiagram,
     coloring: SimpleColoring,
@@ -496,12 +484,8 @@ def montesinos_replace(
             raise LinkError(f"boundary color mismatch on edge {e}")
 
     site_set = set(sites)
-    internal = [e for e in replacement.edge_uses() if e not in rep_boundary]
-    fresh = {}
-    next_id = max(dg.edges(), default=0) + 1
-    for e in sorted(internal):
-        fresh[e] = next_id
-        next_id += 1
+    internal = sorted(e for e in replacement.edge_uses() if e not in rep_boundary)
+    fresh = dict(zip(internal, _fresh_ids(dg, len(internal))))
 
     def rename(e: int) -> int:
         return fresh[e] if e in fresh else boundary_map[e]
@@ -573,11 +557,6 @@ def montesinos_flat_colors(a: Permutation, b: Permutation) -> dict:
 # -- Reidemeister moves ------------------------------------------------------
 
 
-def _fresh_ids(dg: LinkDiagram, n: int) -> list[int]:
-    base = max(dg.edges(), default=0)
-    return [base + k + 1 for k in range(n)]
-
-
 def _with_renamed_head(dg: LinkDiagram, edge: int, new_id: int) -> list[list[int]]:
     """Crossing quads with the edge's arriving occurrence renamed."""
     k, slot = dg.edge_head(edge)
@@ -594,7 +573,7 @@ def _carry_colors(
 ) -> SimpleColoring:
     """The coloring of new_dg that takes fresh_colors on the edges it names
     and the old arc colors on edges kept from dg; revalidated."""
-    old_arcs = dg._arc_names()
+    old_arcs = dg._strands.arcs
     assignment = {}
     for k in range(dg.free_loops):
         assignment[-(k + 1)] = coloring.assignment[-(k + 1)]

@@ -323,3 +323,63 @@ def white_sign_patterns(i: int, j: int) -> dict[tuple[int, int, int], tuple[int,
             produced = tuple(-s for s in reversed(sgn[3:]))
             out[consumed] = produced
     return out
+
+
+def pd_orientation(crossings):
+    """Signs, edge heads, arc names and strand count of a PD code, solved as
+    parity constraints instead of walked along the strands.
+
+    Each crossing's over direction is an unknown bit, 1 when it runs b -> d,
+    and bit n is the constant 1.  Every edge has exactly one head among its
+    two occurrences: slot a is a head, c a tail, b a head iff the bit is 1
+    and d iff it is 0.  Crossings still free after that (strands that never
+    pass under) get bit 1 in index order.  Arcs weld b to d, strands weld
+    a to c and b to d, both by union-find.  Returns (signs, heads, arc_of,
+    strands) with signs +1 for d -> b, or None when the constraints clash.
+    """
+    from branchcover._unionfind import ParityUnionFind
+
+    n = len(crossings)
+    bits = ParityUnionFind(range(n + 1))
+
+    def role(k, slot):
+        """(bit, flip) with head(occurrence) = bit ^ flip."""
+        if slot in (0, 2):
+            return n, slot // 2
+        return k, slot // 3
+
+    occurrences = {}
+    for k, quad in enumerate(crossings):
+        for slot, e in enumerate(quad):
+            occurrences.setdefault(e, []).append((k, slot))
+    for (k1, s1), (k2, s2) in occurrences.values():
+        (v1, f1), (v2, f2) = role(k1, s1), role(k2, s2)
+        if not bits.union(v1, v2, 1 ^ f1 ^ f2):
+            return None
+    b_to_d = []
+    for k in range(n):
+        root, par = bits.find(k)
+        root_t, par_t = bits.find(n)
+        if root != root_t:
+            bits.union(k, n, 0)
+            par, par_t = 0, 0
+        b_to_d.append(not par ^ par_t)
+    heads = {}
+    for e, occs in occurrences.items():
+        for k, slot in occs:
+            bit, flip = role(k, slot)
+            if (b_to_d[k] if bit == k else True) ^ flip:
+                heads[e] = (k, slot)
+
+    arcs, strands = _UnionFind(), _UnionFind()
+    for a, b, c, d in crossings:
+        arcs.union(b, d)
+        strands.union(a, c)
+        strands.union(b, d)
+    names = {}
+    for e in occurrences:
+        names.setdefault(arcs.find(e), []).append(e)
+    arc_of = {e: min(names[arcs.find(e)]) for e in occurrences}
+    signs = [-1 if x else 1 for x in b_to_d]
+    return signs, heads, arc_of, len({strands.find(e) for e in occurrences})
+

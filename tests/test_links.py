@@ -5,6 +5,7 @@ import pytest
 from branchcover.braids import BraidWord, braids_equal, project
 from branchcover.links import (
     CORPUS,
+    LinkDiagram,
     LinkError,
     SimpleColoring,
     braid_closure_pd,
@@ -30,7 +31,7 @@ from branchcover.links import (
     twist_boundary_colors,
 )
 from branchcover.permutations import ParseError, Permutation
-from oracles import fox_three_colorings
+from oracles import fox_three_colorings, pd_orientation
 
 
 def tr(d, i, j):
@@ -104,6 +105,43 @@ class TestOrientation:
     def test_cancelling_pair_has_opposite_signs(self):
         dg = braid_closure_pd([1, -1], 2)
         assert sorted(dg.crossing_sign(k) for k in range(2)) == [-1, 1]
+
+    def test_walk_matches_parity_oracle(self):
+        rng = random.Random(11)
+        codes = []
+        for _ in range(150):
+            strands = rng.choice((2, 3, 4))
+            letters = [
+                rng.choice((1, -1)) * rng.randrange(1, strands)
+                for _ in range(rng.randrange(1, 9))
+            ]
+            if rng.random() < 0.3:
+                letters = [1, -1] + letters  # a strand that never passes under
+            codes.append(braid_closure_pd(letters, strands).crossings)
+        for _ in range(400):
+            # 4n slots paired at random into 2n edges
+            n = rng.randrange(1, 6)
+            slots = rng.sample(range(4 * n), 4 * n)
+            quads = [[0] * 4 for _ in range(n)]
+            for i, slot in enumerate(slots):
+                quads[slot // 4][slot % 4] = i // 2 + 1
+            codes.append(tuple(map(tuple, quads)))
+        inconsistent = 0
+        for crossings in codes:
+            expected = pd_orientation(crossings)
+            if expected is None:
+                inconsistent += 1
+                with pytest.raises(LinkError, match="orientation inconsistent"):
+                    LinkDiagram(crossings)
+                continue
+            signs, heads, arc_of, strands = expected
+            dg = LinkDiagram(crossings)
+            assert [dg.crossing_sign(k) for k in range(len(crossings))] == signs
+            assert {e: dg.edge_head(e) for e in dg.edges()} == heads
+            assert {e: dg.arc_of(e) for e in dg.edges()} == arc_of
+            assert dg.arcs() == sorted(set(arc_of.values()))
+            assert dg.component_count() == strands
+        assert 0 < inconsistent < len(codes)
 
 
 class TestColorings:
