@@ -399,15 +399,44 @@ def _solve_colorings(
     return solutions, checks
 
 
+def _relabeled(u: tuple[int, int], o: tuple[int, int], sign: int) -> tuple[int, int]:
+    """``_conjugated`` on point pairs: (a b) ** (c e) swaps c and e among a
+    and b.  A transposition is its own inverse, so the sign does not matter."""
+    a, b = u
+    c, e = o
+    if a == c:
+        a = e
+    elif a == e:
+        a = c
+    if b == c:
+        b = e
+    elif b == e:
+        b = c
+    return (a, b) if a < b else (b, a)
+
+
 def enumerate_simple_colorings(dg: LinkDiagram, d: int) -> list[SimpleColoring]:
     """All transposition colorings satisfying the Wirtinger relations,
     sorted by their images along the arcs (the search's own order, as its
-    candidates are sorted by image)."""
+    candidates are sorted by image).
+
+    The search runs on sorted point pairs (a, b), where a relation check
+    relabels two points, and each coloring found maps its pairs back to
+    one shared Permutation per transposition."""
     if d < 2:
         raise LinkError("colorings need degree >= 2")
-    trans = sorted(permutations.all_transpositions(d), key=lambda t: t.images)
-    found, _ = _solve_colorings(dg, dict.fromkeys(dg.arcs(), trans), _conjugated)
-    return [SimpleColoring(d, PERMUTATION, assignment) for assignment in found]
+    trans = {
+        (a, b): Permutation.transposition(d, a, b)
+        for a, b in itertools.combinations(range(1, d + 1), 2)
+    }
+    # (a b) with a < b first differs from the identity at a, where it reads
+    # b, so image order is decreasing a, then increasing b.
+    pairs = sorted(trans, key=lambda p: (-p[0], p[1]))
+    found, _ = _solve_colorings(dg, dict.fromkeys(dg.arcs(), pairs), _relabeled)
+    return [
+        SimpleColoring(d, PERMUTATION, {arc: trans[pair] for arc, pair in assignment.items()})
+        for assignment in found
+    ]
 
 
 # -- tangle replacement (Montesinos move engine) ----------------------------

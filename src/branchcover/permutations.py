@@ -184,7 +184,8 @@ def orbits(perms: Sequence[Permutation], degree: int) -> list[frozenset[int]]:
         if p.degree != degree:
             raise ValueError(f"degree mismatch: {p.degree} vs {degree}")
         for x, y in enumerate(p.images, 1):
-            classes.union(x, y)
+            if x != y:
+                classes.union(x, y)
     return [frozenset(g) for g in classes.groups()]  # groups come in point order
 
 

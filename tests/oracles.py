@@ -383,3 +383,15 @@ def pd_orientation(crossings):
     signs = [-1 if x else 1 for x in b_to_d]
     return signs, heads, arc_of, len({strands.find(e) for e in occurrences})
 
+
+
+def simple_colorings_by_permutations(dg, d: int) -> list[dict]:
+    """Transposition colorings of dg as arc -> Permutation assignments: the
+    one coloring engine run over Permutation candidates sorted by image,
+    each relation checked by conjugating with ``**``.  The reference for
+    the point-pair search of ``enumerate_simple_colorings``."""
+    from branchcover.links import _conjugated, _solve_colorings
+    from branchcover.permutations import all_transpositions
+
+    trans = sorted(all_transpositions(d), key=lambda t: t.images)
+    return _solve_colorings(dg, dict.fromkeys(dg.arcs(), trans), _conjugated)[0]

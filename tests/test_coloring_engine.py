@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from branchcover.links import braid_closure_pd, enumerate_simple_colorings
+from branchcover.links import CORPUS, braid_closure_pd, corpus_diagram, enumerate_simple_colorings
 from branchcover.quandles import (
     FiniteQuandle,
     is_quandle_homomorphism,
@@ -19,6 +19,7 @@ from branchcover.quandles import (
     td_coloring_to_simple,
     trivial_quandle,
 )
+from oracles import simple_colorings_by_permutations
 
 
 def closures(d, count, seed, max_arcs=5):
@@ -65,6 +66,36 @@ def test_simple_colorings_are_mapped_td_colorings(d):
         mapped = [td_coloring_to_simple(dg, d, c) for c in quandle_colorings(dg, make_Td(d))]
         assert len(simple) == len(mapped)
         assert set(simple) == set(mapped)
+
+
+def assert_same_as_permutation_search(dg, d):
+    got = enumerate_simple_colorings(dg, d)
+    assert all(c.degree == d and c.flavor == "permutation" for c in got)
+    want = simple_colorings_by_permutations(dg, d)
+    assert [list(c.assignment.items()) for c in got] == [list(a.items()) for a in want]
+
+
+def test_point_pair_search_matches_permutation_search():
+    signs = set()
+    for d in range(2, 7):
+        for dg in closures(d, 12, seed=20 + d, max_arcs=4 if d <= 4 else 3):
+            signs.update(dg.crossing_sign(k) for k in range(len(dg.crossings)))
+            assert_same_as_permutation_search(dg, d)
+    assert signs == {-1, 1}
+    for name in CORPUS:
+        for d in (3, 4):
+            assert_same_as_permutation_search(corpus_diagram(name), d)
+    assert_same_as_permutation_search(corpus_diagram("trefoil"), 8)
+
+
+@pytest.mark.parametrize("name, count", [("unknot", 120), ("trefoil", 3480)])
+def test_degree_16_counts(name, count):
+    # The unknot takes each of the 120 transpositions of S_16 on its one
+    # arc; the trefoil adds six non-constant colorings on each of the
+    # C(16, 3) = 560 triples of points.
+    dg = corpus_diagram(name)
+    assert len(enumerate_simple_colorings(dg, 16)) == count
+    assert len(simple_colorings_by_permutations(dg, 16)) == count
 
 
 def surjections():
