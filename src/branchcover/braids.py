@@ -28,16 +28,9 @@ import functools
 import re
 from typing import Iterable, Sequence
 
-from .permutations import MAX_DEGREE, ParseError, Permutation, product
+from .permutations import ParseError, Permutation, _check_degree, product
 
 Letter = int
-
-
-def _check_braid_degree(d: int) -> None:
-    if not isinstance(d, int) or d < 2:
-        raise ValueError(f"braid degree must be an integer >= 2, got {d!r}")
-    if d > MAX_DEGREE:
-        raise ValueError(f"degree {d} exceeds the configured cap {MAX_DEGREE}")
 
 
 def free_reduce(letters: Iterable[int]) -> tuple[int, ...]:
@@ -98,7 +91,7 @@ class BraidWord:
     letters: tuple[Letter, ...]
 
     def __post_init__(self):
-        _check_braid_degree(self.degree)
+        _check_degree(self.degree, 2)
         for x in self.letters:
             if x == 0 or abs(x) > self.degree - 1:
                 raise ValueError(
@@ -449,7 +442,7 @@ def parse_braid(text: str, degree: int) -> BraidWord:
     >>> parse_braid("s1 s2^-1", 3).letters
     (1, -2)
     """
-    _check_braid_degree(degree)
+    _check_degree(degree, 2)
     letters: list[int] = []
     pos = 0
     for raw in text.split():

@@ -122,12 +122,10 @@ class Chart:
     events: tuple[ChartEvent, ...]
 
     def __post_init__(self):
-        if self.degree < 2:
-            raise ChartError("charts need degree >= 2")
-        if self.degree > permutations.MAX_DEGREE:
-            raise ChartError(
-                f"degree {self.degree} exceeds the configured cap {permutations.MAX_DEGREE}"
-            )
+        try:
+            permutations._check_degree(self.degree, 2)
+        except ValueError as exc:
+            raise ChartError(f"chart {exc}") from None
 
     def black_count(self) -> int:
         return sum(1 for e in self.events if e.kind == "black")
@@ -445,16 +443,14 @@ def patch_rewrite(chart: Chart, start: int, end: int, replacement: Sequence[Char
         raise MoveError("patch may not contain black vertices")
     if any(ev.kind == "black" for ev in replacement):
         raise MoveError("replacement may not contain black vertices")
-    record = sweep_record(chart)
-    before, after = record.words[start], record.words[end]
+    after = sweep_record(chart).words[end]
     out = _replace_events(chart, start, end, replacement)
-    new_record = sweep_record(out)
-    new_before = new_record.words[start]
-    new_after = new_record.words[start + len(replacement)]
+    # The events before the patch are kept, so only the word after it can differ.
+    new_after = sweep_record(out).words[start + len(replacement)]
 
     def strip(w):  # signs mean nothing on unoriented charts
         return tuple((l, s) if chart.oriented else l for l, s, _ in w)
-    if strip(new_before) != strip(before) or strip(new_after) != strip(after):
+    if strip(new_after) != strip(after):
         raise MoveError("replacement does not reproduce the boundary words")
     return out
 
@@ -744,8 +740,7 @@ def chart_from_json(data: dict) -> Chart:
         raw = data["events"]
     except (KeyError, TypeError) as exc:
         raise ChartError(f"chart file needs degree/oriented/events: {exc}") from exc
-    for name, value, want, text in (("degree", degree, int, "an integer"),
-                                    ("oriented", oriented, bool, "true or false"),
+    for name, value, want, text in (("oriented", oriented, bool, "true or false"),
                                     ("events", raw, list, "a list")):
         if type(value) is not want:
             raise ChartError(f"chart {name} must be {text}, got {value!r}")

@@ -26,7 +26,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 from collections import deque
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from . import braids, permutations
 from .braids import BraidWord, braid_product, parse_braid
@@ -38,6 +38,51 @@ PERMUTATION = "permutation"
 BRAID = "braid"
 
 DEFAULT_EQUIV_BUDGET = 100_000
+
+
+class Flavor(NamedTuple):
+    """What a flavor means: its element type, the parser of its entry text
+    (``str(e)`` writes it), and the least degree of its groups."""
+
+    element: type
+    parse: Callable[[str, int], Entry]
+    least_degree: int
+
+
+FLAVORS = {
+    PERMUTATION: Flavor(Permutation, parse_permutation, 1),
+    BRAID: Flavor(BraidWord, parse_braid, 2),
+}
+
+
+def flavor_spec(flavor) -> Flavor:
+    """The table row of a flavor; an unknown flavor is refused here only."""
+    if not isinstance(flavor, str) or flavor not in FLAVORS:
+        raise ValueError(f"unknown flavor {flavor!r}")
+    return FLAVORS[flavor]
+
+
+def check_elements(flavor, degree, elements: Iterable[tuple], where: str = "entry {}") -> None:
+    """Refuse an unknown flavor, a degree outside its range, or an element of
+    another type or degree among the (label, element) pairs.  ``where``
+    formats a label into the error; it is formatted only when a check fails.
+    """
+    element, _, least = flavor_spec(flavor)
+    permutations._check_degree(degree, least)
+    for label, e in elements:
+        if not isinstance(e, element):
+            raise ValueError(
+                f"{where.format(label)}: a {type(e).__name__} is not of flavor {flavor}"
+            )
+        if e.degree != degree:
+            raise ValueError(f"{where.format(label)}: degree {e.degree} is not {degree}")
+
+
+def as_permutations(flavor: str, elements: Iterable[Entry]) -> list[Permutation]:
+    """The images in S_d of elements of a flavor: braids project, permutations stay."""
+    if flavor == PERMUTATION:
+        return list(elements)
+    return [braids.project(e) for e in elements]
 
 
 class HurwitzError(ValueError):
@@ -76,22 +121,7 @@ class HurwitzSystem:
     flavor: str = PERMUTATION
 
     def __post_init__(self):
-        if self.flavor not in (PERMUTATION, BRAID):
-            raise ValueError(f"unknown flavor {self.flavor!r}")
-        want = Permutation if self.flavor == PERMUTATION else BraidWord
-        for e in self.entries:
-            if not isinstance(e, want):
-                raise ValueError(
-                    f"{self.flavor} system cannot hold {type(e).__name__} entries"
-                )
-            if e.degree != self.degree:
-                raise ValueError(
-                    f"entry degree {e.degree} does not match system degree {self.degree}"
-                )
-        if self.flavor == PERMUTATION:
-            permutations._check_degree(self.degree)
-        elif self.degree < 2:
-            raise ValueError("braid systems need degree >= 2")
+        check_elements(self.flavor, self.degree, enumerate(self.entries))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -143,11 +173,7 @@ def hurwitz_move(s: HurwitzSystem, k: int, direction: str = "forward") -> Hurwit
 
 def conjugate_system(s: HurwitzSystem, g: Entry) -> HurwitzSystem:
     """Entrywise conjugation (a_1, ..., a_n) -> (g^-1 a_1 g, ..., g^-1 a_n g)."""
-    want = Permutation if s.flavor == PERMUTATION else BraidWord
-    if not isinstance(g, want):
-        raise ValueError(f"conjugator flavor does not match {s.flavor} system")
-    if g.degree != s.degree:
-        raise ValueError(f"conjugator degree {g.degree} != system degree {s.degree}")
+    check_elements(s.flavor, s.degree, [(None, g)], "conjugator")
     return HurwitzSystem(s.degree, tuple(e ** g for e in s.entries), s.flavor)
 
 
@@ -207,18 +233,11 @@ def is_simple_system(s: HurwitzSystem) -> bool:
 
 def is_transitive(s: HurwitzSystem) -> bool:
     """Does the monodromy group act transitively on the sheets?"""
-    perms = _as_permutations(s)
-    return permutations.is_transitive(perms, s.degree)
-
-
-def _as_permutations(s: HurwitzSystem) -> list[Permutation]:
-    if s.flavor == PERMUTATION:
-        return list(s.entries)
-    return [braids.project(e) for e in s.entries]
+    return permutations.is_transitive(as_permutations(s.flavor, s.entries), s.degree)
 
 
 def orbit_partition(s: HurwitzSystem) -> list[frozenset[int]]:
-    return permutations.orbits(_as_permutations(s), s.degree)
+    return permutations.orbits(as_permutations(s.flavor, s.entries), s.degree)
 
 
 # -- normal form ---------------------------------------------------------
@@ -534,15 +553,9 @@ def iter_simple_closing_systems(
 # -- JSON files ----------------------------------------------------------
 
 
-# Entry text by flavor: str(e) writes it, the parser reads it back.
-_ENTRY_PARSERS = {PERMUTATION: parse_permutation, BRAID: parse_braid}
-
-
 def entry_parser(flavor):
     """The entry-text parser ``(text, degree) -> entry`` of a flavor."""
-    if not isinstance(flavor, str) or flavor not in _ENTRY_PARSERS:
-        raise ValueError(f"unknown flavor {flavor!r}")
-    return _ENTRY_PARSERS[flavor]
+    return flavor_spec(flavor).parse
 
 
 def system_to_json(s: HurwitzSystem) -> dict:

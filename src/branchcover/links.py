@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import braids, permutations
 from .braids import BraidWord, canonical_key
-from .hurwitz import BRAID, PERMUTATION, entry_parser
+from .hurwitz import BRAID, PERMUTATION, as_permutations, check_elements, entry_parser
 from .permutations import ParseError, Permutation
 
 DEFAULT_CONJUGATOR_BOUND = 3
@@ -277,23 +277,16 @@ class SimpleColoring:
     assignment: dict
 
     def __post_init__(self):
-        if self.flavor not in (PERMUTATION, BRAID):
-            raise LinkError(f"unknown flavor {self.flavor!r}")
-        want = Permutation if self.flavor == PERMUTATION else BraidWord
-        for arc, value in self.assignment.items():
-            if not isinstance(value, want):
-                raise LinkError(f"arc {arc}: wrong element type for {self.flavor} coloring")
-            if value.degree != self.degree:
-                raise LinkError(f"arc {arc}: degree {value.degree} != {self.degree}")
+        try:
+            check_elements(self.flavor, self.degree, self.assignment.items(), "arc {}")
+        except ValueError as exc:
+            raise LinkError(str(exc)) from None
 
     def __hash__(self):
         return hash((self.degree, self.flavor, frozenset(self.assignment.items())))
 
     def is_transitive(self) -> bool:
-        perms = [
-            v if self.flavor == PERMUTATION else braids.project(v)
-            for v in self.assignment.values()
-        ]
+        perms = as_permutations(self.flavor, self.assignment.values())
         return permutations.is_transitive(perms, self.degree)
 
 
@@ -805,8 +798,6 @@ def coloring_from_json(data: dict) -> SimpleColoring:
         raw = data["assignment"]
     except (KeyError, TypeError) as exc:
         raise LinkError(f"coloring file needs degree/flavor/assignment: {exc}") from exc
-    if type(degree) is not int:
-        raise LinkError(f"coloring degree must be an integer, got {degree!r}")
     if not isinstance(raw, dict) or not all(isinstance(text, str) for text in raw.values()):
         raise LinkError(f"coloring assignment must map arcs to strings, got {raw!r}")
     parse = entry_parser(flavor)

@@ -21,9 +21,10 @@ from ._unionfind import UnionFind
 MAX_DEGREE = 16
 
 
-def _check_degree(d: int) -> None:
-    if not isinstance(d, int) or d < 1:
-        raise ValueError(f"degree must be a positive integer, got {d!r}")
+def _check_degree(d: int, least: int = 1) -> None:
+    """The one degree rule: an exact int (not a bool), least <= d <= MAX_DEGREE."""
+    if type(d) is not int or d < least:
+        raise ValueError(f"degree must be an integer >= {least}, got {d!r}")
     if d > MAX_DEGREE:
         raise ValueError(f"degree {d} exceeds the configured cap {MAX_DEGREE}")
 

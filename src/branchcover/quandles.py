@@ -206,6 +206,11 @@ def lift_through_surjection(
     fibers = {
         t: [x for x in range(len(source)) if p[x] == t] for t in range(len(target))
     }
+    for arc in arcs:
+        if coloring[arc] not in fibers:
+            raise QuandleError(
+                f"arc {arc}: color {coloring[arc]!r} is not an element of the target"
+            )
     # A forced value leaves its fiber only where the coloring breaks a
     # crossing rule; fits then prunes, and no lift is found.
     found, _ = _solve_colorings(

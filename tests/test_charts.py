@@ -628,6 +628,11 @@ class TestSerialization:
         with pytest.raises(ChartError):
             chart_from_json({"degree": 3})
 
+    @pytest.mark.parametrize("degree", [True, "3", 0, 17])
+    def test_degree_is_checked(self, degree):
+        with pytest.raises(ChartError, match="degree"):
+            Chart(degree, False, ())
+
     @pytest.mark.parametrize("degree", ["x", 3.0, True])
     def test_json_degree_must_be_integer(self, degree):
         with pytest.raises(ChartError, match="degree"):

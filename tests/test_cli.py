@@ -113,6 +113,21 @@ class TestCover:
         assert "entries" in json.loads(result.stderr)["error"]
 
 
+# A string degree crashed braid systems with a TypeError (exit 1), true
+# passed as degree 1, and 3.0 reached the domain checks of braid systems.
+@pytest.mark.parametrize("flavor", ["permutation", "braid"])
+@pytest.mark.parametrize("degree", ["3", True, 3.0], ids=["str", "bool", "float"])
+@pytest.mark.parametrize("verb", ["equiv", "normalize", "cover"])
+def test_non_integer_degree_is_input_error(runner, tmp_path, verb, degree, flavor):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"degree": degree, "flavor": flavor, "entries": []}))
+    files = [str(path)] * (2 if verb == "equiv" else 1)
+    result = runner.invoke(main, [verb, *files])
+    assert result.exit_code == 2, result.output
+    error = json.loads(result.stderr)["error"]
+    assert error.startswith(f"{path}:") and "degree" in error
+
+
 class TestChartVerbs:
     @pytest.fixture
     def chart_file(self, tmp_path):
@@ -354,6 +369,31 @@ class TestQuandleVerbs:
         ])
         assert result.exit_code == 2
         assert "assignment" in json.loads(result.stderr)["error"]
+
+    # A color outside the target table raised KeyError: a traceback, exit 1.
+    @pytest.mark.parametrize("color", [99, -1])
+    def test_lift_through_surjection_color_outside_target(self, runner, trefoil_file,
+                                                           tmp_path, color):
+        from branchcover.quandles import quandle_colorings
+
+        t3 = make_Td(3)
+        table = tmp_path / "t3.quandle"
+        table.write_text(quandle_to_text(t3))
+        surj = tmp_path / "id.map"
+        surj.write_text("0 1 2")
+        coloring = dict(quandle_colorings(corpus_diagram("trefoil"), t3)[0])
+        arc = max(coloring)
+        coloring[arc] = color
+        cpath = tmp_path / "col.json"
+        cpath.write_text(json.dumps({"assignment": {str(a): v for a, v in coloring.items()}}))
+        result = runner.invoke(main, [
+            "quandle-lift", trefoil_file, str(cpath),
+            "--source-table", str(table), "--target-table", str(table),
+            "--surjection", str(surj),
+        ])
+        assert result.exit_code == 1, result.output
+        error = json.loads(result.stderr)["error"]
+        assert f"arc {arc}" in error and str(color) in error
 
 
 @pytest.mark.parametrize("name", sorted(set(main.commands) - {"render"}))

@@ -355,6 +355,13 @@ class TestJson:
             system_from_json({"degree": 3})
 
 
+@pytest.mark.parametrize("flavor", ["permutation", "braid"])
+@pytest.mark.parametrize("degree", [True, "3", 0, 17])
+def test_system_degree_is_checked(flavor, degree):
+    with pytest.raises(ValueError, match="degree"):
+        HurwitzSystem(degree, (), flavor)
+
+
 def test_orbit_partition():
     s = perm_system(4, (1, 2), (3, 4))
     assert orbit_partition(s) == [frozenset({1, 2}), frozenset({3, 4})]

@@ -196,6 +196,12 @@ class TestJson:
         c = SimpleColoring(2, "braid", {-1: BraidWord(2, (1,))})
         assert coloring_from_json(coloring_to_json(c)) == c
 
+    @pytest.mark.parametrize("flavor", ["permutation", "braid"])
+    @pytest.mark.parametrize("degree", [True, "3", 0, 17])
+    def test_degree_is_checked(self, flavor, degree):
+        with pytest.raises(LinkError, match="degree"):
+            SimpleColoring(degree, flavor, {})
+
     def test_unknown_flavor(self):
         # A flavor other than "permutation" used to be read as braid.
         with pytest.raises(LinkError, match="unknown flavor 'foo'"):

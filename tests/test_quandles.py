@@ -224,6 +224,16 @@ class TestLiftThroughSurjection:
         with pytest.raises(QuandleError, match="surjective"):
             lift_through_surjection([0, 0, 0], trivial_quandle(3), trivial_quandle(3), dg, {-1: 0})
 
+    @pytest.mark.parametrize("color", [99, -1, 3])
+    def test_rejects_color_outside_target(self, color):
+        dg = corpus_diagram("trefoil")
+        q = make_Td(3)
+        col = dict(quandle_colorings(dg, q)[0])
+        arc = max(col)
+        col[arc] = color
+        with pytest.raises(QuandleError, match=f"arc {arc}: color {color} "):
+            lift_through_surjection([0, 1, 2], q, q, dg, col)
+
 
 class TestLiftToAd:
     def test_delegates_to_link_search(self):
