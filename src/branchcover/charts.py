@@ -135,37 +135,53 @@ Strand = tuple[int, int, int]  # (label, sign, segment id)
 
 
 def _produced(
-    ev: ChartEvent, consumed: Sequence[Sequence[int]], oriented: bool
-) -> tuple[tuple[int, int], ...]:
-    """The (label, sign) strands ``ev`` leaves in place of ``consumed``.
+    ev: ChartEvent, word: Sequence[Sequence[int]], degree: int, oriented: bool
+) -> tuple[Sequence[Sequence[int]], tuple[tuple[int, int], ...]]:
+    """The one event rule: apply ``ev`` to ``word``, return (consumed, produced).
 
-    ``consumed`` holds the strands under the event's window, each read as
-    (label, sign, ...).  Raises ChartError, without an event index, when
-    they do not fit the event.  Unoriented sweeps carry sign 1 except on
-    cups, which keep a declared sign.
+    ``word`` holds strands read as (label, sign, ...); ``consumed`` is the
+    slice under the event's window, ``produced`` the (label, sign) strands
+    replacing it.  Raises ChartError, without an event index, when the
+    labels, the window or the strands do not fit.  Unoriented sweeps carry
+    sign 1 except on cups, which keep a declared sign.
     """
     kind = ev.kind
+    for lab in ev.labels:
+        if not 1 <= lab < degree:
+            raise ChartError(f"label {lab} out of range 1..{degree - 1}")
+    if kind == "black":
+        n_in = 0 if ev.insert else 1
+    else:
+        n_in = _ARITY[kind][0]
+        if kind == "crossing" and abs(ev.labels[0] - ev.labels[1]) <= 1:
+            raise ChartError(f"crossing labels {ev.labels} must differ by more than 1")
+        if kind == "white" and abs(ev.labels[0] - ev.labels[1]) != 1:
+            raise ChartError(f"white labels {ev.labels} must be adjacent")
+    p = ev.position
+    if not 0 <= p <= len(word) - n_in:
+        raise ChartError(f"position {p} out of range for word length {len(word)}")
+    consumed = word[p : p + n_in]
     if kind == "black":
         lab = ev.labels[0]
         if ev.insert:
             if not oriented:
-                return ((lab, 1),)
+                return consumed, ((lab, 1),)
             if ev.sign is None:
                 raise ChartError("oriented black insert needs a sign")
             # The event sign is the meridian exponent; the strand it births
             # crosses slices with the opposite sign (that is what makes the
             # total monodromy of a closed sweep trivial).
-            return ((lab, -ev.sign),)
+            return consumed, ((lab, -ev.sign),)
         got = consumed[0]
         if got[0] != lab:
-            raise ChartError(f"strand at {ev.position} has label {got[0]}, expected {lab}")
+            raise ChartError(f"strand at {p} has label {got[0]}, expected {lab}")
         if oriented and ev.sign is not None and ev.sign != got[1]:
-            raise ChartError(f"strand at {ev.position} has sign {got[1]}, expected {ev.sign}")
-        return ()
+            raise ChartError(f"strand at {p} has sign {got[1]}, expected {ev.sign}")
+        return consumed, ()
     if kind == "cup":
         lab = ev.labels[0]
         sign = 1 if ev.sign is None else ev.sign
-        return ((lab, sign), (lab, -sign if oriented else sign))
+        return consumed, ((lab, sign), (lab, -sign if oriented else sign))
     if kind == "cap":
         lab = ev.labels[0]
         a, b = consumed
@@ -173,22 +189,22 @@ def _produced(
             raise ChartError(f"cap labels ({a[0]}, {b[0]}) do not match {lab}")
         if oriented and a[1] != -b[1]:
             raise ChartError("cap needs opposite strand signs")
-        return ()
+        return consumed, ()
     i, j = ev.labels
     if kind == "crossing":
         a, b = consumed
         if a[0] != i or b[0] != j:
-            raise ChartError(f"strands at {ev.position} are ({a[0]}, {b[0]}), expected ({i}, {j})")
-        return ((j, b[1]), (i, a[1]))
+            raise ChartError(f"strands at {p} are ({a[0]}, {b[0]}), expected ({i}, {j})")
+        return consumed, ((j, b[1]), (i, a[1]))
     a, b, c = consumed
     labs = (a[0], b[0], c[0])
     if labs != (i, j, i):
-        raise ChartError(f"strands at {ev.position} are {labs}, expected ({i}, {j}, {i})")
+        raise ChartError(f"strands at {p} are {labs}, expected ({i}, {j}, {i})")
     if not oriented:
-        return ((j, 1), (i, 1), (j, 1))
+        return consumed, ((j, 1), (i, 1), (j, 1))
     if a[1] == c[1] == -b[1]:
         raise ChartError(f"sign pattern {(a[1], b[1], c[1])} not admissible at a white vertex")
-    return ((j, c[1]), (i, b[1]), (j, a[1]))
+    return consumed, ((j, c[1]), (i, b[1]), (j, a[1]))
 
 
 @dataclasses.dataclass
@@ -202,34 +218,21 @@ class SweepRecord:
 
 def sweep_record(chart: Chart) -> SweepRecord:
     """Run the sweep, validating every event; raises ChartError on violation."""
-    d = chart.degree
     word: list[Strand] = []
     record = SweepRecord([], [], {})
     segment_label = record.segment_label
 
     for idx, ev in enumerate(chart.events):
         record.words.append(tuple(word))
-        p = ev.position
-        n_in, _ = ev.arity()
-        for lab in ev.labels:
-            if not (1 <= lab <= d - 1):
-                raise ChartError(f"label {lab} out of range 1..{d - 1}", idx)
-        if ev.kind == "crossing" and abs(ev.labels[0] - ev.labels[1]) <= 1:
-            raise ChartError(f"crossing labels {ev.labels} must differ by more than 1", idx)
-        if ev.kind == "white" and abs(ev.labels[0] - ev.labels[1]) != 1:
-            raise ChartError(f"white labels {ev.labels} must be adjacent", idx)
-        if not (0 <= p <= len(word) - n_in):
-            raise ChartError(f"position {p} out of range for word length {len(word)}", idx)
-        consumed = word[p : p + n_in]
         try:
-            produced = _produced(ev, consumed, chart.oriented)
+            consumed, produced = _produced(ev, word, chart.degree, chart.oriented)
         except ChartError as exc:
             raise ChartError(str(exc), idx) from None
         first = len(segment_label)
         strands = [(lab, sign, first + k) for k, (lab, sign) in enumerate(produced)]
         for lab, _, seg in strands:
             segment_label[seg] = lab
-        word[p : p + n_in] = strands
+        word[ev.position : ev.position + len(consumed)] = strands
         record.event_io.append(
             (tuple(s[2] for s in consumed), tuple(range(first, first + len(strands))))
         )
@@ -304,22 +307,41 @@ def forget_orientation(chart: Chart) -> Chart:
 
 # -- chart moves ---------------------------------------------------------
 #
-# Every move produces a valid chart whose monodromy is HC-equivalent to the
-# original's; the monodromy-preservation property test is the ground truth
-# for the move set.  Moves touching no black vertex leave the system equal
-# on the nose (the word before and after the rewritten patch is unchanged).
+# A chart move is a change inside a disk: it rewrites one window of events,
+# start:end, and keeps the word after it (labels and signs when oriented,
+# labels alone when not), so the events outside see the strands they saw
+# before.  _rewrite is the one gate and refuses a move that changes that
+# word.  Moves touching no black vertex keep the system equal on the nose;
+# the monodromy-preservation property test is the ground truth for the rest.
 
 
-def _replace_events(chart: Chart, start: int, end: int, new_events: Sequence[ChartEvent]) -> Chart:
+def _rewrite(chart: Chart, start: int, end: int, new_events: Sequence[ChartEvent]) -> Chart:
+    """Replace events start:end by ``new_events``, keeping the word after them.
+
+    The input is swept once; ``new_events`` run through ``_produced`` from
+    the word before the window and must end in the word after it.  Events
+    outside the window then see the same word, so the output is valid
+    without a second sweep.
+    """
     n = len(chart.events)
     if not (0 <= start <= end <= n):
         raise MoveError(f"event slice {start}:{end} out of range for {n} events")
+    try:
+        words = sweep_record(chart).words
+    except ChartError as exc:
+        raise MoveError(f"move needs a valid chart: {exc}") from None
+    word = list(words[start])
+    for k, ev in enumerate(new_events):
+        try:
+            consumed, produced = _produced(ev, word, chart.degree, chart.oriented)
+        except ChartError as exc:
+            raise MoveError(f"move produces an invalid chart: new event {k}: {exc}") from None
+        word[ev.position : ev.position + len(consumed)] = produced
+    width = 2 if chart.oriented else 1  # signs mean nothing on unoriented charts
+    if [s[:width] for s in word] != [s[:width] for s in words[end]]:
+        raise MoveError("move changes the word after its window")
     events = chart.events[:start] + tuple(new_events) + chart.events[end:]
-    out = Chart(chart.degree, chart.oriented, events)
-    report = validate_chart(out)
-    if not report.valid:
-        raise MoveError(f"move produces an invalid chart: {report.error}")
-    return out
+    return Chart(chart.degree, chart.oriented, events)
 
 
 def _pair(chart: Chart, at: int) -> tuple[ChartEvent, ChartEvent]:
@@ -329,11 +351,15 @@ def _pair(chart: Chart, at: int) -> tuple[ChartEvent, ChartEvent]:
 
 
 def _cancel_pair(chart: Chart, at: int, kinds: tuple[str, str], name: str) -> Chart:
-    """Remove events at, at+1 of the given kinds: same position, mirrored labels."""
+    """Remove events at, at+1 of the given kinds at one position.
+
+    A valid input forces mirrored labels; _rewrite checks that the word
+    after the pair is the word before it.
+    """
     a, b = _pair(chart, at)
-    if (a.kind, b.kind) != kinds or a.position != b.position or a.labels != b.labels[::-1]:
+    if (a.kind, b.kind) != kinds or a.position != b.position:
         raise MoveError(f"events are not a cancelling {name} pair")
-    return _replace_events(chart, at, at + 2, [])
+    return _rewrite(chart, at, at + 2, [])
 
 
 def cup_cap_cancel(chart: Chart, at: int) -> Chart:
@@ -343,7 +369,7 @@ def cup_cap_cancel(chart: Chart, at: int) -> Chart:
 
 def cup_cap_insert(chart: Chart, at: int, position: int, label: int, sign: int = 1) -> Chart:
     """Insert a trivial circle: cup then cap at the same position."""
-    return _replace_events(
+    return _rewrite(
         chart, at, at,
         [cup(label, position, sign if chart.oriented else None), cap(label, position)],
     )
@@ -356,7 +382,7 @@ def white_pair_cancel(chart: Chart, at: int) -> Chart:
 
 def white_pair_insert(chart: Chart, at: int, position: int, i: int, j: int) -> Chart:
     """Insert a white vertex and its mirror; needs strands (i, j, i) there."""
-    return _replace_events(chart, at, at, [white(i, j, position), white(j, i, position)])
+    return _rewrite(chart, at, at, [white(i, j, position), white(j, i, position)])
 
 
 def crossing_pair_cancel(chart: Chart, at: int) -> Chart:
@@ -364,7 +390,7 @@ def crossing_pair_cancel(chart: Chart, at: int) -> Chart:
 
 
 def crossing_pair_insert(chart: Chart, at: int, position: int, i: int, j: int) -> Chart:
-    return _replace_events(chart, at, at, [crossing(i, j, position), crossing(j, i, position)])
+    return _rewrite(chart, at, at, [crossing(i, j, position), crossing(j, i, position)])
 
 
 def event_swap(chart: Chart, at: int) -> Chart:
@@ -376,58 +402,40 @@ def event_swap(chart: Chart, at: int) -> Chart:
     if b.position + b_in <= a.position:
         # b's window sits strictly left of a's.
         new_a = dataclasses.replace(a, position=a.position + (b_out - b_in))
-        return _replace_events(chart, at, at + 2, [b, new_a])
+        return _rewrite(chart, at, at + 2, [b, new_a])
     if b.position >= a.position + a_out:
         new_b = dataclasses.replace(b, position=b.position - delta_a)
-        return _replace_events(chart, at, at + 2, [new_b, a])
+        return _rewrite(chart, at, at + 2, [new_b, a])
     raise MoveError("event windows overlap; the pair cannot be reordered")
 
 
 def black_through_crossing(chart: Chart, at: int) -> Chart:
-    """Slide a black vertex through a crossing on a commuting label."""
+    """Slide a black vertex between slots 0 and 1 of a crossing's window."""
     a, b = _pair(chart, at)
-    if a.kind == "black" and b.kind == "crossing":
-        i, j = b.labels
-        p = b.position
-        if a.insert and a.position == p and a.labels[0] == i:
-            return _replace_events(chart, at, at + 2, [dataclasses.replace(a, position=p + 1)])
-        if a.insert and a.position == p + 1 and a.labels[0] == j:
-            return _replace_events(chart, at, at + 2, [dataclasses.replace(a, position=p)])
-    if a.kind == "crossing" and b.kind == "black" and not b.insert:
-        i, j = a.labels
-        p = a.position
-        if b.position == p + 1 and b.labels[0] == i:
-            return _replace_events(chart, at, at + 2, [dataclasses.replace(b, position=p)])
-        if b.position == p and b.labels[0] == j:
-            return _replace_events(chart, at, at + 2, [dataclasses.replace(b, position=p + 1)])
+    if a.kind == "black" and a.insert and b.kind == "crossing":
+        if a.position - b.position in (0, 1):
+            moved = dataclasses.replace(a, position=2 * b.position + 1 - a.position)
+            return _rewrite(chart, at, at + 2, [moved])
+    elif a.kind == "crossing" and b.kind == "black" and not b.insert:
+        if b.position - a.position in (0, 1):
+            moved = dataclasses.replace(b, position=2 * a.position + 1 - b.position)
+            return _rewrite(chart, at, at + 2, [moved])
     raise MoveError("events are not a black vertex passing through a crossing")
 
 
 def black_into_white(chart: Chart, at: int) -> Chart:
-    """Absorb a black vertex across a white vertex (label changes i <-> j)."""
+    """Move a black vertex between slots 0 and 2 of a white window (label i <-> j)."""
     a, b = _pair(chart, at)
-    if a.kind == "black" and b.kind == "white":
-        i, j = b.labels
-        p = b.position
-        if a.insert and a.labels[0] == i and a.position == p:
-            return _replace_events(
-                chart, at, at + 2, [dataclasses.replace(a, labels=(j,), position=p + 2)]
-            )
-        if a.insert and a.labels[0] == i and a.position == p + 2:
-            return _replace_events(
-                chart, at, at + 2, [dataclasses.replace(a, labels=(j,), position=p)]
-            )
-    if a.kind == "white" and b.kind == "black" and not b.insert:
-        i, j = a.labels
-        p = a.position
-        if b.labels[0] == j and b.position == p:
-            return _replace_events(
-                chart, at, at + 2, [dataclasses.replace(b, labels=(i,), position=p + 2)]
-            )
-        if b.labels[0] == j and b.position == p + 2:
-            return _replace_events(
-                chart, at, at + 2, [dataclasses.replace(b, labels=(i,), position=p)]
-            )
+    if a.kind == "black" and a.insert and b.kind == "white":
+        if a.position - b.position in (0, 2):
+            position = 2 * b.position + 2 - a.position
+            moved = dataclasses.replace(a, labels=(b.labels[1],), position=position)
+            return _rewrite(chart, at, at + 2, [moved])
+    elif a.kind == "white" and b.kind == "black" and not b.insert:
+        if b.position - a.position in (0, 2):
+            position = 2 * a.position + 2 - b.position
+            moved = dataclasses.replace(b, labels=(a.labels[0],), position=position)
+            return _rewrite(chart, at, at + 2, [moved])
     raise MoveError("events are not a black vertex meeting a white vertex")
 
 
@@ -437,22 +445,11 @@ def patch_rewrite(chart: Chart, start: int, end: int, replacement: Sequence[Char
     This is the in-a-disk rewriting move: because no branch point is touched
     and the boundary word is preserved, the monodromy is unchanged exactly.
     """
-    if not (0 <= start <= end <= len(chart.events)):
-        raise MoveError("bad event slice")
     if any(ev.kind == "black" for ev in chart.events[start:end]):
         raise MoveError("patch may not contain black vertices")
     if any(ev.kind == "black" for ev in replacement):
         raise MoveError("replacement may not contain black vertices")
-    after = sweep_record(chart).words[end]
-    out = _replace_events(chart, start, end, replacement)
-    # The events before the patch are kept, so only the word after it can differ.
-    new_after = sweep_record(out).words[start + len(replacement)]
-
-    def strip(w):  # signs mean nothing on unoriented charts
-        return tuple((l, s) if chart.oriented else l for l, s, _ in w)
-    if strip(new_after) != strip(after):
-        raise MoveError("replacement does not reproduce the boundary words")
-    return out
+    return _rewrite(chart, start, end, replacement)
 
 
 MOVES: dict[str, Callable] = {
@@ -667,9 +664,8 @@ def random_chart(
     word: list[tuple[int, int]] = []  # (label, sign)
 
     def fits(ev: ChartEvent) -> bool:
-        p, (n_in, _) = ev.position, ev.arity()
         try:
-            _produced(ev, word[p : p + n_in], oriented)
+            _produced(ev, word, degree, oriented)
         except ChartError:
             return False
         return True
@@ -679,20 +675,20 @@ def random_chart(
         choices = []
         if growing:
             choices += ["black-insert"] * 3 + ["cup"] * 2
-        # Offer only events the sweep accepts: the label tests are the
-        # sweep's own, and _produced judges the strands.
+        # Offer only events the sweep accepts: _produced judges them.
         pairs = [(p, word[p][0], word[p + 1][0]) for p in range(len(word) - 1)]
-        whites_ok = [ev for p, i, j in pairs[: len(word) - 2]
-                     if abs(i - j) == 1 and fits(ev := white(i, j, p))]
-        crossings_ok = [p for p, i, j in pairs if abs(i - j) > 1]
-        caps_ok = [ev for p, i, j in pairs if i == j and fits(ev := cap(i, p))]
+        offers = {
+            "white": [ev for p, i, j in pairs if fits(ev := white(i, j, p))],
+            "crossing": [ev for p, i, j in pairs if fits(ev := crossing(i, j, p))],
+            "cap": [ev for p, i, _ in pairs if fits(ev := cap(i, p))],
+        }
         if word:
             choices += ["black-delete"] * (1 if growing else 4)
-        if caps_ok:
+        if offers["cap"]:
             choices += ["cap"] * (1 if growing else 4)
-        if whites_ok and len(events) < size:
+        if offers["white"] and len(events) < size:
             choices += ["white"] * 2
-        if crossings_ok and len(events) < size:
+        if offers["crossing"] and len(events) < size:
             choices += ["crossing"] * 2
         if not choices:
             choices = ["black-insert", "cup"]
@@ -707,14 +703,11 @@ def random_chart(
         elif kind == "cup":
             ev = cup(rng.randrange(1, degree), rng.randrange(len(word) + 1),
                      rng.choice([1, -1]) if oriented else None)
-        elif kind == "crossing":
-            p = rng.choice(crossings_ok)
-            ev = crossing(word[p][0], word[p + 1][0], p)
         else:
-            ev = rng.choice(caps_ok if kind == "cap" else whites_ok)
+            ev = rng.choice(offers[kind])
         events.append(ev)
-        p, (n_in, _) = ev.position, ev.arity()
-        word[p : p + n_in] = _produced(ev, word[p : p + n_in], oriented)
+        consumed, produced = _produced(ev, word, degree, oriented)
+        word[ev.position : ev.position + len(consumed)] = produced
     return Chart(degree, oriented, tuple(events))
 
 

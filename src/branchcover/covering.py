@@ -25,7 +25,6 @@ from .hurwitz import (
     orbit_partition,
     total_monodromy,
 )
-from .permutations import Permutation
 
 
 @dataclasses.dataclass(frozen=True)
@@ -72,24 +71,6 @@ class CoveringSurface:
         }
 
 
-def _restricted_cycle_count(p: Permutation, orbit: frozenset[int]) -> int:
-    # The orbit is invariant under every entry of the system that generated
-    # it, so cycles of p either stay inside or stay outside.
-    seen: set[int] = set()
-    count = 0
-    for start in orbit:
-        if start in seen:
-            continue
-        count += 1
-        x = start
-        while True:
-            seen.add(x)
-            x = p(x)
-            if x == start:
-                break
-    return count
-
-
 def build_covering(s: HurwitzSystem) -> CoveringSurface:
     """Components, Euler characteristics and genera of the covering surface.
 
@@ -100,10 +81,12 @@ def build_covering(s: HurwitzSystem) -> CoveringSurface:
         raise HurwitzError("covering reconstruction needs a permutation system")
     if not total_monodromy(s).is_identity():
         raise NonClosingSystemError("total monodromy is not the identity")
+    # The orbits are invariant under every entry, so no cycle leaves one.
+    cycles = [c for a in s.entries for c in a.cycles()]
     components = []
     for orbit in orbit_partition(s):
         size = len(orbit)
-        deficiency = sum(size - _restricted_cycle_count(a, orbit) for a in s.entries)
+        deficiency = sum(len(c) - 1 for c in cycles if c[0] in orbit)
         chi = 2 * size - deficiency
         components.append(
             SurfaceComponent(orbit, chi, (2 - chi) // 2)

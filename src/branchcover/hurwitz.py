@@ -553,11 +553,6 @@ def iter_simple_closing_systems(
 # -- JSON files ----------------------------------------------------------
 
 
-def entry_parser(flavor):
-    """The entry-text parser ``(text, degree) -> entry`` of a flavor."""
-    return flavor_spec(flavor).parse
-
-
 def system_to_json(s: HurwitzSystem) -> dict:
     return {"degree": s.degree, "flavor": s.flavor, "entries": [str(e) for e in s.entries]}
 
@@ -571,5 +566,5 @@ def system_from_json(data: dict) -> HurwitzSystem:
         raise ValueError(f"system file needs degree/flavor/entries: {exc}") from exc
     if not isinstance(raw, list) or not all(isinstance(text, str) for text in raw):
         raise ValueError(f"system entries must be a list of strings, got {raw!r}")
-    parse = entry_parser(flavor)
+    parse = flavor_spec(flavor).parse
     return HurwitzSystem(degree, tuple(parse(text, degree) for text in raw), flavor)

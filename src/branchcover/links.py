@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import braids, permutations
 from .braids import BraidWord, canonical_key
-from .hurwitz import BRAID, PERMUTATION, as_permutations, check_elements, entry_parser
+from .hurwitz import BRAID, PERMUTATION, as_permutations, check_elements, flavor_spec
 from .permutations import ParseError, Permutation
 
 DEFAULT_CONJUGATOR_BOUND = 3
@@ -416,8 +416,10 @@ def enumerate_simple_colorings(dg: LinkDiagram, d: int) -> list[SimpleColoring]:
     The search runs on sorted point pairs (a, b), where a relation check
     relabels two points, and each coloring found maps its pairs back to
     one shared Permutation per transposition."""
-    if d < 2:
-        raise LinkError("colorings need degree >= 2")
+    try:
+        permutations._check_degree(d, 2)
+    except ValueError as exc:
+        raise LinkError(f"coloring {exc}") from None
     trans = {
         (a, b): Permutation.transposition(d, a, b)
         for a, b in itertools.combinations(range(1, d + 1), 2)
@@ -800,6 +802,6 @@ def coloring_from_json(data: dict) -> SimpleColoring:
         raise LinkError(f"coloring file needs degree/flavor/assignment: {exc}") from exc
     if not isinstance(raw, dict) or not all(isinstance(text, str) for text in raw.values()):
         raise LinkError(f"coloring assignment must map arcs to strings, got {raw!r}")
-    parse = entry_parser(flavor)
+    parse = flavor_spec(flavor).parse
     assignment = {int(arc): parse(text, degree) for arc, text in raw.items()}
     return SimpleColoring(degree, flavor, assignment)

@@ -127,8 +127,10 @@ def product_quandle(a: FiniteQuandle, b: FiniteQuandle) -> FiniteQuandle:
 
 def make_Td(d: int) -> FiniteQuandle:
     """The d(d-1)/2 transpositions of S_d under conjugation."""
-    if d < 2:
-        raise QuandleError("T_d needs d >= 2")
+    try:
+        permutations._check_degree(d, 2)
+    except ValueError as exc:
+        raise QuandleError(f"T_d {exc}") from None
     elements = permutations.all_transpositions(d)
     index = {p: k for k, p in enumerate(elements)}
     op = tuple(
@@ -251,8 +253,10 @@ class LazyBraidQuandle:
     """
 
     def __init__(self, degree: int):
-        if degree < 2:
-            raise QuandleError("braid quandles need degree >= 2")
+        try:
+            permutations._check_degree(degree, 2)
+        except ValueError as exc:
+            raise QuandleError(f"braid quandle {exc}") from None
         self.degree = degree
         self._elements: dict = {}
         self._lock = threading.Lock()

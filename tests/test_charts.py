@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import time
@@ -328,6 +329,26 @@ class TestMoves:
         assert validate_chart(out).valid
         assert chart_hurwitz_system(out).entries == chart_hurwitz_system(c).entries
 
+    def test_black_into_white_refuses_sign_change(self):
+        # The white vertex consumes signs (-1, 1, -1) and hands back
+        # (-1, 1, -1) reversed; moving the black vertex to slot 2 would put
+        # the word (2, -1), (1, 1), (2, -1) after the window, flipping the
+        # signs of edges outside the move's disk.  The deletions leave their
+        # signs undeclared, so the output would still sweep.
+        events = (
+            black(2, 0, True, 1),
+            black(1, 1, True, -1),
+            black(1, 0, True, 1),
+            white(1, 2, 0),
+            black(2, 0, False),
+            black(1, 0, False),
+            black(2, 0, False),
+        )
+        c = Chart(3, True, events)
+        assert validate_chart(c).valid
+        with pytest.raises(MoveError, match="word after its window"):
+            black_into_white(c, 2)
+
     def test_patch_rewrite_preserves_exactly(self):
         # Replace a cup/cap circle patch by an equivalent empty patch.
         c = Chart(3, False, (black(1, 0, True), cup(2, 1), cap(2, 1), black(1, 0, False)))
@@ -415,19 +436,38 @@ def _applicable_move_sites(c):
     return out
 
 
+def _without_deletion_signs(c):
+    events = tuple(dataclasses.replace(e, sign=None) if e.kind == "black" and not e.insert else e
+                   for e in c.events)
+    return Chart(c.degree, c.oriented, events)
+
+
+def _word_after(c, t):
+    """The word after event t-1, with signs when c is oriented."""
+    return [(l, s) if c.oriented else l for l, s, _ in sweep_record(c).words[t]]
+
+
 class TestMovePreservation:
     def test_randomized_moves_preserve_monodromy(self):
+        # Unoriented charts, then oriented ones, each also with its deletion
+        # signs undeclared (the sweep then reads them off the strands).
         rng = random.Random(22)
         checked = 0
-        for _ in range(30):
-            c = random_chart(rng.choice([3, 4]), rng.randrange(6, 16), rng)
-            sites = _applicable_move_sites(c)
-            rng.shuffle(sites)
-            for name, kwargs, moved in sites[:4]:
-                assert validate_chart(moved).valid, (name, kwargs)
-                assert_hc_equivalent_systems(c, moved)
-                checked += 1
-        assert checked >= 30
+        for oriented in (False, True):
+            for _ in range(30):
+                c = random_chart(rng.choice([3, 4]), rng.randrange(6, 16), rng, oriented=oriented)
+                for c in ([c, _without_deletion_signs(c)] if oriented else [c]):
+                    sites = _applicable_move_sites(c)
+                    rng.shuffle(sites)
+                    for name, kwargs, moved in sites[:4]:
+                        assert validate_chart(moved).valid, (name, kwargs)
+                        assert_hc_equivalent_systems(c, moved)
+                        # Inserts rewrite an empty window, the other moves a pair.
+                        end = kwargs["at"] + (0 if name.endswith("insert") else 2)
+                        new_end = end + len(moved.events) - len(c.events)
+                        assert _word_after(moved, new_end) == _word_after(c, end), (name, kwargs)
+                        checked += 1
+        assert checked >= 90
 
 
 class TestOrientability:

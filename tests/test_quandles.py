@@ -4,7 +4,7 @@ import random
 import pytest
 
 from branchcover.braids import BraidWord, braids_equal, project
-from branchcover.links import corpus_diagram, enumerate_simple_colorings
+from branchcover.links import LinkError, corpus_diagram, enumerate_simple_colorings
 from branchcover.permutations import Permutation, all_transpositions
 from branchcover.quandles import (
     FiniteQuandle,
@@ -28,6 +28,17 @@ from branchcover.quandles import (
 
 def tr(d, i, j):
     return Permutation.transposition(d, i, j)
+
+
+@pytest.mark.parametrize("degree", ["3", True, 3.0, 1, 17])
+def test_degree_is_checked(degree):
+    # Each goes through the one degree rule and raises its own module's error.
+    with pytest.raises(LinkError, match="degree"):
+        enumerate_simple_colorings(corpus_diagram("trefoil"), degree)
+    with pytest.raises(QuandleError, match="degree"):
+        make_Td(degree)
+    with pytest.raises(QuandleError, match="degree"):
+        LazyBraidQuandle(degree)
 
 
 class TestValidate:
