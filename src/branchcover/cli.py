@@ -7,6 +7,10 @@ cap) or a chart or quandle table fails validation; 2 when an input file
 cannot be read or parsed, an output file cannot be written, or a ``--site``
 value is malformed or its keys do not fit the move.  Those errors go to
 stderr as one JSON object; click's own usage errors also exit 2.
+
+Each call is a fresh process, so each subcommand imports only the library
+modules it calls: ``hurwitz`` at the top (``charts``, ``covering``, ``links``
+and ``quandles`` all import it), the others inside the subcommand.
 """
 
 from __future__ import annotations
@@ -18,10 +22,21 @@ from typing import Callable
 
 import click
 
-from . import charts, covering, hurwitz, links, quandles
+from . import hurwitz
 
 EXIT_DOMAIN = 1
 EXIT_INPUT = 2
+
+# Option values the decorators need before any subcommand runs.  They copy
+# links.DEFAULT_CONJUGATOR_BOUND, links.DEFAULT_LIFT_BUDGET and
+# sorted(charts.MOVES), so that building the group imports neither module;
+# tests/test_cli.py pins them to the library.
+CONJUGATOR_BOUND = 3
+LIFT_BUDGET = 1_000_000
+MOVE_NAMES = [
+    "black-into-white", "black-through-crossing", "crossing-cancel", "crossing-insert",
+    "cup-cap-cancel", "cup-cap-insert", "swap", "white-cancel", "white-insert",
+]
 
 
 class _JsonExit(click.ClickException):
@@ -66,12 +81,14 @@ def _print(data) -> None:
 class _Main(click.Group):
     def invoke(self, ctx):
         # Library ValueErrors (HurwitzError, ChartError, LinkError, QuandleError,
-        # degree checks) refuse valid input; a SiteError is a bad --site.
+        # degree checks) refuse valid input; a SiteError is a bad --site.  Only
+        # a loaded charts module can have raised one, so none is imported here.
         try:
             return super().invoke(ctx)
-        except charts.SiteError as exc:
-            raise InputExit(str(exc)) from exc
         except ValueError as exc:
+            charts = sys.modules.get(f"{__package__}.charts")
+            if charts is not None and isinstance(exc, charts.SiteError):
+                raise InputExit(str(exc)) from exc
             raise DomainExit(str(exc)) from exc
 
 
@@ -113,6 +130,8 @@ def equiv(system_a, system_b, mode, budget):
     if mode == "hc":
         verdict = hurwitz.hc_equivalent(s, t, budget=budget).value
     else:
+        from . import covering
+
         verdict = "equivalent" if covering.covering_equivalent(s, t) else "distinct"
     _print({"verdict": verdict})
 
@@ -121,6 +140,8 @@ def equiv(system_a, system_b, mode, budget):
 @click.argument("system_file")
 def cover(system_file):
     """Reconstruct the covering surface of a closing permutation system."""
+    from . import covering
+
     s = _load(system_file, hurwitz.system_from_json)
     _print(covering.build_covering(s).to_json())
 
@@ -129,6 +150,8 @@ def cover(system_file):
 @click.argument("chart_file")
 def chart_validate(chart_file):
     """Validate a chart's sweep encoding."""
+    from . import charts
+
     report = charts.validate_chart(_load(chart_file, charts.chart_from_json))
     _print(dataclasses.asdict(report))
     if not report.valid:
@@ -139,6 +162,8 @@ def chart_validate(chart_file):
 @click.argument("chart_file")
 def chart_monodromy(chart_file):
     """Hurwitz system induced by a chart."""
+    from . import charts
+
     c = _load(chart_file, charts.chart_from_json)
     _print(hurwitz.system_to_json(charts.chart_hurwitz_system(c)))
 
@@ -148,6 +173,8 @@ def chart_monodromy(chart_file):
 @click.option("--witness-out", type=click.Path(), help="Write the oriented chart.")
 def chart_orient(chart_file, witness_out):
     """Decide orientability; emits a braid-chart witness when one exists."""
+    from . import charts
+
     result = charts.chart_orientable(_load(chart_file, charts.chart_from_json))
     payload = {"orientable": result.orientable}
     if result.orientable:
@@ -160,11 +187,13 @@ def chart_orient(chart_file, witness_out):
 @main.command("chart-move")
 @click.argument("chart_file")
 @click.option("--move", "move_name", required=True,
-              type=click.Choice(sorted(charts.MOVES)))
+              type=click.Choice(MOVE_NAMES))
 @click.option("--site", default="", help="Comma-separated key=value arguments.")
 @click.option("--out", type=click.Path(), help="Write the moved chart.")
 def chart_move(chart_file, move_name, site, out):
     """Apply a named chart move at a site, e.g. --site at=2,position=0."""
+    from . import charts
+
     c = _load(chart_file, charts.chart_from_json)
     kwargs = {}
     if site:
@@ -188,6 +217,8 @@ def chart_move(chart_file, move_name, site, out):
 @click.option("--show-colors", is_flag=True, help="Name degree-3 colors.")
 def color(pd_file, degree, show_colors):
     """Enumerate simple colorings of a PD diagram."""
+    from . import links
+
     dg = _load(pd_file, links.parse_pd, text=True)
     cols = links.enumerate_simple_colorings(dg, degree)
     payload = []
@@ -205,11 +236,13 @@ def color(pd_file, degree, show_colors):
 @main.command()
 @click.argument("pd_file")
 @click.argument("coloring_file")
-@click.option("--conjugator-bound", type=int, default=links.DEFAULT_CONJUGATOR_BOUND,
+@click.option("--conjugator-bound", type=int, default=CONJUGATOR_BOUND,
               show_default=True)
-@click.option("--budget", type=int, default=links.DEFAULT_LIFT_BUDGET, show_default=True)
+@click.option("--budget", type=int, default=LIFT_BUDGET, show_default=True)
 def lift(pd_file, coloring_file, conjugator_bound, budget):
     """Search for a simple braid lift of a transposition coloring."""
+    from . import links
+
     dg = _load(pd_file, links.parse_pd, text=True)
     f = _load(coloring_file, links.coloring_from_json)
     result = links.find_simple_lift(dg, f, conjugator_bound, budget)
@@ -227,6 +260,8 @@ def lift(pd_file, coloring_file, conjugator_bound, budget):
 @click.argument("table_file")
 def quandle_check(table_file):
     """Validate the quandle axioms for an operation table."""
+    from . import quandles
+
     q = _load(table_file, quandles.quandle_from_text, text=True)
     report = quandles.quandle_validate(q)
     _print(dataclasses.asdict(report))
@@ -249,9 +284,9 @@ def _element_coloring(data) -> dict:
               help="Lift through a finite surjection instead of A_d.")
 @click.option("--target-table", type=click.Path())
 @click.option("--surjection", type=click.Path())
-@click.option("--conjugator-bound", type=int, default=links.DEFAULT_CONJUGATOR_BOUND,
+@click.option("--conjugator-bound", type=int, default=CONJUGATOR_BOUND,
               show_default=True)
-@click.option("--budget", type=int, default=links.DEFAULT_LIFT_BUDGET, show_default=True)
+@click.option("--budget", type=int, default=LIFT_BUDGET, show_default=True)
 @click.pass_context
 def quandle_lift(ctx, pd_file, coloring_file, source_table, target_table, surjection,
                  conjugator_bound, budget):
@@ -263,6 +298,8 @@ def quandle_lift(ctx, pd_file, coloring_file, source_table, target_table, surjec
         return
     if not (source_table and target_table and surjection):
         raise InputExit("finite lifting needs --source-table, --target-table and --surjection")
+    from . import links, quandles
+
     dg = _load(pd_file, links.parse_pd, text=True)
     source = _load(source_table, quandles.quandle_from_text, text=True)
     target = _load(target_table, quandles.quandle_from_text, text=True)
@@ -282,6 +319,8 @@ def quandle_lift(ctx, pd_file, coloring_file, source_table, target_table, surjec
 @click.option("--out", "-o", type=click.Path(), help="Output file (stdout otherwise).")
 def render(chart_file, fmt, out):
     """Render a chart's sweep diagram as SVG or DOT."""
+    from . import charts
+
     c = _load(chart_file, charts.chart_from_json)
     report = charts.validate_chart(c)
     if not report.valid:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import branchcover
 from branchcover.charts import Chart, black, chart_to_json, cup, cap
 from branchcover.cli import main
 from branchcover.hurwitz import HurwitzSystem, system_to_json
@@ -414,3 +419,115 @@ class TestRoundTrips:
         result = runner.invoke(main, ["equiv", str(out_path), torus_system_file])
         assert result.exit_code == 0
         assert json.loads(result.output)["verdict"] == "equivalent"
+
+
+# Values cli.py writes as literals, so that building the command group
+# imports neither links nor charts.
+def _option(command, name):
+    return next(p for p in main.commands[command].params if p.name == name)
+
+
+def test_cli_literals_match_library():
+    from branchcover import charts, hurwitz, links
+
+    assert list(_option("chart-move", "move_name").type.choices) == sorted(charts.MOVES)
+    for command in ("lift", "quandle-lift"):
+        assert _option(command, "conjugator_bound").default == links.DEFAULT_CONJUGATOR_BOUND
+        assert _option(command, "budget").default == links.DEFAULT_LIFT_BUDGET
+    assert _option("equiv", "budget").default == hurwitz.DEFAULT_EQUIV_BUDGET
+
+
+# Runs the CLI module as ``python -m branchcover.cli`` does, then writes the
+# branchcover submodules the process loaded to the file named by argv[1].
+_RUN_CLI = """
+import json, runpy, sys
+modules_out = sys.argv.pop(1)
+try:
+    runpy.run_module("branchcover.cli", run_name="__main__", alter_sys=True)
+finally:
+    with open(modules_out, "w") as fh:
+        json.dump(sorted(m for m in sys.modules if m.startswith("branchcover.")), fh)
+"""
+
+_SRC = str(Path(branchcover.__file__).resolve().parents[1])
+
+_CORE = {"branchcover._unionfind", "branchcover.permutations", "branchcover.braids",
+         "branchcover.hurwitz"}
+_CHARTS = _CORE | {"branchcover.charts"}
+_LINKS = _CORE | {"branchcover.links"}
+_QUANDLES = _LINKS | {"branchcover.quandles"}
+
+
+def _python(args, tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (_SRC, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, *args], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.fixture
+def cli_files(tmp_path, torus_system_file, trefoil_file):
+    from branchcover.quandles import quandle_colorings
+
+    chart = Chart(3, False, (black(1, 0, True), cup(2, 1), cap(2, 1), black(1, 0, False)))
+    dg = corpus_diagram("trefoil")
+    t3 = make_Td(3)
+    contents = {
+        "chart": json.dumps(chart_to_json(chart)),
+        "coloring": json.dumps(coloring_to_json(enumerate_simple_colorings(dg, 2)[0])),
+        "table": quandle_to_text(t3),
+        "map": "0 1 2",
+        "elements": json.dumps({"assignment": {
+            str(a): v for a, v in quandle_colorings(dg, t3)[0].items()}}),
+    }
+    files = {"system": torus_system_file, "pd": trefoil_file}
+    for name, text in contents.items():
+        path = tmp_path / name
+        path.write_text(text)
+        files[name] = str(path)
+    return files
+
+
+@pytest.mark.parametrize("command, exit_code, loaded", [
+    pytest.param(["normalize", "{system}"], 0, _CORE, id="normalize"),
+    pytest.param(["equiv", "{system}", "{system}"], 0, _CORE, id="equiv-hc"),
+    pytest.param(["equiv", "{system}", "{system}", "--mode", "covering"], 0,
+                 _CORE | {"branchcover.covering"}, id="equiv-covering"),
+    pytest.param(["cover", "{system}"], 0, _CORE | {"branchcover.covering"}, id="cover"),
+    pytest.param(["chart-validate", "{chart}"], 0, _CHARTS, id="chart-validate"),
+    pytest.param(["chart-monodromy", "{chart}"], 0, _CHARTS, id="chart-monodromy"),
+    pytest.param(["chart-orient", "{chart}"], 0, _CHARTS, id="chart-orient"),
+    pytest.param(["chart-move", "{chart}", "--move", "cup-cap-cancel", "--site", "at=1"], 0,
+                 _CHARTS, id="chart-move"),
+    pytest.param(["chart-move", "{chart}", "--move", "cup-cap-cancel", "--site", "at=0"], 1,
+                 _CHARTS, id="chart-move-refused"),
+    pytest.param(["chart-move", "{chart}", "--move", "cup-cap-cancel", "--site", "foo=2"], 2,
+                 _CHARTS, id="chart-move-site-error"),
+    pytest.param(["render", "{chart}", "--format", "dot"], 0, _CHARTS, id="render"),
+    pytest.param(["color", "{pd}", "--degree", "3"], 0, _LINKS, id="color"),
+    pytest.param(["lift", "{pd}", "{coloring}"], 0, _LINKS, id="lift"),
+    pytest.param(["quandle-check", "{table}"], 0, _QUANDLES, id="quandle-check"),
+    pytest.param(["quandle-lift", "{pd}", "{coloring}"], 0, _LINKS, id="quandle-lift-Ad"),
+    pytest.param(["quandle-lift", "{pd}", "{elements}", "--source-table", "{table}",
+                  "--target-table", "{table}", "--surjection", "{map}"], 0, _QUANDLES,
+                 id="quandle-lift-finite"),
+])
+def test_subcommand_process_loads_only_its_modules(runner, cli_files, tmp_path, command,
+                                                   exit_code, loaded):
+    args = [a.format(**cli_files) for a in command]
+    modules_out = tmp_path / "modules.json"
+    proc = _python(["-c", _RUN_CLI, str(modules_out), *args], tmp_path)
+    assert proc.returncode == exit_code, proc.stderr
+    in_process = runner.invoke(main, args)
+    assert (proc.stdout, proc.stderr) == (in_process.stdout, in_process.stderr)
+    if command[0] != "render":
+        json.loads(proc.stdout or proc.stderr)
+    assert set(json.loads(modules_out.read_text())) == loaded
+
+
+def test_package_import_loads_no_submodule(tmp_path):
+    proc = _python(["-c", "import sys, branchcover; "
+                          "print([m for m in sys.modules if m.startswith('branchcover.')])"],
+                   tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
