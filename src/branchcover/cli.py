@@ -5,31 +5,34 @@ stdout.  Exit codes: 0 success; 1 when the library refuses valid input (any
 library error, for example an intransitive system or a degree above the
 cap) or a chart or quandle table fails validation; 2 when an input file
 cannot be read or parsed, an output file cannot be written, or a ``--site``
-value is malformed or its keys do not fit the move.  Those errors go to
-stderr as one JSON object; click's own usage errors also exit 2.
+value is malformed or its keys do not fit the move.  ``main`` maps those
+errors in one place and writes them to stderr as one JSON object.  Usage
+errors (an unknown, missing or malformed option, a negative ``--budget`` or
+``--conjugator-bound``) also exit 2, with argparse's usage text on stderr;
+``-h``/``--help`` prints help.
 
-Each call is a fresh process, so each subcommand imports only the library
-modules it calls: ``hurwitz`` at the top (``charts``, ``covering``, ``links``
-and ``quandles`` all import it), the others inside the subcommand.
+The command needs only the standard library.  Each call is a fresh process,
+so each subcommand imports only the library modules it calls: ``hurwitz`` at
+the top (``charts``, ``covering``, ``links`` and ``quandles`` all import it),
+the others inside the subcommand.
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import json
 import sys
 from typing import Callable
-
-import click
 
 from . import hurwitz
 
 EXIT_DOMAIN = 1
 EXIT_INPUT = 2
 
-# Option values the decorators need before any subcommand runs.  They copy
+# Option values the parser needs before any subcommand runs.  They copy
 # links.DEFAULT_CONJUGATOR_BOUND, links.DEFAULT_LIFT_BUDGET and
-# sorted(charts.MOVES), so that building the group imports neither module;
+# sorted(charts.MOVES), so that building the parser imports neither module;
 # tests/test_cli.py pins them to the library.
 CONJUGATOR_BOUND = 3
 LIFT_BUDGET = 1_000_000
@@ -39,18 +42,9 @@ MOVE_NAMES = [
 ]
 
 
-class _JsonExit(click.ClickException):
-    def show(self, file=None):
-        json.dump({"error": str(self.message)}, sys.stderr)
-        sys.stderr.write("\n")
-
-
-class DomainExit(_JsonExit):
-    exit_code = EXIT_DOMAIN
-
-
-class InputExit(_JsonExit):
-    exit_code = EXIT_INPUT
+class InputExit(Exception):
+    """An unreadable or unparseable input file, an unwritable output file or a
+    malformed ``--site``: exit 2."""
 
 
 def _load(path: str, parse: Callable, text: bool = False):
@@ -78,37 +72,14 @@ def _print(data) -> None:
     sys.stdout.write("\n")
 
 
-class _Main(click.Group):
-    def invoke(self, ctx):
-        # Library ValueErrors (HurwitzError, ChartError, LinkError, QuandleError,
-        # degree checks) refuse valid input; a SiteError is a bad --site.  Only
-        # a loaded charts module can have raised one, so none is imported here.
-        try:
-            return super().invoke(ctx)
-        except ValueError as exc:
-            charts = sys.modules.get(f"{__package__}.charts")
-            if charts is not None and isinstance(exc, charts.SiteError):
-                raise InputExit(str(exc)) from exc
-            raise DomainExit(str(exc)) from exc
-
-
-@click.group(cls=_Main)
-def main():
-    """Calculus of simple branched coverings: Hurwitz systems, charts,
-    link colorings and quandle lifts."""
-
-
-@main.command()
-@click.argument("system_file")
-@click.option("--trace-out", type=click.Path(), help="Write the move trace as JSON.")
-def normalize(system_file, trace_out):
+def normalize(args):
     """Normal form of a simple transitive closing permutation system."""
-    s = _load(system_file, hurwitz.system_from_json)
+    s = _load(args.system_file, hurwitz.system_from_json)
     nf, trace = hurwitz.hc_normal_form(s)
     payload = hurwitz.system_to_json(nf)
     payload["moves"] = len(trace)
-    if trace_out:
-        _write(trace_out, json.dumps([_trace_step_json(step) for step in trace]))
+    if args.trace_out:
+        _write(args.trace_out, json.dumps([_trace_step_json(step) for step in trace]))
     _print(payload)
 
 
@@ -118,17 +89,12 @@ def _trace_step_json(step):
     return {"move": "conjugate", "by": str(step[1])}
 
 
-@main.command()
-@click.argument("system_a")
-@click.argument("system_b")
-@click.option("--mode", type=click.Choice(["hc", "covering"]), default="hc")
-@click.option("--budget", type=int, default=hurwitz.DEFAULT_EQUIV_BUDGET, show_default=True)
-def equiv(system_a, system_b, mode, budget):
+def equiv(args):
     """Decide HC-equivalence, or covering equivalence with --mode covering."""
-    s = _load(system_a, hurwitz.system_from_json)
-    t = _load(system_b, hurwitz.system_from_json)
-    if mode == "hc":
-        verdict = hurwitz.hc_equivalent(s, t, budget=budget).value
+    s = _load(args.system_a, hurwitz.system_from_json)
+    t = _load(args.system_b, hurwitz.system_from_json)
+    if args.mode == "hc":
+        verdict = hurwitz.hc_equivalent(s, t, budget=args.budget).value
     else:
         from . import covering
 
@@ -136,68 +102,52 @@ def equiv(system_a, system_b, mode, budget):
     _print({"verdict": verdict})
 
 
-@main.command()
-@click.argument("system_file")
-def cover(system_file):
+def cover(args):
     """Reconstruct the covering surface of a closing permutation system."""
     from . import covering
 
-    s = _load(system_file, hurwitz.system_from_json)
+    s = _load(args.system_file, hurwitz.system_from_json)
     _print(covering.build_covering(s).to_json())
 
 
-@main.command("chart-validate")
-@click.argument("chart_file")
-def chart_validate(chart_file):
+def chart_validate(args):
     """Validate a chart's sweep encoding."""
     from . import charts
 
-    report = charts.validate_chart(_load(chart_file, charts.chart_from_json))
+    report = charts.validate_chart(_load(args.chart_file, charts.chart_from_json))
     _print(dataclasses.asdict(report))
-    if not report.valid:
-        sys.exit(EXIT_DOMAIN)
+    return 0 if report.valid else EXIT_DOMAIN
 
 
-@main.command("chart-monodromy")
-@click.argument("chart_file")
-def chart_monodromy(chart_file):
+def chart_monodromy(args):
     """Hurwitz system induced by a chart."""
     from . import charts
 
-    c = _load(chart_file, charts.chart_from_json)
+    c = _load(args.chart_file, charts.chart_from_json)
     _print(hurwitz.system_to_json(charts.chart_hurwitz_system(c)))
 
 
-@main.command("chart-orient")
-@click.argument("chart_file")
-@click.option("--witness-out", type=click.Path(), help="Write the oriented chart.")
-def chart_orient(chart_file, witness_out):
+def chart_orient(args):
     """Decide orientability; emits a braid-chart witness when one exists."""
     from . import charts
 
-    result = charts.chart_orientable(_load(chart_file, charts.chart_from_json))
+    result = charts.chart_orientable(_load(args.chart_file, charts.chart_from_json))
     payload = {"orientable": result.orientable}
     if result.orientable:
         payload["witness"] = charts.chart_to_json(result.witness)
-        if witness_out:
-            _write(witness_out, json.dumps(payload["witness"]))
+        if args.witness_out:
+            _write(args.witness_out, json.dumps(payload["witness"]))
     _print(payload)
 
 
-@main.command("chart-move")
-@click.argument("chart_file")
-@click.option("--move", "move_name", required=True,
-              type=click.Choice(MOVE_NAMES))
-@click.option("--site", default="", help="Comma-separated key=value arguments.")
-@click.option("--out", type=click.Path(), help="Write the moved chart.")
-def chart_move(chart_file, move_name, site, out):
+def chart_move(args):
     """Apply a named chart move at a site, e.g. --site at=2,position=0."""
     from . import charts
 
-    c = _load(chart_file, charts.chart_from_json)
+    c = _load(args.chart_file, charts.chart_from_json)
     kwargs = {}
-    if site:
-        for pair in site.split(","):
+    if args.site:
+        for pair in args.site.split(","):
             if "=" not in pair:
                 raise InputExit(f"bad site argument {pair!r}")
             key, _, value = pair.partition("=")
@@ -205,27 +155,23 @@ def chart_move(chart_file, move_name, site, out):
                 kwargs[key.strip()] = int(value)
             except ValueError:
                 raise InputExit(f"site values must be integers, got {value!r}")
-    payload = charts.chart_to_json(charts.apply_chart_move(c, move_name, **kwargs))
-    if out:
-        _write(out, json.dumps(payload))
+    payload = charts.chart_to_json(charts.apply_chart_move(c, args.move_name, **kwargs))
+    if args.out:
+        _write(args.out, json.dumps(payload))
     _print(payload)
 
 
-@main.command()
-@click.argument("pd_file")
-@click.option("--degree", "-d", type=int, required=True)
-@click.option("--show-colors", is_flag=True, help="Name degree-3 colors.")
-def color(pd_file, degree, show_colors):
+def color(args):
     """Enumerate simple colorings of a PD diagram."""
     from . import links
 
-    dg = _load(pd_file, links.parse_pd, text=True)
-    cols = links.enumerate_simple_colorings(dg, degree)
+    dg = _load(args.pd_file, links.parse_pd, text=True)
+    cols = links.enumerate_simple_colorings(dg, args.degree)
     payload = []
     for c in cols:
         entry = links.coloring_to_json(c)
         entry["transitive"] = c.is_transitive()
-        if show_colors and degree == 3:
+        if args.show_colors and args.degree == 3:
             entry["names"] = {
                 str(a): links.color_name(v) for a, v in c.assignment.items()
             }
@@ -233,19 +179,13 @@ def color(pd_file, degree, show_colors):
     _print({"count": len(cols), "colorings": payload})
 
 
-@main.command()
-@click.argument("pd_file")
-@click.argument("coloring_file")
-@click.option("--conjugator-bound", type=int, default=CONJUGATOR_BOUND,
-              show_default=True)
-@click.option("--budget", type=int, default=LIFT_BUDGET, show_default=True)
-def lift(pd_file, coloring_file, conjugator_bound, budget):
+def lift(args):
     """Search for a simple braid lift of a transposition coloring."""
     from . import links
 
-    dg = _load(pd_file, links.parse_pd, text=True)
-    f = _load(coloring_file, links.coloring_from_json)
-    result = links.find_simple_lift(dg, f, conjugator_bound, budget)
+    dg = _load(args.pd_file, links.parse_pd, text=True)
+    f = _load(args.coloring_file, links.coloring_from_json)
+    result = links.find_simple_lift(dg, f, args.conjugator_bound, args.budget)
     payload = {
         "found": result.lift is not None,
         "exhausted": result.exhausted,
@@ -256,17 +196,14 @@ def lift(pd_file, coloring_file, conjugator_bound, budget):
     _print(payload)
 
 
-@main.command("quandle-check")
-@click.argument("table_file")
-def quandle_check(table_file):
+def quandle_check(args):
     """Validate the quandle axioms for an operation table."""
     from . import quandles
 
-    q = _load(table_file, quandles.quandle_from_text, text=True)
+    q = _load(args.table_file, quandles.quandle_from_text, text=True)
     report = quandles.quandle_validate(q)
     _print(dataclasses.asdict(report))
-    if not report.valid:
-        sys.exit(EXIT_DOMAIN)
+    return 0 if report.valid else EXIT_DOMAIN
 
 
 def _element_coloring(data) -> dict:
@@ -277,34 +214,21 @@ def _element_coloring(data) -> dict:
     return {int(a): v for a, v in raw.items()}
 
 
-@main.command("quandle-lift")
-@click.argument("pd_file")
-@click.argument("coloring_file")
-@click.option("--source-table", type=click.Path(),
-              help="Lift through a finite surjection instead of A_d.")
-@click.option("--target-table", type=click.Path())
-@click.option("--surjection", type=click.Path())
-@click.option("--conjugator-bound", type=int, default=CONJUGATOR_BOUND,
-              show_default=True)
-@click.option("--budget", type=int, default=LIFT_BUDGET, show_default=True)
-@click.pass_context
-def quandle_lift(ctx, pd_file, coloring_file, source_table, target_table, surjection,
-                 conjugator_bound, budget):
+def quandle_lift(args):
     """Lift a coloring to the braid conjugation quandle (default: runs lift)
     or through a finite surjective quandle homomorphism."""
-    if not (source_table or target_table or surjection):
-        ctx.invoke(lift, pd_file=pd_file, coloring_file=coloring_file,
-                   conjugator_bound=conjugator_bound, budget=budget)
-        return
-    if not (source_table and target_table and surjection):
+    tables = (args.source_table, args.target_table, args.surjection)
+    if not any(tables):
+        return lift(args)
+    if not all(tables):
         raise InputExit("finite lifting needs --source-table, --target-table and --surjection")
     from . import links, quandles
 
-    dg = _load(pd_file, links.parse_pd, text=True)
-    source = _load(source_table, quandles.quandle_from_text, text=True)
-    target = _load(target_table, quandles.quandle_from_text, text=True)
-    p = _load(surjection, quandles.surjection_from_text, text=True)
-    coloring = _load(coloring_file, _element_coloring)
+    dg = _load(args.pd_file, links.parse_pd, text=True)
+    source = _load(args.source_table, quandles.quandle_from_text, text=True)
+    target = _load(args.target_table, quandles.quandle_from_text, text=True)
+    p = _load(args.surjection, quandles.surjection_from_text, text=True)
+    coloring = _load(args.coloring_file, _element_coloring)
     lifted = quandles.lift_through_surjection(p, source, target, dg, coloring)
     payload = {"found": lifted is not None}
     if lifted is not None:
@@ -312,25 +236,96 @@ def quandle_lift(ctx, pd_file, coloring_file, source_table, target_table, surjec
     _print(payload)
 
 
-@main.command()
-@click.argument("chart_file")
-@click.option("--format", "fmt", type=click.Choice(["svg", "dot"]), default="svg",
-              show_default=True)
-@click.option("--out", "-o", type=click.Path(), help="Output file (stdout otherwise).")
-def render(chart_file, fmt, out):
+def render(args):
     """Render a chart's sweep diagram as SVG or DOT."""
     from . import charts
 
-    c = _load(chart_file, charts.chart_from_json)
+    c = _load(args.chart_file, charts.chart_from_json)
     report = charts.validate_chart(c)
     if not report.valid:
-        raise DomainExit(report.error or "invalid chart")
-    text = charts.chart_to_svg(c) if fmt == "svg" else charts.chart_to_dot(c)
-    if out:
-        _write(out, text)
+        raise charts.ChartError(report.error or "invalid chart")
+    text = charts.chart_to_svg(c) if args.fmt == "svg" else charts.chart_to_dot(c)
+    if args.out:
+        _write(args.out, text)
     else:
         sys.stdout.write(text + "\n")
 
 
+def _bound(text: str) -> int:
+    """``type=`` of the search bounds: anything but a non-negative integer is a
+    usage error."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="branchcover", allow_abbrev=False,
+        description="Calculus of simple branched coverings: Hurwitz systems, charts, "
+                    "link colorings and quandle lifts.")
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+
+    def command(run, *positionals):
+        sub = commands.add_parser(run.__name__.replace("_", "-"), help=run.__doc__,
+                                  description=run.__doc__, allow_abbrev=False)
+        sub.set_defaults(run=run)
+        for name in positionals:
+            sub.add_argument(name)
+        return sub
+
+    default = "(default: %(default)s)"
+    sub = command(normalize, "system_file")
+    sub.add_argument("--trace-out", help="Write the move trace as JSON.")
+    sub = command(equiv, "system_a", "system_b")
+    sub.add_argument("--mode", choices=["hc", "covering"], default="hc")
+    sub.add_argument("--budget", type=_bound, default=hurwitz.DEFAULT_EQUIV_BUDGET, help=default)
+    command(cover, "system_file")
+    command(chart_validate, "chart_file")
+    command(chart_monodromy, "chart_file")
+    sub = command(chart_orient, "chart_file")
+    sub.add_argument("--witness-out", help="Write the oriented chart.")
+    sub = command(chart_move, "chart_file")
+    sub.add_argument("--move", dest="move_name", required=True, choices=MOVE_NAMES)
+    sub.add_argument("--site", default="", help="Comma-separated key=value arguments.")
+    sub.add_argument("--out", help="Write the moved chart.")
+    sub = command(color, "pd_file")
+    sub.add_argument("--degree", "-d", type=int, required=True)
+    sub.add_argument("--show-colors", action="store_true", help="Name degree-3 colors.")
+    for run in (lift, quandle_lift):
+        sub = command(run, "pd_file", "coloring_file")
+        sub.add_argument("--conjugator-bound", type=_bound, default=CONJUGATOR_BOUND,
+                         help=default)
+        sub.add_argument("--budget", type=_bound, default=LIFT_BUDGET, help=default)
+    # quandle-lift only:
+    sub.add_argument("--source-table", help="Lift through a finite surjection instead of A_d.")
+    sub.add_argument("--target-table")
+    sub.add_argument("--surjection")
+    command(quandle_check, "table_file")
+    sub = command(render, "chart_file")
+    sub.add_argument("--format", dest="fmt", choices=["svg", "dot"], default="svg", help=default)
+    sub.add_argument("--out", "-o", help="Output file (stdout otherwise).")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand and return its exit code."""
+    args = _parser().parse_args(argv)
+    try:
+        return args.run(args) or 0
+    except (InputExit, ValueError) as exc:
+        # Library ValueErrors (HurwitzError, ChartError, LinkError, QuandleError,
+        # degree checks) refuse valid input; a SiteError is a bad --site.  Only
+        # a loaded charts module can have raised one, so none is imported here.
+        charts = sys.modules.get(f"{__package__}.charts")
+        bad_site = charts is not None and isinstance(exc, charts.SiteError)
+        json.dump({"error": str(exc)}, sys.stderr)
+        sys.stderr.write("\n")
+        return EXIT_INPUT if isinstance(exc, InputExit) or bad_site else EXIT_DOMAIN
+
+
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -313,6 +313,8 @@ def quandle_from_text(text: str) -> FiniteQuandle:
         values = [int(t) for t in tokens[1:]]
     except ValueError as exc:
         raise QuandleError(f"bad token in quandle file: {exc}") from exc
+    if n < 0:
+        raise QuandleError(f"negative element count {n}")
     if len(values) != n * n:
         raise QuandleError(f"expected {n * n} table entries, got {len(values)}")
     op = tuple(tuple(values[r * n : (r + 1) * n]) for r in range(n))

@@ -1,24 +1,53 @@
+import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import branchcover
 from branchcover.charts import Chart, black, chart_to_json, cup, cap
-from branchcover.cli import main
+from branchcover.cli import MOVE_NAMES, _parser, main
 from branchcover.hurwitz import HurwitzSystem, system_to_json
 from branchcover.links import CORPUS, coloring_to_json, corpus_diagram, enumerate_simple_colorings
 from branchcover.permutations import Permutation
 from branchcover.quandles import make_Td, quandle_to_text
 
 
+@dataclass
+class Result:
+    """The exit code and output of one call; ``output`` is stdout then stderr."""
+
+    exit_code: int
+    stdout: str
+    stderr: str
+
+    @property
+    def output(self):
+        return self.stdout + self.stderr
+
+
+class Runner:
+    """Runs ``main(args)`` in this process and captures its exit code and output."""
+
+    def invoke(self, main, args):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(args)
+            except SystemExit as exc:
+                code = exc.code
+        return Result(code or 0, out.getvalue(), err.getvalue())
+
+
 @pytest.fixture
 def runner():
-    return CliRunner()
+    return Runner()
 
 
 @pytest.fixture
@@ -401,11 +430,43 @@ class TestQuandleVerbs:
         assert f"arc {arc}" in error and str(color) in error
 
 
-@pytest.mark.parametrize("name", sorted(set(main.commands) - {"render"}))
+# Each subcommand with its positionals and required options.
+_MINIMAL_CALLS = {
+    "normalize": ["f"], "equiv": ["f", "f"], "cover": ["f"], "chart-validate": ["f"],
+    "chart-monodromy": ["f"], "chart-orient": ["f"], "chart-move": ["f", "--move", "swap"],
+    "color": ["f", "-d", "3"], "lift": ["f", "f"], "quandle-check": ["f"],
+    "quandle-lift": ["f", "f"], "render": ["f"],
+}
+
+
+def test_minimal_calls_name_every_subcommand():
+    commands = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(commands.choices) == set(_MINIMAL_CALLS)
+
+
+@pytest.mark.parametrize("name", sorted(set(_MINIMAL_CALLS) - {"render"}))
 def test_only_render_takes_format(runner, name):
-    result = runner.invoke(main, [name, "--format", "json"])
+    result = runner.invoke(main, [name, *_MINIMAL_CALLS[name], "--format", "json"])
     assert result.exit_code == 2
-    assert "No such option" in result.stderr and "--format" in result.stderr
+    assert "unrecognized arguments: --format" in result.stderr
+
+
+@pytest.mark.parametrize("name", sorted(_MINIMAL_CALLS))
+def test_help(runner, name):
+    result = runner.invoke(main, [name, "--help"])
+    assert result.exit_code == 0
+    assert result.stdout.startswith(f"usage: branchcover {name}")
+
+
+# A negative budget answered unknown or exhausted instead of refusing the call.
+@pytest.mark.parametrize("name, option", [
+    ("equiv", "--budget"), ("lift", "--budget"), ("lift", "--conjugator-bound"),
+    ("quandle-lift", "--budget"), ("quandle-lift", "--conjugator-bound"),
+])
+def test_negative_bound_is_usage_error(runner, name, option):
+    result = runner.invoke(main, [name, *_MINIMAL_CALLS[name], option, "-1"])
+    assert result.exit_code == 2
+    assert f"argument {option}: expected a non-negative integer, got '-1'" in result.stderr
 
 
 class TestRoundTrips:
@@ -421,24 +482,27 @@ class TestRoundTrips:
         assert json.loads(result.output)["verdict"] == "equivalent"
 
 
-# Values cli.py writes as literals, so that building the command group
-# imports neither links nor charts.
-def _option(command, name):
-    return next(p for p in main.commands[command].params if p.name == name)
+# Values cli.py writes as literals, so that building the parser imports
+# neither links nor charts.
+def _defaults(command):
+    return _parser().parse_args([command, *_MINIMAL_CALLS[command]])
 
 
 def test_cli_literals_match_library():
     from branchcover import charts, hurwitz, links
 
-    assert list(_option("chart-move", "move_name").type.choices) == sorted(charts.MOVES)
+    moves = sorted(charts.MOVES)
+    assert MOVE_NAMES == moves
+    for move in moves:
+        assert _parser().parse_args(["chart-move", "f", "--move", move]).move_name == move
     for command in ("lift", "quandle-lift"):
-        assert _option(command, "conjugator_bound").default == links.DEFAULT_CONJUGATOR_BOUND
-        assert _option(command, "budget").default == links.DEFAULT_LIFT_BUDGET
-    assert _option("equiv", "budget").default == hurwitz.DEFAULT_EQUIV_BUDGET
+        assert _defaults(command).conjugator_bound == links.DEFAULT_CONJUGATOR_BOUND
+        assert _defaults(command).budget == links.DEFAULT_LIFT_BUDGET
+    assert _defaults("equiv").budget == hurwitz.DEFAULT_EQUIV_BUDGET
 
 
 # Runs the CLI module as ``python -m branchcover.cli`` does, then writes the
-# branchcover submodules the process loaded to the file named by argv[1].
+# modules the process loaded to the file named by argv[1].
 _RUN_CLI = """
 import json, runpy, sys
 modules_out = sys.argv.pop(1)
@@ -446,7 +510,7 @@ try:
     runpy.run_module("branchcover.cli", run_name="__main__", alter_sys=True)
 finally:
     with open(modules_out, "w") as fh:
-        json.dump(sorted(m for m in sys.modules if m.startswith("branchcover.")), fh)
+        json.dump(sorted(sys.modules), fh)
 """
 
 _SRC = str(Path(branchcover.__file__).resolve().parents[1])
@@ -522,7 +586,27 @@ def test_subcommand_process_loads_only_its_modules(runner, cli_files, tmp_path, 
     assert (proc.stdout, proc.stderr) == (in_process.stdout, in_process.stderr)
     if command[0] != "render":
         json.loads(proc.stdout or proc.stderr)
-    assert set(json.loads(modules_out.read_text())) == loaded
+    assert {m for m in json.loads(modules_out.read_text())
+            if m.startswith("branchcover.")} == loaded
+
+
+# The interpreter's own start-up (site, .pth files) may import third-party
+# modules, so the check is on what the CLI adds to a bare interpreter.
+@pytest.mark.parametrize("command", [
+    ["equiv", "{system}", "{system}", "--mode", "covering"],
+    ["chart-orient", "{chart}"],
+    ["quandle-lift", "{pd}", "{elements}", "--source-table", "{table}",
+     "--target-table", "{table}", "--surjection", "{map}"],
+], ids=lambda command: command[0])
+def test_cli_process_loads_no_third_party_module(cli_files, tmp_path, command):
+    bare = _python(["-c", "import json, sys; print(json.dumps(sorted(sys.modules)))"], tmp_path)
+    modules_out = tmp_path / "modules.json"
+    proc = _python(["-c", _RUN_CLI, str(modules_out),
+                    *(a.format(**cli_files) for a in command)], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    added = {m.partition(".")[0] for m in json.loads(modules_out.read_text())}
+    added -= {m.partition(".")[0] for m in json.loads(bare.stdout)}
+    assert added - sys.stdlib_module_names == {"branchcover"}
 
 
 def test_package_import_loads_no_submodule(tmp_path):

@@ -318,6 +318,9 @@ class TestTextFormats:
             quandle_from_text("3 0 1")
         with pytest.raises(QuandleError):
             quandle_from_text("")
+        # n = -1 asked for n * n = 1 entry and read as the empty quandle.
+        with pytest.raises(QuandleError, match="element count"):
+            quandle_from_text("-1\n5")
 
     def test_surjection_text(self):
         assert surjection_from_text("0 1 2 0 1 2") == [0, 1, 2, 0, 1, 2]
