@@ -15,9 +15,7 @@ import importlib
 _EXPORTS = {
     "braids": (
         "BraidWord",
-        "FreeWord",
         "braids_equal",
-        "canonical",
         "exponent_sum",
         "garside_normal_form",
         "parse_braid",

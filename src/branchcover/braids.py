@@ -12,13 +12,12 @@ ch. 9): two words are equal in B_d, and as BraidWords, iff their normal forms
 coincide; the form costs polynomial time in the word length.  Its super
 summit invariants (``summit``; Birman, Ko and Lee) are conjugacy invariants.
 
-The documented ``canonical`` view is the action on the free group F_d: the
-i-th generator maps x_i -> x_i x_{i+1} x_i^-1 and x_{i+1} -> x_i, fixing the
-other generators.  The tuple of images of (x_1, ..., x_d) under a word, kept
-freely reduced, is also a complete invariant of the element (the action is
-faithful), but its length can grow exponentially with the word; the test
-suite uses it as the independent oracle for the normal form.  Free group
-words are tuples of nonzero ints with the same sign convention.
+``canonical_key`` gives the images of (x_1, ..., x_d) under the faithful
+action on the free group F_d (x_i -> x_i x_{i+1} x_i^-1, x_{i+1} -> x_i),
+freely reduced, as tuples of nonzero ints.  Their length can grow
+exponentially with the word, so they serve two purposes only: the order of
+the lift candidates (``links._simple_conjugates``) and the tests'
+independent oracle for the normal form.
 """
 
 from __future__ import annotations
@@ -48,40 +47,6 @@ def free_reduce(letters: Iterable[int]) -> tuple[int, ...]:
     return tuple(stack)
 
 
-@dataclasses.dataclass(frozen=True)
-class FreeWord:
-    """A freely reduced word in the free group of the given rank."""
-
-    rank: int
-    letters: tuple[int, ...]
-
-    def __post_init__(self):
-        for x in self.letters:
-            if x == 0 or abs(x) > self.rank:
-                raise ValueError(f"letter {x} out of range for rank {self.rank}")
-        if free_reduce(self.letters) != self.letters:
-            raise ValueError(f"word {self.letters} is not freely reduced")
-
-    @staticmethod
-    def make(rank: int, letters: Iterable[int]) -> "FreeWord":
-        return FreeWord(rank, free_reduce(letters))
-
-    def inverse(self) -> "FreeWord":
-        return FreeWord(self.rank, tuple(-x for x in reversed(self.letters)))
-
-    def __mul__(self, other: "FreeWord") -> "FreeWord":
-        if not isinstance(other, FreeWord):
-            return NotImplemented
-        if self.rank != other.rank:
-            raise ValueError("rank mismatch")
-        return FreeWord.make(self.rank, self.letters + other.letters)
-
-    def __str__(self) -> str:
-        if not self.letters:
-            return "1"
-        return " ".join(f"x{x}" if x > 0 else f"x{-x}^-1" for x in self.letters)
-
-
 @dataclasses.dataclass(frozen=True, eq=False)
 class BraidWord:
     """A word in the generators of B_d that compares and hashes as the group
@@ -92,11 +57,12 @@ class BraidWord:
 
     def __post_init__(self):
         _check_degree(self.degree, 2)
+        if type(self.letters) is not tuple:
+            object.__setattr__(self, "letters", tuple(self.letters))
         for x in self.letters:
-            if x == 0 or abs(x) > self.degree - 1:
-                raise ValueError(
-                    f"generator index {x} out of range for degree {self.degree}"
-                )
+            # type() rather than isinstance(): bool is an int subclass.
+            if type(x) is not int or x == 0 or abs(x) > self.degree - 1:
+                raise ValueError(f"generator index {x!r} out of range for degree {self.degree}")
 
     @staticmethod
     def identity(d: int) -> "BraidWord":
@@ -150,7 +116,7 @@ class BraidWord:
 
 
 def _apply_letter(images: tuple[tuple[int, ...], ...], letter: int) -> tuple[tuple[int, ...], ...]:
-    """Substitute one generator's elementary automorphism into each image word."""
+    """One step of ``canonical_key``: a letter's automorphism on each image."""
     i = abs(letter)
     if letter > 0:
         # x_i -> x_i x_{i+1} x_i^-1,  x_{i+1} -> x_i
@@ -171,18 +137,9 @@ def _apply_letter(images: tuple[tuple[int, ...], ...], letter: int) -> tuple[tup
     return tuple(out)
 
 
-def canonical(w: BraidWord) -> tuple[FreeWord, ...]:
-    """Images of the free generators under w; a complete invariant of the element.
-
-    This is the documented free-group view; its length can grow
-    exponentially with the word, so equality goes through
-    ``garside_normal_form`` instead.
-    """
-    return tuple(FreeWord(w.degree, word) for word in canonical_key(w))
-
-
 def canonical_key(w: BraidWord) -> tuple[tuple[int, ...], ...]:
-    """Hashable form of ``canonical`` for dictionaries and state sets."""
+    """Freely reduced images of x_1, ..., x_d under w; only for the lift
+    candidate order and the tests' oracle (see the module docstring)."""
     images = tuple((k,) for k in range(1, w.degree + 1))
     for letter in w.letters:
         images = _apply_letter(images, letter)

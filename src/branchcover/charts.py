@@ -122,6 +122,8 @@ class Chart:
     events: tuple[ChartEvent, ...]
 
     def __post_init__(self):
+        if type(self.events) is not tuple:
+            object.__setattr__(self, "events", tuple(self.events))
         try:
             permutations._check_degree(self.degree, 2)
         except ValueError as exc:

@@ -121,6 +121,8 @@ class HurwitzSystem:
     flavor: str = PERMUTATION
 
     def __post_init__(self):
+        if type(self.entries) is not tuple:
+            object.__setattr__(self, "entries", tuple(self.entries))
         check_elements(self.flavor, self.degree, enumerate(self.entries))
 
     def __len__(self) -> int:
@@ -141,10 +143,6 @@ class HurwitzSystem:
                 raise ValueError("empty system needs an explicit degree")
             degree = entries[0].degree
         return HurwitzSystem(degree, tuple(entries), BRAID)
-
-    def key(self):
-        """The entries; they compare and hash as group elements."""
-        return self.entries
 
     def __str__(self) -> str:
         body = ", ".join(str(e) for e in self.entries)

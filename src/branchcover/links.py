@@ -71,6 +71,8 @@ class LinkDiagram:
     free_loops: int = 0  # crossingless unknot components
 
     def __post_init__(self):
+        if type(self.crossings) is not tuple or any(type(q) is not tuple for q in self.crossings):
+            object.__setattr__(self, "crossings", tuple(map(tuple, self.crossings)))
         counts: dict[int, int] = {}
         for quad in self.crossings:
             if len(quad) != 4:

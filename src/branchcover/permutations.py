@@ -40,6 +40,8 @@ class Permutation:
     images: tuple[int, ...]
 
     def __post_init__(self):
+        if type(self.images) is not tuple:
+            object.__setattr__(self, "images", tuple(self.images))
         d = len(self.images)
         _check_degree(d)
         if sorted(self.images) != list(range(1, d + 1)):

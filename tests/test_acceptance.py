@@ -153,7 +153,7 @@ def test_criterion_3_normal_form_exhaustive(exhaustive_family):
     # form is computed outright and must contain the entire family.
     for n in (4, 6):
         template = normal_form_template(3, n)
-        orbit = {template.key()}
+        orbit = {template.entries}
         frontier = [template]
         while frontier:
             nxt = []
@@ -167,12 +167,12 @@ def test_criterion_3_normal_form_exhaustive(exhaustive_family):
                 for i in range(1, 3):
                     neighbors.append(conjugate_system(item, tau(3, i)))
                 for nb in neighbors:
-                    key = nb.key()
+                    key = nb.entries
                     if key not in orbit:
                         orbit.add(key)
                         nxt.append(nb)
             frontier = nxt
-        family_keys = {s.key() for s in transitive[(3, n)]}
+        family_keys = {s.entries for s in transitive[(3, n)]}
         assert family_keys <= orbit
         assert orbit == family_keys  # moves stay inside the family
     report(3, f"{checked} systems reach the template; BFS orbit agrees for d=3")

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 
 from branchcover.braids import (
     BraidWord,
-    FreeWord,
     braids_equal,
-    canonical,
     canonical_key,
     exponent_sum,
     free_reduce,
@@ -29,32 +27,20 @@ def bw(d, *letters):
     return BraidWord(d, letters)
 
 
-class TestFreeWord:
+class TestFreeReduce:
     def test_reduction(self):
         assert free_reduce((1, -1)) == ()
         assert free_reduce((1, 2, -2, -1)) == ()
         assert free_reduce((1, 2, -1)) == (1, 2, -1)
 
-    def test_rejects_unreduced(self):
-        with pytest.raises(ValueError, match="freely reduced"):
-            FreeWord(2, (1, -1))
-
-    def test_inverse(self):
-        w = FreeWord(3, (1, 2, -3))
-        assert (w * w.inverse()).letters == ()
-
 
 class TestCanonical:
     def test_identity(self):
-        assert canonical(bw(3)) == (
-            FreeWord(3, (1,)),
-            FreeWord(3, (2,)),
-            FreeWord(3, (3,)),
-        )
+        assert canonical_key(bw(3)) == ((1,), (2,), (3,))
 
     def test_single_generator(self):
         # One application of the defining rule at d=2.
-        assert canonical(bw(2, 1)) == (FreeWord(2, (1, 2, -1)), FreeWord(2, (1,)))
+        assert canonical_key(bw(2, 1)) == ((1, 2, -1), (1,))
 
     def test_braid_relation(self):
         assert canonical_key(bw(3, 1, 2, 1)) == canonical_key(bw(3, 2, 1, 2))
@@ -66,6 +52,19 @@ class TestCanonical:
                     assert braids_equal(bw(d, i, j, i), bw(d, j, i, j))
                 elif abs(i - j) > 1:
                     assert braids_equal(bw(d, i, j), bw(d, j, i))
+
+
+class TestConstruction:
+    def test_letters_given_as_a_list_are_stored_as_a_tuple(self):
+        w = BraidWord(3, [1, 2])
+        assert w.letters == (1, 2)
+        assert w == bw(3, 1, 2) and hash(w) == hash(bw(3, 1, 2))
+        assert w * bw(3, 1) == bw(3, 1, 2, 1)
+
+    @pytest.mark.parametrize("letter", [1.0, True, "1"])
+    def test_letters_must_be_ints(self, letter):
+        with pytest.raises(ValueError, match="generator index"):
+            BraidWord(3, (letter,))
 
 
 class TestEqual:

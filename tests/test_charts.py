@@ -378,6 +378,12 @@ class TestMoves:
             assert out.events == c.events[:2] + tuple(patch) + c.events[2:]
             assert chart_hurwitz_system(out).entries == chart_hurwitz_system(c).entries
 
+    def test_events_given_as_a_list_are_stored_as_a_tuple(self):
+        c = Chart(3, False, list(two_vertex_chart(3).events))
+        assert c == two_vertex_chart(3) and hash(c) == hash(two_vertex_chart(3))
+        out = apply_chart_move(c, "cup-cap-insert", at=0, position=0, label=1)
+        assert out == cup_cap_insert(two_vertex_chart(3), 0, 0, 1)
+
     def test_unknown_move(self):
         with pytest.raises(MoveError, match="unknown move"):
             apply_chart_move(two_vertex_chart(), "no-such-move")

@@ -362,6 +362,13 @@ def test_system_degree_is_checked(flavor, degree):
         HurwitzSystem(degree, (), flavor)
 
 
+def test_entries_given_as_a_list_are_stored_as_a_tuple():
+    s = HurwitzSystem(3, [tr(3, 1, 2), tr(3, 2, 3)])
+    assert s == perm_system(3, (1, 2), (2, 3))
+    assert hash(s) == hash(perm_system(3, (1, 2), (2, 3)))
+    assert hurwitz_move(s, 0) == perm_system(3, (2, 3), (1, 3))
+
+
 def test_orbit_partition():
     s = perm_system(4, (1, 2), (3, 4))
     assert orbit_partition(s) == [frozenset({1, 2}), frozenset({3, 4})]

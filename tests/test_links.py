@@ -1,8 +1,9 @@
+import itertools
 import random
 
 import pytest
 
-from branchcover.braids import BraidWord, braids_equal, project
+from branchcover.braids import BraidWord, braids_equal, canonical_key, project
 from branchcover.links import (
     CORPUS,
     LinkDiagram,
@@ -29,6 +30,7 @@ from branchcover.links import (
     r2_remove,
     simple_braid_candidates,
     twist_boundary_colors,
+    _simple_conjugates,
 )
 from branchcover.permutations import ParseError, Permutation
 from oracles import fox_three_colorings, pd_orientation
@@ -52,6 +54,11 @@ class TestParsePd:
         dg = parse_pd("")
         assert dg.crossings == ()
         assert dg.component_count() == 0
+
+    def test_crossings_given_as_lists_are_stored_as_tuples(self):
+        dg = LinkDiagram([[1, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, 3]])
+        assert dg == TREFOIL and hash(dg) == hash(TREFOIL)
+        assert pd_string(dg) == "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 
     def test_unknot_token(self):
         dg = parse_pd("U")
@@ -385,6 +392,20 @@ class TestLifts:
             assert cands
             for w in cands:
                 assert project(w) == target
+
+    @pytest.mark.parametrize("d, bound", [(3, 0), (3, 1), (3, 2), (3, 3), (4, 0), (4, 1), (4, 2)])
+    def test_candidate_pool_is_every_bounded_conjugate_once(self, d, bound):
+        pool = _simple_conjugates(d, bound)
+        letters = [x for i in range(1, d) for x in (i, -i)]
+        expected = {
+            canonical_key(BraidWord(d, (g,)) ** BraidWord(d, c))
+            for g in letters
+            for n in range(bound + 1)
+            for c in itertools.product(letters, repeat=n)
+        }
+        keys = [canonical_key(w) for w in pool]
+        assert set(keys) == expected
+        assert len(set(keys)) == len(pool) == len(set(pool))
 
 
 class TestValidation:

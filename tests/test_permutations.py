@@ -140,3 +140,9 @@ class TestText:
 def test_degree_cap():
     with pytest.raises(ValueError, match="cap"):
         Permutation.identity(17)
+
+
+def test_images_given_as_a_list_are_stored_as_a_tuple():
+    a = Permutation([2, 1, 3])
+    assert a == Permutation((2, 1, 3))
+    assert hash(a) == hash(Permutation((2, 1, 3)))
