@@ -417,13 +417,3 @@ def parse_braid(text: str, degree: int) -> BraidWord:
         letters.append(idx * sign)
     return BraidWord(degree, free_reduce(letters))
 
-
-def braid_product(words: Sequence[BraidWord], degree: int | None = None) -> BraidWord:
-    acc: BraidWord | None = None
-    for w in words:
-        acc = w if acc is None else acc * w
-    if acc is None:
-        if degree is None:
-            raise ValueError("empty product needs an explicit degree")
-        return BraidWord.identity(degree)
-    return acc

@@ -74,6 +74,8 @@ class ChartEvent:
     sign: Optional[int] = None  # oriented charts: black letter / cup upper twin
 
     def __post_init__(self):
+        if type(self.labels) is not tuple:
+            object.__setattr__(self, "labels", tuple(self.labels))
         if self.kind not in EVENT_KINDS:
             raise ChartError(f"unknown event kind {self.kind!r}")
         # type() rather than isinstance(): bool is an int subclass.

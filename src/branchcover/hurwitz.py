@@ -29,7 +29,7 @@ from collections import deque
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from . import braids, permutations
-from .braids import BraidWord, braid_product, parse_braid
+from .braids import BraidWord, parse_braid
 from .permutations import Permutation, parse_permutation
 
 Entry = Union[Permutation, BraidWord]
@@ -177,9 +177,10 @@ def conjugate_system(s: HurwitzSystem, g: Entry) -> HurwitzSystem:
 
 def total_monodromy(s: HurwitzSystem) -> Entry:
     """Ordered product a_1 a_2 ... a_n (identity for the empty system)."""
-    if s.flavor == PERMUTATION:
-        return permutations.product(s.entries, degree=s.degree)
-    return braid_product(s.entries, degree=s.degree)
+    acc = FLAVORS[s.flavor].element.identity(s.degree)
+    for e in s.entries:
+        acc = acc * e
+    return acc
 
 
 def is_closing(s: HurwitzSystem) -> bool:

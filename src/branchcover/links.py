@@ -19,6 +19,7 @@ u; for transposition colors both signs conjugate identically.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
 import itertools
@@ -436,7 +437,7 @@ def enumerate_simple_colorings(dg: LinkDiagram, d: int) -> list[SimpleColoring]:
     ]
 
 
-# -- tangle replacement (Montesinos move engine) ----------------------------
+# -- link surgery: one splice, tangle replacement (Montesinos moves) --------
 
 
 @dataclasses.dataclass(frozen=True)
@@ -451,14 +452,7 @@ class Tangle:
     wires: tuple[tuple[int, int], ...] = ()
 
     def edge_uses(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for quad in self.crossings:
-            for e in quad:
-                counts[e] = counts.get(e, 0) + 1
-        for a, b in self.wires:
-            counts[a] = counts.get(a, 0) + 1
-            counts[b] = counts.get(b, 0) + 1
-        return counts
+        return collections.Counter(e for part in (*self.crossings, *self.wires) for e in part)
 
     def boundary_edges(self) -> list[int]:
         return sorted(e for e, c in self.edge_uses().items() if c == 1)
@@ -476,6 +470,38 @@ def extract_tangle(dg: LinkDiagram, sites: Sequence[int]) -> Tangle:
 def _fresh_ids(dg: LinkDiagram, n: int) -> list[int]:
     base = max(dg.edges(), default=0)
     return [base + k + 1 for k in range(n)]
+
+
+def _splice(
+    dg: LinkDiagram, coloring: SimpleColoring, quads: list, weld=(), colors: Optional[dict] = None
+) -> tuple[LinkDiagram, SimpleColoring]:
+    """The diagram with the given crossings, each weld pair joined into one
+    edge (the smaller id survives), and its coloring: ``colors`` on the
+    edges it names, the old arc color on edges kept from dg.  Every link
+    surgery ends here, and both results are revalidated."""
+    joined = {max(a, b): min(a, b) for a, b in weld}
+    if joined:
+        quads = [tuple(joined.get(e, e) for e in quad) for quad in quads]
+    try:
+        new_dg = LinkDiagram(tuple(quads), dg.free_loops)
+    except LinkError as exc:
+        raise LinkError(f"surgery produces an invalid diagram: {exc}") from exc
+    colors = colors or {}
+    old_arcs = dg._strands.arcs
+    assignment = {-(k + 1): coloring.assignment[-(k + 1)] for k in range(dg.free_loops)}
+    for arc in new_dg.arcs():  # an arc is named by its least edge
+        if arc in assignment:
+            continue
+        color = colors.get(arc)
+        if color is None and arc in old_arcs:
+            color = coloring.assignment.get(old_arcs[arc])
+        if color is None:
+            raise LinkError(f"no color available for edge {arc}")
+        assignment[arc] = color
+    out = SimpleColoring(coloring.degree, coloring.flavor, assignment)
+    if not coloring_satisfies(new_dg, out):
+        raise LinkError("surgery produces an invalid coloring")
+    return new_dg, out
 
 
 def montesinos_replace(
@@ -509,29 +535,14 @@ def montesinos_replace(
         if want is None or have is None or want != have:
             raise LinkError(f"boundary color mismatch on edge {e}")
 
-    site_set = set(sites)
     internal = sorted(e for e in replacement.edge_uses() if e not in rep_boundary)
-    fresh = dict(zip(internal, _fresh_ids(dg, len(internal))))
-
-    def rename(e: int) -> int:
-        return fresh[e] if e in fresh else boundary_map[e]
-
-    new_crossings = [q for k, q in enumerate(dg.crossings) if k not in site_set]
-    new_crossings += [tuple(rename(e) for e in quad) for quad in replacement.crossings]
-    weld = {}
-    for a, b in replacement.wires:
-        ra, rb = rename(a), rename(b)
-        weld[max(ra, rb)] = min(ra, rb)
-    if weld:
-        new_crossings = [tuple(weld.get(e, e) for e in quad) for quad in new_crossings]
-    try:
-        new_dg = LinkDiagram(tuple(new_crossings), dg.free_loops)
-    except LinkError as exc:
-        raise LinkError(f"replacement produces an invalid diagram: {exc}") from exc
-
-    local_name = {new: old for old, new in [*fresh.items(), *boundary_map.items()]}
-    colors = {e: replacement_colors.get(old) for e, old in local_name.items()}
-    return new_dg, _carry_colors(dg, new_dg, coloring, colors)
+    rename = {**boundary_map, **dict(zip(internal, _fresh_ids(dg, len(internal))))}
+    site_set = set(sites)
+    quads = [q for k, q in enumerate(dg.crossings) if k not in site_set]
+    quads += [[rename[e] for e in quad] for quad in replacement.crossings]
+    weld = [(rename[a], rename[b]) for a, b in replacement.wires]
+    colors = {new: replacement_colors.get(old) for old, new in rename.items()}
+    return _splice(dg, coloring, quads, weld, colors)
 
 
 def flat_tangle(n: int = 3) -> Tangle:
@@ -583,40 +594,13 @@ def montesinos_flat_colors(a: Permutation, b: Permutation) -> dict:
 # -- Reidemeister moves ------------------------------------------------------
 
 
-def _with_renamed_head(dg: LinkDiagram, edge: int, new_id: int) -> list[list[int]]:
-    """Crossing quads with the edge's arriving occurrence renamed."""
-    k, slot = dg.edge_head(edge)
+def _with_renamed_heads(dg: LinkDiagram, rename: dict[int, int]) -> list[list[int]]:
+    """Crossing quads with each named edge's arriving occurrence renamed."""
     quads = [list(q) for q in dg.crossings]
-    quads[k][slot] = new_id
+    for edge, new_id in rename.items():
+        k, slot = dg.edge_head(edge)
+        quads[k][slot] = new_id
     return quads
-
-
-def _carry_colors(
-    dg: LinkDiagram,
-    new_dg: LinkDiagram,
-    coloring: SimpleColoring,
-    fresh_colors: dict,
-) -> SimpleColoring:
-    """The coloring of new_dg that takes fresh_colors on the edges it names
-    and the old arc colors on edges kept from dg; revalidated."""
-    old_arcs = dg._strands.arcs
-    assignment = {}
-    for k in range(dg.free_loops):
-        assignment[-(k + 1)] = coloring.assignment[-(k + 1)]
-    for e in new_dg.edges():
-        arc = new_dg.arc_of(e)
-        if arc in assignment:
-            continue
-        color = fresh_colors.get(e)
-        if color is None and e in old_arcs:
-            color = coloring.assignment.get(old_arcs[e])
-        if color is None:
-            raise LinkError(f"no color available for edge {e}")
-        assignment[arc] = color
-    out = SimpleColoring(coloring.degree, coloring.flavor, assignment)
-    if not coloring_satisfies(new_dg, out):
-        raise LinkError("move produced an invalid coloring")
-    return out
 
 
 def r1_add(
@@ -626,14 +610,10 @@ def r1_add(
     if edge not in dg.edges():
         raise LinkError(f"edge {edge} not in diagram")
     m, z = _fresh_ids(dg, 2)
-    quads = _with_renamed_head(dg, edge, z)
-    if sign == 1:
-        quads.append([edge, z, m, m])
-    else:
-        quads.append([edge, m, m, z])
-    new_dg = LinkDiagram(tuple(tuple(q) for q in quads), dg.free_loops)
+    quads = _with_renamed_heads(dg, {edge: z})
+    quads.append([edge, z, m, m] if sign == 1 else [edge, m, m, z])
     color = coloring.assignment[dg.arc_of(edge)]
-    return new_dg, _carry_colors(dg, new_dg, coloring, {m: color, z: color})
+    return _splice(dg, coloring, quads, colors={m: color, z: color})
 
 
 def r1_remove(
@@ -649,10 +629,10 @@ def r1_remove(
         other = b
     else:
         raise LinkError("crossing is not a kink")
-    rep = Tangle((), wires=((a, other),))
-    arc_color = coloring.assignment[dg.arc_of(a)]
-    colors = {a: arc_color, other: arc_color}
-    return montesinos_replace(dg, coloring, [site], rep, colors, {a: a, other: other})
+    if other == a:
+        raise LinkError("kink crossing is a whole component")
+    quads = [q for k, q in enumerate(dg.crossings) if k != site]
+    return _splice(dg, coloring, quads, [(a, other)])
 
 
 def r2_add(
@@ -665,19 +645,16 @@ def r2_add(
         if e not in dg.edges():
             raise LinkError(f"edge {e} not in diagram")
     u1, u2, o2, o3 = _fresh_ids(dg, 4)
-    quads2 = [list(q) for q in _with_renamed_head(dg, under_edge, u2)]
-    # rename the over edge's head in the partially rewritten quads
-    k, slot = dg.edge_head(over_edge)
-    quads2[k][slot] = o3
-    quads2.append([under_edge, over_edge, u1, o2])
-    quads2.append([u1, o3, u2, o2])
-    new_dg = LinkDiagram(tuple(tuple(q) for q in quads2), dg.free_loops)
+    quads = _with_renamed_heads(dg, {under_edge: u2, over_edge: o3})
+    quads.append([under_edge, over_edge, u1, o2])
+    quads.append([u1, o3, u2, o2])
     o_color = coloring.assignment[dg.arc_of(over_edge)]
     u_color = coloring.assignment[dg.arc_of(under_edge)]
-    sign1 = new_dg.crossing_sign(len(new_dg.crossings) - 2)
-    mid_color = _conjugated(u_color, o_color, sign1)
-    fresh_colors = {u1: mid_color, u2: u_color, o2: o_color, o3: o_color}
-    return new_dg, _carry_colors(dg, new_dg, coloring, fresh_colors)
+    # The over strand enters the first new crossing at slot b, so it runs
+    # b -> d there and the crossing's sign is -1.
+    mid_color = _conjugated(u_color, o_color, -1)
+    colors = {u1: mid_color, u2: u_color, o2: o_color, o3: o_color}
+    return _splice(dg, coloring, quads, colors=colors)
 
 
 def r2_remove(
@@ -685,12 +662,14 @@ def r2_remove(
 ) -> tuple[LinkDiagram, SimpleColoring]:
     """Undo a poke: two crossings sharing both an under edge and an over edge."""
     k1, k2 = sites
-    t = extract_tangle(dg, [k1, k2])
-    boundary = t.boundary_edges()
-    if len(boundary) != 4:
-        raise LinkError("site is not a poke (needs 4 boundary edges)")
+    if k1 == k2 or not all(0 <= k < len(dg.crossings) for k in sites):
+        raise LinkError("bad crossing indices for the site")
     a1, b1, c1, d1 = dg.crossings[k1]
     a2, b2, c2, d2 = dg.crossings[k2]
+    ends = dg.crossings[k1] + dg.crossings[k2]
+    boundary = sorted(e for e in set(ends) if ends.count(e) == 1)
+    if len(boundary) != 4:
+        raise LinkError("site is not a poke (needs 4 boundary edges)")
     if c1 == a2:
         under_in, under_out = a1, c2
     elif c2 == a1:
@@ -701,14 +680,8 @@ def r2_remove(
     over_ends = [e for e in boundary if e in overs]
     if len(over_ends) != 2:
         raise LinkError("site crossings do not share an over strand")
-    wires = ((under_in, under_out), tuple(over_ends))
-    rep = Tangle((), wires=wires)
-    colors = {}
-    for e in boundary:
-        colors[e] = coloring.assignment[dg.arc_of(e)]
-    return montesinos_replace(
-        dg, coloring, [k1, k2], rep, colors, {e: e for e in boundary}
-    )
+    quads = [q for k, q in enumerate(dg.crossings) if k not in (k1, k2)]
+    return _splice(dg, coloring, quads, [(under_in, under_out), tuple(over_ends)])
 
 
 # -- simple lifts -----------------------------------------------------------

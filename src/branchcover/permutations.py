@@ -46,6 +46,10 @@ class Permutation:
         _check_degree(d)
         if sorted(self.images) != list(range(1, d + 1)):
             raise ValueError(f"images {self.images} are not a bijection of 1..{d}")
+        # The images equal 1..d, so a float or Fraction among them makes the
+        # sum a float or Fraction: one cheap test on every constructed value.
+        if type(sum(self.images)) is not int:
+            raise ValueError(f"images {self.images} are not integers")
 
     @property
     def degree(self) -> int:

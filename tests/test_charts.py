@@ -1,14 +1,17 @@
 import dataclasses
+import functools
 import itertools
+import operator
 import random
 import time
 
 import pytest
 
-from branchcover.braids import BraidWord, braid_product, braids_equal, project
+from branchcover.braids import BraidWord, braids_equal, project
 from branchcover.charts import (
     Chart,
     ChartError,
+    ChartEvent,
     MoveError,
     MOVES,
     SiteError,
@@ -224,11 +227,11 @@ class TestWhitePatterns:
         for i, j in [(1, 2), (2, 1), (2, 3)]:
             d = max(i, j) + 1
             for cons, prod in white_sign_patterns(i, j).items():
-                u = braid_product(
-                    [BraidWord(d, (l * s,)) for l, s in zip((i, j, i), cons)], d
+                u = functools.reduce(
+                    operator.mul, [BraidWord(d, (l * s,)) for l, s in zip((i, j, i), cons)]
                 )
-                v = braid_product(
-                    [BraidWord(d, (l * s,)) for l, s in zip((j, i, j), prod)], d
+                v = functools.reduce(
+                    operator.mul, [BraidWord(d, (l * s,)) for l, s in zip((j, i, j), prod)]
                 )
                 assert braids_equal(u, v), (i, j, cons, prod)
 
@@ -383,6 +386,12 @@ class TestMoves:
         assert c == two_vertex_chart(3) and hash(c) == hash(two_vertex_chart(3))
         out = apply_chart_move(c, "cup-cap-insert", at=0, position=0, label=1)
         assert out == cup_cap_insert(two_vertex_chart(3), 0, 0, 1)
+
+    def test_event_labels_given_as_a_list_are_stored_as_a_tuple(self):
+        ev = ChartEvent("black", 0, [1], True)
+        assert ev == black(1, 0, True) and hash(ev) == hash(black(1, 0, True))
+        c = Chart(2, False, [ev, ChartEvent("black", 0, [1], False)])
+        assert c == two_vertex_chart() and hash(c) == hash(two_vertex_chart())
 
     def test_unknown_move(self):
         with pytest.raises(MoveError, match="unknown move"):
@@ -724,3 +733,18 @@ class TestSerialization:
         assert dot.startswith("graph chart {") and dot.endswith("}")
         svg = chart_to_svg(c)
         assert svg.startswith("<svg") and svg.endswith("</svg>")
+
+    def test_svg_draws_white_and_crossing_vertices(self):
+        c = Chart(4, False, (
+            black(1, 0, True), black(2, 1, True), black(1, 2, True),
+            white(1, 2, 0), white(2, 1, 0), black(1, 2, False), black(2, 1, False),
+            black(3, 1, True), crossing(1, 3, 0), crossing(3, 1, 0),
+            black(3, 1, False), black(1, 0, False),
+        ))
+        assert validate_chart(c).valid
+        svg = chart_to_svg(c)
+        # 8 black dots and 2 white circles.  The white events draw their 3
+        # strands and the crossings their 2 (10 lines); 8 strands pass by.
+        assert svg.count("<circle") == 10
+        assert svg.count('fill="white" stroke="black"') == 2
+        assert svg.count("<line") == 18

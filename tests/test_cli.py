@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import branchcover
-from branchcover.charts import Chart, black, chart_to_json, cup, cap
+from branchcover.charts import Chart, black, chart_to_json, cup, cap, validate_chart
 from branchcover.cli import MOVE_NAMES, _parser, main
 from branchcover.hurwitz import HurwitzSystem, system_to_json
 from branchcover.links import CORPUS, coloring_to_json, corpus_diagram, enumerate_simple_colorings
@@ -269,6 +269,18 @@ class TestChartVerbs:
         result = runner.invoke(main, ["render", chart_file, "--format", "dot"])
         assert result.exit_code == 0
         assert result.output.startswith("graph chart {")
+
+    @pytest.mark.parametrize("fmt", ["svg", "dot"])
+    def test_render_invalid_chart_exits_1(self, runner, tmp_path, fmt):
+        # A cap on an empty word: the sweep refuses the chart at event 0.
+        c = Chart(3, False, (cap(1, 0),))
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(chart_to_json(c)))
+        result = runner.invoke(main, ["render", str(path), "--format", fmt])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert json.loads(result.stderr) == {"error": validate_chart(c).error}
+        assert validate_chart(c).error.startswith("event 0:")
 
 
 class TestColor:

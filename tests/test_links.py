@@ -312,6 +312,26 @@ class TestReidemeister:
         assert len(back_dg.crossings) == 3
         assert len(enumerate_simple_colorings(back_dg, 3)) == 9
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_r1_roundtrip_is_exact(self, sign):
+        # sign -1 puts the kink's under-out in slot b (c == b), +1 in slot d.
+        dg, col = TREFOIL, surjective_trefoil_coloring()
+        for edge in dg.edges():
+            new_dg, new_col = r1_add(dg, col, edge, sign)
+            kink = len(new_dg.crossings) - 1
+            _, b, c, d = new_dg.crossings[kink]
+            assert c == (b if sign == -1 else d)
+            assert r1_remove(new_dg, new_col, kink) == (dg, col)
+
+    @pytest.mark.parametrize("quad", [(1, 1, 2, 2), (1, 2, 2, 1)])
+    def test_r1_remove_refuses_a_one_crossing_component(self, quad):
+        # Welding the kink's ends would join an edge to itself and silently
+        # delete the component.
+        dg = LinkDiagram((quad,))
+        col = enumerate_simple_colorings(dg, 2)[0]
+        with pytest.raises(LinkError, match="whole component"):
+            r1_remove(dg, col, 0)
+
     @pytest.mark.parametrize("name", ["trefoil", "figure-eight"])
     def test_r2_preserves_counts(self, name):
         dg = corpus_diagram(name)
@@ -334,6 +354,31 @@ class TestReidemeister:
         assert len(back_dg.crossings) == 3
         assert coloring_satisfies(back_dg, back_col)
         assert len(enumerate_simple_colorings(back_dg, 3)) == 9
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_r2_roundtrip_is_exact(self, order):
+        # Order (1, 0) lists the second crossing first: the under strand
+        # chains c2 == a1.
+        dg, col = TREFOIL, surjective_trefoil_coloring()
+        for over, under in itertools.permutations(dg.edges(), 2):
+            new_dg, new_col = r2_add(dg, col, over, under)
+            sites = tuple(len(dg.crossings) + k for k in order)
+            assert r2_remove(new_dg, new_col, sites) == (dg, col)
+
+    def test_moves_carry_a_braid_coloring(self):
+        # The splice re-checks every relation exactly, so a wrong sign for
+        # r2_add's first crossing would be refused on braid colors.
+        dg = TREFOIL
+        lift = find_simple_lift(dg, surjective_trefoil_coloring()).lift
+        for edge in dg.edges():
+            for sign in (1, -1):
+                new_dg, new_col = r1_add(dg, lift, edge, sign)
+                assert coloring_satisfies(new_dg, new_col)
+        for over, under in itertools.permutations(dg.edges(), 2):
+            new_dg, new_col = r2_add(dg, lift, over, under)
+            assert coloring_satisfies(new_dg, new_col)
+            n = len(new_dg.crossings)
+            assert r2_remove(new_dg, new_col, (n - 2, n - 1)) == (dg, lift)
 
 
 class TestLifts:

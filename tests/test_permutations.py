@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -146,3 +147,9 @@ def test_images_given_as_a_list_are_stored_as_a_tuple():
     a = Permutation([2, 1, 3])
     assert a == Permutation((2, 1, 3))
     assert hash(a) == hash(Permutation((2, 1, 3)))
+
+
+@pytest.mark.parametrize("images", [(2.0, 1.0, 3.0), (Fraction(2), 1, 3), [1, 2.0]])
+def test_non_integer_images_are_refused(images):
+    with pytest.raises(ValueError, match="not integers"):
+        Permutation(images)
