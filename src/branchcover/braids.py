@@ -3,7 +3,8 @@
 A BraidWord is a word in the standard generators: ``letters`` is a tuple of
 signed integers where ``i`` stands for the i-th generator and ``-i`` for its
 inverse (1 <= i <= d-1).  Words multiply by concatenation, read LEFT TO RIGHT
-like everything else in this package.
+like everything else in this package.  The constructor checks the degree and
+every letter; products and inverses of checked words are not re-checked.
 
 Equality of group elements is decided by the left normal form
 Delta^p A_1 ... A_r over permutation braids (``garside_normal_form``;
@@ -79,10 +80,10 @@ class BraidWord:
             return NotImplemented
         if self.degree != other.degree:
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
-        return BraidWord(self.degree, free_reduce(self.letters + other.letters))
+        return _unchecked(self.degree, free_reduce(self.letters + other.letters))
 
     def inverse(self) -> "BraidWord":
-        return BraidWord(self.degree, tuple(-x for x in reversed(self.letters)))
+        return _unchecked(self.degree, tuple([-x for x in reversed(self.letters)]))
 
     def __pow__(self, g: "BraidWord") -> "BraidWord":
         """Conjugate: self ** g == g^-1 self g."""
@@ -113,6 +114,14 @@ class BraidWord:
 
     def __repr__(self) -> str:
         return f"BraidWord({self.degree}, {word_string(self)!r})"
+
+
+def _unchecked(degree: int, letters: tuple[Letter, ...]) -> BraidWord:
+    """A BraidWord whose degree and letters come from checked words (their
+    product or inverse); nothing is re-checked."""
+    w = object.__new__(BraidWord)
+    w.__dict__.update(degree=degree, letters=letters)
+    return w
 
 
 def _apply_letter(images: tuple[tuple[int, ...], ...], letter: int) -> tuple[tuple[int, ...], ...]:

@@ -8,7 +8,10 @@ moves are
   inverse at k:   (..., a_k, a_{k+1}, ...) -> (..., a_k a_{k+1} a_k^-1, a_k, ...)
 
 plus entrywise conjugation by a group element.  Positions are 0-based here;
-products read left to right as everywhere in this package.
+products read left to right as everywhere in this package.  The
+``HurwitzSystem`` constructor checks every entry; moves, conjugations (after
+checking the conjugator) and the normal form build their results from
+checked entries without re-checking them.
 
 The normal form for simple transitive closing permutation systems is
 ((12), ..., (12), (23), (23), (34), (34), ..., (d-1 d), (d-1 d)) with a
@@ -149,6 +152,15 @@ class HurwitzSystem:
         return f"[{self.flavor} d={self.degree}: {body}]"
 
 
+def _unchecked(degree: int, entries: tuple[Entry, ...], flavor: str) -> HurwitzSystem:
+    """A HurwitzSystem of entries computed from a checked system (moves,
+    conjugates by a checked element) or from checked permutations of the
+    given degree; nothing is re-checked."""
+    s = object.__new__(HurwitzSystem)
+    s.__dict__.update(degree=degree, entries=entries, flavor=flavor)
+    return s
+
+
 def hurwitz_move(s: HurwitzSystem, k: int, direction: str = "forward") -> HurwitzSystem:
     """One move at 0-based position k (acting on entries k and k+1).
 
@@ -166,13 +178,13 @@ def hurwitz_move(s: HurwitzSystem, k: int, direction: str = "forward") -> Hurwit
     else:
         raise ValueError(f"direction must be 'forward' or 'inverse', not {direction!r}")
     entries = s.entries[:k] + pair + s.entries[k + 2 :]
-    return HurwitzSystem(s.degree, entries, s.flavor)
+    return _unchecked(s.degree, entries, s.flavor)
 
 
 def conjugate_system(s: HurwitzSystem, g: Entry) -> HurwitzSystem:
     """Entrywise conjugation (a_1, ..., a_n) -> (g^-1 a_1 g, ..., g^-1 a_n g)."""
     check_elements(s.flavor, s.degree, [(None, g)], "conjugator")
-    return HurwitzSystem(s.degree, tuple(e ** g for e in s.entries), s.flavor)
+    return _unchecked(s.degree, tuple([e ** g for e in s.entries]), s.flavor)
 
 
 def total_monodromy(s: HurwitzSystem) -> Entry:
@@ -265,7 +277,7 @@ class _Worker:
         self.trace: Trace = []
 
     def system(self) -> HurwitzSystem:
-        return HurwitzSystem.of_permutations(self.entries, self.degree)
+        return _unchecked(self.degree, tuple(self.entries), PERMUTATION)
 
     def fwd(self, k: int) -> None:
         a, b = self.entries[k], self.entries[k + 1]
@@ -539,7 +551,7 @@ def iter_simple_closing_systems(
             if permutations.is_transposition(last):
                 entries = prefix + [last]
                 if not transitive_only or permutations.is_transitive(entries, degree):
-                    yield HurwitzSystem.of_permutations(entries, degree)
+                    yield _unchecked(degree, tuple(entries), PERMUTATION)
             return
         for t in trans:
             prefix.append(t)

@@ -607,6 +607,8 @@ def r1_add(
     dg: LinkDiagram, coloring: SimpleColoring, edge: int, sign: int = 1
 ) -> tuple[LinkDiagram, SimpleColoring]:
     """Add a kink on the given edge; the loop arc copies the edge's color."""
+    if type(sign) is not int or sign not in (1, -1):
+        raise LinkError(f"kink sign must be 1 or -1, got {sign!r}")
     if edge not in dg.edges():
         raise LinkError(f"edge {edge} not in diagram")
     m, z = _fresh_ids(dg, 2)

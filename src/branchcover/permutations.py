@@ -7,6 +7,12 @@ Convention used throughout the package: products read LEFT TO RIGHT, so
 ``compose(a, b)`` means "apply a first, then b" and ``(a * b)(x) == b(a(x))``.
 Conjugation is ``a ** g == g^-1 * a * g``, which relabels the support of a
 through g under this convention.
+
+Values are checked where they enter the package: the ``Permutation``
+constructor, ``identity``, ``transposition``, ``from_cycles`` and the parsers
+refuse anything but a bijection of 1..d in exact ints.  Results computed from
+checked values (``compose``, ``inverse``, ``**``) are built by ``_unchecked``
+without re-checking them.
 """
 
 from __future__ import annotations
@@ -103,16 +109,25 @@ class Permutation:
         return compose(self, other)
 
     def __pow__(self, g: "Permutation") -> "Permutation":
-        """Conjugate: self ** g == g^-1 self g (support relabeled through g)."""
+        """Conjugate: self ** g == g^-1 self g (support relabeled through g).
+
+        One pass: g^-1 self g sends g(x) to g(self(x)).
+        """
         if not isinstance(g, Permutation):
             return NotImplemented
-        return compose(compose(g.inverse(), self), g)
+        if g.degree != self.degree:
+            raise ValueError(f"degree mismatch: {g.degree} vs {self.degree}")
+        gi = g.images
+        out = [0] * len(gi)
+        for k, image in enumerate(self.images):
+            out[gi[k] - 1] = gi[image - 1]
+        return _unchecked(tuple(out))
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.degree
         for k, image in enumerate(self.images):
             inv[image - 1] = k + 1
-        return Permutation(tuple(inv))
+        return _unchecked(tuple(inv))
 
     def is_identity(self) -> bool:
         return all(image == k + 1 for k, image in enumerate(self.images))
@@ -153,11 +168,20 @@ class Permutation:
         return cycle_string(self)
 
 
+def _unchecked(images: tuple[int, ...]) -> Permutation:
+    """A Permutation of images computed from checked permutations, which are
+    a bijection of 1..d in exact ints by construction; nothing is re-checked."""
+    p = object.__new__(Permutation)
+    p.__dict__["images"] = images
+    return p
+
+
 def compose(a: Permutation, b: Permutation) -> Permutation:
     """Left-to-right product: apply a, then b."""
     if a.degree != b.degree:
         raise ValueError(f"degree mismatch: {a.degree} vs {b.degree}")
-    return Permutation(tuple(b.images[image - 1] for image in a.images))
+    bi = b.images
+    return _unchecked(tuple([bi[image - 1] for image in a.images]))
 
 
 def product(perms: Iterable[Permutation], degree: int | None = None) -> Permutation:

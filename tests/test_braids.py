@@ -61,6 +61,20 @@ class TestConstruction:
         assert w == bw(3, 1, 2) and hash(w) == hash(bw(3, 1, 2))
         assert w * bw(3, 1) == bw(3, 1, 2, 1)
 
+    def test_products_and_inverses_are_public_values(self):
+        rng = random.Random(5)
+        for _ in range(100):
+            d = rng.randrange(2, 6)
+            gens = [s * i for i in range(1, d) for s in (1, -1)]
+            u, v = (bw(d, *rng.choices(gens, k=rng.randrange(8))) for _ in range(2))
+            for w in (u * v, u.inverse(), u ** v):
+                public = BraidWord(w.degree, w.letters)
+                assert type(w.letters) is tuple
+                assert w == public and hash(w) == hash(public)
+                assert (w.degree, w.letters) == (public.degree, public.letters)
+            assert (u * v).letters == free_reduce(u.letters + v.letters)
+            assert u.inverse().letters == tuple(-x for x in reversed(u.letters))
+
     @pytest.mark.parametrize("letter", [1.0, True, "1"])
     def test_letters_must_be_ints(self, letter):
         with pytest.raises(ValueError, match="generator index"):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import time
@@ -99,6 +100,18 @@ class TestConjugate:
         with pytest.raises(ValueError, match="flavor"):
             conjugate_system(perm_system(3, (1, 2)), BraidWord(3, (1,)))
 
+    @pytest.mark.parametrize(
+        "s, g",
+        [
+            (perm_system(3, (1, 2)), Permutation.identity(4)),
+            (braid_system(3, (1,)), BraidWord(4, (1,))),
+            (braid_system(3, (1,)), Permutation.identity(3)),
+        ],
+    )
+    def test_conjugator_of_another_degree_or_flavor_is_refused(self, s, g):
+        with pytest.raises(ValueError, match="conjugator"):
+            conjugate_system(s, g)
+
     def test_invariants_preserved(self):
         rng = random.Random(3)
         for _ in range(40):
@@ -108,6 +121,42 @@ class TestConjugate:
             assert len(c) == len(s)
             assert is_simple_system(c)
             assert is_transitive(c) == is_transitive(s)
+
+
+class TestComputedSystems:
+    """Moves, conjugations, the normal form and the enumeration build their
+    systems without re-checking the entries; the results must be the values
+    the public constructor builds."""
+
+    @staticmethod
+    def assert_public(s):
+        public = HurwitzSystem(s.degree, s.entries, s.flavor)
+        assert type(s.entries) is tuple
+        assert s == public and hash(s) == hash(public)
+        assert vars(s) == vars(public)
+
+    def test_moves_and_conjugates_are_public_values(self):
+        rng = random.Random(19)
+        for _ in range(60):
+            s = random_simple_system(rng, 5, 6)
+            k = rng.randrange(5)
+            for direction in ("forward", "inverse"):
+                self.assert_public(hurwitz_move(s, k, direction))
+            self.assert_public(conjugate_system(s, rng.choice(all_transpositions(5))))
+
+    def test_braid_moves_and_conjugates_are_public_values(self):
+        s = braid_system(4, (1, -2), (3,), (2, 2, -1))
+        for k in range(2):
+            for direction in ("forward", "inverse"):
+                self.assert_public(hurwitz_move(s, k, direction))
+        self.assert_public(conjugate_system(s, BraidWord(4, (2, -3))))
+
+    def test_normal_forms_and_enumeration_are_public_values(self):
+        for s in itertools.islice(iter_simple_closing_systems(4, 6), 0, None, 11):
+            self.assert_public(s)
+            nf, _ = hc_normal_form(s)
+            self.assert_public(nf)
+            assert nf == normal_form_template(4, 6)
 
 
 class TestTotalMonodromy:

@@ -323,6 +323,11 @@ class TestReidemeister:
             assert c == (b if sign == -1 else d)
             assert r1_remove(new_dg, new_col, kink) == (dg, col)
 
+    @pytest.mark.parametrize("sign", [0, 2, "x", True])
+    def test_r1_add_refuses_a_sign_other_than_plus_or_minus_one(self, sign):
+        with pytest.raises(LinkError, match="sign"):
+            r1_add(TREFOIL, surjective_trefoil_coloring(), 1, sign)
+
     @pytest.mark.parametrize("quad", [(1, 1, 2, 2), (1, 2, 2, 1)])
     def test_r1_remove_refuses_a_one_crossing_component(self, quad):
         # Welding the kink's ends would join an edge to itself and silently

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -45,6 +46,8 @@ class TestCompose:
     def test_degree_mismatch(self):
         with pytest.raises(ValueError, match="degree mismatch"):
             compose(tau(3, 1), tau(4, 1))
+        with pytest.raises(ValueError, match="degree mismatch"):
+            tau(3, 1) ** tau(4, 1)
 
     def test_group_axioms_exhaustive_d4(self):
         elements = [
@@ -83,6 +86,43 @@ class TestConjugation:
             for g in all_transpositions(5):
                 conj = a ** g
                 assert conj.support() == frozenset(g(x) for x in a.support())
+
+
+class TestComputedResults:
+    """compose, inverse and ** build their results without re-checking them;
+    the results must be the values the public constructor builds."""
+
+    S4 = [Permutation(p) for p in itertools.permutations(range(1, 5))]
+
+    @staticmethod
+    def assert_public(p):
+        public = Permutation(p.images)
+        assert type(p.images) is tuple
+        assert p == public and hash(p) == hash(public)
+        assert vars(p) == vars(public)
+
+    def test_conjugate_is_the_product_exhaustive_s4(self):
+        for a, g in itertools.product(self.S4, repeat=2):
+            conj = a ** g
+            assert conj == compose(compose(g.inverse(), a), g)
+            self.assert_public(conj)
+
+    def test_conjugate_is_the_product_seeded_d16(self):
+        rng = random.Random(16)
+        points = list(range(1, 17))
+        for _ in range(500):
+            a, g = (Permutation(rng.sample(points, 16)) for _ in range(2))
+            assert a ** g == compose(compose(g.inverse(), a), g)
+
+    def test_products_and_inverses_are_public_values(self):
+        for a, b in itertools.islice(itertools.product(self.S4, repeat=2), 0, None, 7):
+            self.assert_public(compose(a, b))
+            self.assert_public(a * b)
+            self.assert_public(a.inverse())
+
+    def test_conjugate_by_a_non_permutation(self):
+        with pytest.raises(TypeError):
+            tau(3, 1) ** 2
 
 
 class TestOrbits:
@@ -149,7 +189,12 @@ def test_images_given_as_a_list_are_stored_as_a_tuple():
     assert hash(a) == hash(Permutation((2, 1, 3)))
 
 
-@pytest.mark.parametrize("images", [(2.0, 1.0, 3.0), (Fraction(2), 1, 3), [1, 2.0]])
+@pytest.mark.parametrize("images", [(2.0, 1.0, 3.0), (Fraction(2), 1, 3), [1, 2.0], (2.0, 1.0)])
 def test_non_integer_images_are_refused(images):
     with pytest.raises(ValueError, match="not integers"):
         Permutation(images)
+
+
+def test_repeated_images_are_refused():
+    with pytest.raises(ValueError, match="not a bijection"):
+        Permutation((1, 1))
