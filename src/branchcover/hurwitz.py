@@ -17,9 +17,12 @@ The normal form for simple transitive closing permutation systems is
 ((12), ..., (12), (23), (23), (34), (34), ..., (d-1 d), (d-1 d)) with a
 positive even number of (12) entries.  ``hc_normal_form`` produces it together
 with a replayable move trace, reducing one letter d, d-1, ..., 3 at a time
-with a terminating forward-move rule (``_reduce_letter``).  Since every such
-system of a given degree and length has this one normal form (the
-classification theorem of Hurwitz 1891 and Berstein-Edmonds 1984),
+with a terminating forward-move rule (``_reduce_letter``).  After checking
+its input on ``Permutation``s, it holds each transposition as a sorted point
+pair (``_Worker``), so a move relabels two points; ``Permutation``s are
+built only for the trace's conjugators and for the returned system.  Since
+every such system of a given degree and length has this one normal form
+(the classification theorem of Hurwitz 1891 and Berstein-Edmonds 1984),
 ``hc_equivalent`` decides those systems by comparing lengths, without
 computing normal forms.
 """
@@ -168,6 +171,8 @@ def hurwitz_move(s: HurwitzSystem, k: int, direction: str = "forward") -> Hurwit
     each other.
     """
     n = len(s.entries)
+    if type(k) is not int:
+        raise ValueError(f"move position {k!r} is not an integer")
     if not (0 <= k <= n - 2):
         raise IndexError(f"move position {k} out of range for {n} entries")
     a, b = s.entries[k], s.entries[k + 1]
@@ -257,36 +262,58 @@ Trace = list[tuple]  # ("H", k, "forward"|"inverse") or ("C", Entry)
 
 
 def replay_trace(s: HurwitzSystem, trace: Iterable[tuple]) -> HurwitzSystem:
-    """Apply a recorded move sequence to a system."""
+    """Apply a recorded move sequence to a system.
+
+    A step is ("H", k, direction) or ("C", g); any other shape is refused.
+    """
     for step in trace:
-        if step[0] == "H":
-            s = hurwitz_move(s, step[1], step[2])
-        elif step[0] == "C":
-            s = conjugate_system(s, step[1])
-        else:
-            raise ValueError(f"unknown trace step {step!r}")
+        match step:
+            case ("H", k, direction):
+                s = hurwitz_move(s, k, direction)
+            case ("C", g):
+                s = conjugate_system(s, g)
+            case _:
+                raise ValueError(f"unknown trace step {step!r}")
     return s
 
 
 class _Worker:
-    """Mutable system plus its accumulating move trace."""
+    """A simple system being normalized, plus its accumulating move trace.
+
+    Every entry and every conjugator is a transposition, so the worker holds
+    each entry as its sorted point pair (a, b), a < b.  A forward move
+    (x, y) -> (y, x^y) relabels the two points of x through y, and a
+    conjugation relabels the points of every pair.  ``Permutation``s are
+    built only for the trace's conjugators and, once per distinct pair, for
+    the returned system.
+    """
 
     def __init__(self, s: HurwitzSystem):
         self.degree = s.degree
-        self.entries: list[Permutation] = list(s.entries)
+        self.entries: list[tuple[int, int]] = [
+            tuple(k for k, image in enumerate(e.images, 1) if image != k) for e in s.entries
+        ]
         self.trace: Trace = []
 
     def system(self) -> HurwitzSystem:
-        return _unchecked(self.degree, tuple(self.entries), PERMUTATION)
+        built: dict[tuple[int, int], Permutation] = {}
+        for a, b in self.entries:
+            if (a, b) not in built:
+                images = list(range(1, self.degree + 1))
+                images[a - 1], images[b - 1] = b, a
+                built[a, b] = permutations._unchecked(tuple(images))
+        return _unchecked(self.degree, tuple([built[e] for e in self.entries]), PERMUTATION)
 
     def fwd(self, k: int) -> None:
-        a, b = self.entries[k], self.entries[k + 1]
-        self.entries[k], self.entries[k + 1] = b, a ** b
+        entries = self.entries
+        x, y = entries[k], entries[k + 1]
+        entries[k], entries[k + 1] = y, _relabel(x, *y)
         self.trace.append(("H", k, "forward"))
 
-    def conj(self, g: Permutation) -> None:
-        self.entries = [e ** g for e in self.entries]
-        self.trace.append(("C", g))
+    def conj(self, u: int, v: int) -> None:
+        """Conjugate every entry by the transposition (u v)."""
+        self.entries[:] = [_relabel(e, u, v) for e in self.entries]
+        self.trace.append(("C", Permutation.transposition(self.degree, u, v)))
 
     def push_right(self, j: int, target: int) -> None:
         """Move the entry at j to position target > j; it is conjugated en route."""
@@ -294,16 +321,29 @@ class _Worker:
             self.fwd(k)
 
 
+def _relabel(pair: tuple[int, int], u: int, v: int) -> tuple[int, int]:
+    """The point pair of (a b) ** (u v): a and b relabelled through (u v)."""
+    a, b = pair
+    if a == u:
+        a = v
+    elif a == v:
+        a = u
+    if b == u:
+        b = v
+    elif b == v:
+        b = u
+    return (a, b) if a < b else (b, a)
+
+
 def _gather_letter(w: _Worker, ell: int, end: int) -> int:
     """Push every entry moving ell to the tail of entries[:end]; returns the count."""
+    entries = w.entries
     target = end - 1
     while target >= 0:
-        j = None
-        for k in range(target, -1, -1):
-            if ell in w.entries[k].support():
-                j = k
+        for j in range(target, -1, -1):
+            if ell in entries[j]:
                 break
-        if j is None:
+        else:
             break
         w.push_right(j, target)
         target -= 1
@@ -313,9 +353,11 @@ def _gather_letter(w: _Worker, ell: int, end: int) -> int:
 def _reduce_letter(w: _Worker, ell: int, end: int) -> None:
     """Leave exactly two entries moving ell, equal and at the tail of entries[:end].
 
-    Each round gathers the entries (x ell) at the tail entries[start:end],
-    c = end - start of them, and stops at c <= 2.  Otherwise it either
-    forward-moves the leftmost differing tail pair,
+    The entries are point pairs (see ``_Worker``), and every entry of the
+    block moves only points of {1..ell}, so an entry moving ell is (x, ell)
+    with x < ell.  Each round gathers the entries (x ell) at the tail
+    entries[start:end], c = end - start of them, and stops at c <= 2.
+    Otherwise it either forward-moves the leftmost differing tail pair,
     (a ell)(b ell) -> (b ell)(a b), so that c drops by one, or, when all c
     tail entries equal (x ell), borrows: it slides the rightmost prefix entry
     (x y) to start-1 and forward-moves at start-1 and at start, which turns
@@ -340,18 +382,18 @@ def _reduce_letter(w: _Worker, ell: int, end: int) -> None:
     entries[:end-2] again meets the entry conditions on {1..ell-1} once x is
     relabelled to ell-1, which is how hc_normal_form proceeds.
     """
+    entries = w.entries
     while True:
         count = _gather_letter(w, ell, end)
         if count <= 2:
             return
         start = end - count
-        tail = w.entries[start:end]
-        k = next((k for k in range(count - 1) if tail[k] != tail[k + 1]), None)
+        k = next((k for k in range(start, end - 1) if entries[k] != entries[k + 1]), None)
         if k is not None:
-            w.fwd(start + k)
+            w.fwd(k)
             continue
-        x = min(tail[0].support() - {ell})
-        j = max(k for k in range(start) if x in w.entries[k].support())
+        x = entries[start][0]
+        j = next(k for k in range(start - 1, -1, -1) if x in entries[k])
         w.push_right(j, start - 1)
         w.fwd(start - 1)
         w.fwd(start)
@@ -391,16 +433,14 @@ def hc_normal_form(s: HurwitzSystem) -> tuple[HurwitzSystem, Trace]:
     end = n
     for ell in range(d, 2, -1):
         _reduce_letter(w, ell, end)
-        pair = w.entries[end - 2 : end]
-        if pair[0] != pair[1] or ell not in pair[0].support():
+        a, b = w.entries[end - 2 : end]
+        if a != b or a[1] != ell:
             raise HurwitzError("letter reduction failed to produce an equal tail pair")
-        x = min(pair[0].support() - {ell})
-        if x != ell - 1:
-            w.conj(Permutation.transposition(d, x, ell - 1))
+        if a[0] != ell - 1:
+            w.conj(a[0], ell - 1)
         end -= 2
 
-    tau1 = Permutation.adjacent(d, 1)
-    if any(e != tau1 for e in w.entries[:end]):
+    if any(e != (1, 2) for e in w.entries[:end]):
         raise HurwitzError("leading block failed to reduce to (1 2) entries")
     m = end
     if m < 2 or m % 2 != 0 or m != n - 2 * (d - 2):

@@ -73,6 +73,14 @@ class TestMoves:
         with pytest.raises(IndexError):
             hurwitz_move(perm_system(3, (1, 2), (2, 3)), 1, "forward")
 
+    @pytest.mark.parametrize("k", [True, 1.0, "1"])
+    def test_position_must_be_an_exact_int(self, k):
+        s = perm_system(3, (1, 2), (2, 3), (1, 3))
+        with pytest.raises(ValueError, match=f"move position {k!r} is not an integer"):
+            hurwitz_move(s, k)
+        with pytest.raises(ValueError, match="move position"):
+            replay_trace(s, [("H", k, "forward")])
+
     def test_product_preserved(self):
         rng = random.Random(2)
         for _ in range(60):
@@ -303,6 +311,74 @@ class TestNormalForm:
             assert nf == normal_form_template(d, n)
             assert replay_trace(s, trace) == nf
             done += 1
+
+
+def scrambled_template(seed, d, n):
+    """The (d, n) template after 3n seeded moves and transposition conjugations."""
+    rng = random.Random(seed)
+    s = normal_form_template(d, n)
+    for _ in range(3 * n):
+        if rng.random() < 0.1:
+            s = conjugate_system(s, tr(d, *sorted(rng.sample(range(1, d + 1), 2))))
+        else:
+            s = hurwitz_move(s, rng.randrange(n - 1), rng.choice(["forward", "inverse"]))
+    return s
+
+
+# Traces of hc_normal_form recorded from the worker that held Permutation
+# entries, which the point-pair worker must reproduce step for step.  An int
+# k is the forward move at k, a pair (a, b) the conjugation by (a b).  Keys:
+# a test_six_entry_example system, or (seed, d, n) of scrambled_template.
+GOLDEN_TRACES = {
+    "six-entry": [2, 3, 4, 1, 2, 3, (1, 2)],
+    "six-entry-borrow": [4, 3, 2, 1, 1, 2, 2, 1, 3, 3, 2, 3, 3],
+    (1, 4, 8): [
+        4, 5, 5, (2, 3), 2, 1, 0, 3, 3, 2, 1, 3, 3, 2, 3, 3, (1, 2),
+    ],
+    (2, 4, 8): [
+        5, 2, 1, 3, 3, 2, 3, 3,
+    ],
+    (3, 8, 16): [
+        14, 13, 12, 11, 12, 12, 13, 13, (4, 7), 8, 9, 9, 10, 10, 11, 11, (5, 6), 9, 9,
+        (1, 5), 6, 5, 3, 4, 2, 3, 1, 2, 0, 1, 2, 2, 4, 4, 3, 4, 4, 5, 5, 6, 6, 7, 7,
+        (3, 4), 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, (2, 3), 0, 0, 1, 1, 2, 2, 3, 3,
+    ],
+    (4, 16, 32): [
+        30, 29, 25, 26, 27, 28, 24, 25, 26, 27, 23, 24, 25, 26, 27, 27, 28, 28, 29, 29,
+        (4, 15), 25, 26, 26, 27, 27, (11, 14), 25, 25, (11, 13), 23, 20, 21, (10, 11), 20,
+        17, 18, 19, (3, 10), (5, 9), 16, 15, (5, 8), 13, 12, 10, 11, 9, 10, 11, 11, 13, 13,
+        12, 13, 13, (4, 7), (4, 6), 8, 5, 6, 7, 9, 9, 8, 9, 9, (4, 5), (1, 4), 6, 4, 5, 3,
+        4, 2, 3, 1, 2, 3, 3, 5, 5, 4, 5, 5, 2, 0, 1, 3, 3, 2, 3, 3, (1, 2),
+    ],
+}
+
+
+def golden_system(key):
+    if key == "six-entry":
+        return perm_system(3, (1, 2), (2, 3), (2, 3), (1, 2), (1, 2), (1, 2))
+    if key == "six-entry-borrow":
+        return perm_system(3, (1, 2), (1, 3), (1, 3), (1, 3), (1, 3), (1, 2))
+    return scrambled_template(*key)
+
+
+@pytest.mark.parametrize("key", GOLDEN_TRACES, ids=str)
+def test_normal_form_trace_is_golden(key):
+    s = golden_system(key)
+    d = s.degree
+    nf, trace = hc_normal_form(s)
+    assert trace == [
+        ("C", tr(d, *step)) if isinstance(step, tuple) else ("H", step, "forward")
+        for step in GOLDEN_TRACES[key]
+    ]
+    assert nf == normal_form_template(d, len(s))
+    assert replay_trace(s, trace) == nf
+
+
+@pytest.mark.parametrize("step", [("H", 0), ("C",), ("H", 0, "forward", "x"), "H", None])
+def test_replay_refuses_a_malformed_step(step):
+    s = perm_system(3, (1, 2), (2, 3), (1, 3))
+    with pytest.raises(ValueError, match="unknown trace step"):
+        replay_trace(s, [step])
 
 
 class TestEquivalence:
