@@ -17,10 +17,12 @@ The normal form for simple transitive closing permutation systems is
 ((12), ..., (12), (23), (23), (34), (34), ..., (d-1 d), (d-1 d)) with a
 positive even number of (12) entries.  ``hc_normal_form`` produces it together
 with a replayable move trace, reducing one letter d, d-1, ..., 3 at a time
-with a terminating forward-move rule (``_reduce_letter``).  After checking
-its input on ``Permutation``s, it holds each transposition as a sorted point
-pair (``_Worker``), so a move relabels two points; ``Permutation``s are
-built only for the trace's conjugators and for the returned system.  Since
+with a terminating forward-move rule (``_reduce_letter``).  It checks its
+input in one pass that reads each entry as a sorted point pair and tests
+simplicity, closing and transitivity on those pairs
+(``_check_normal_preconditions``); the worker (``_Worker``) takes the same
+pairs, so a move relabels two points, and ``Permutation``s are built only
+for the trace's conjugators and for the returned system.  Since
 every such system of a given degree and length has this one normal form
 (the classification theorem of Hurwitz 1891 and Berstein-Edmonds 1984),
 ``hc_equivalent`` decides those systems by comparing lengths, without
@@ -36,7 +38,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from . import braids, permutations
 from .braids import BraidWord, parse_braid
-from .permutations import Permutation, parse_permutation
+from .permutations import Permutation, _relabel, parse_permutation
 
 Entry = Union[Permutation, BraidWord]
 
@@ -281,18 +283,17 @@ class _Worker:
     """A simple system being normalized, plus its accumulating move trace.
 
     Every entry and every conjugator is a transposition, so the worker holds
-    each entry as its sorted point pair (a, b), a < b.  A forward move
+    each entry as its sorted point pair (a, b), a < b, as the precondition
+    check hands them over; it never reads a ``Permutation``.  A forward move
     (x, y) -> (y, x^y) relabels the two points of x through y, and a
     conjugation relabels the points of every pair.  ``Permutation``s are
     built only for the trace's conjugators and, once per distinct pair, for
     the returned system.
     """
 
-    def __init__(self, s: HurwitzSystem):
-        self.degree = s.degree
-        self.entries: list[tuple[int, int]] = [
-            tuple(k for k, image in enumerate(e.images, 1) if image != k) for e in s.entries
-        ]
+    def __init__(self, degree: int, pairs: list[tuple[int, int]]):
+        self.degree = degree
+        self.entries = pairs
         self.trace: Trace = []
 
     def system(self) -> HurwitzSystem:
@@ -307,7 +308,7 @@ class _Worker:
     def fwd(self, k: int) -> None:
         entries = self.entries
         x, y = entries[k], entries[k + 1]
-        entries[k], entries[k + 1] = y, _relabel(x, *y)
+        entries[k], entries[k + 1] = y, _relabel(x, y[0], y[1])
         self.trace.append(("H", k, "forward"))
 
     def conj(self, u: int, v: int) -> None:
@@ -319,20 +320,6 @@ class _Worker:
         """Move the entry at j to position target > j; it is conjugated en route."""
         for k in range(j, target):
             self.fwd(k)
-
-
-def _relabel(pair: tuple[int, int], u: int, v: int) -> tuple[int, int]:
-    """The point pair of (a b) ** (u v): a and b relabelled through (u v)."""
-    a, b = pair
-    if a == u:
-        a = v
-    elif a == v:
-        a = u
-    if b == u:
-        b = v
-    elif b == v:
-        b = u
-    return (a, b) if a < b else (b, a)
 
 
 def _gather_letter(w: _Worker, ell: int, end: int) -> int:
@@ -399,21 +386,40 @@ def _reduce_letter(w: _Worker, ell: int, end: int) -> None:
         w.fwd(start)
 
 
-def _check_normal_preconditions(s: HurwitzSystem) -> None:
+def _check_normal_preconditions(s: HurwitzSystem) -> list[tuple[int, int]]:
+    """The entries of a simple, closing, transitive permutation system as
+    sorted point pairs; refuses any other system.
+
+    One pass reads each entry's moved points: a count other than two raises
+    NonSimpleSystemError for the first such entry.  Swapping two slots of an
+    image list per pair, right to left, builds the left-to-right total
+    monodromy, which must be the identity (NonClosingSystemError).  The pairs
+    must join all points into one orbit (IntransitiveSystemError).  The
+    checks run in this order, and an error's text is built only when its
+    check fails.
+    """
     if s.flavor != PERMUTATION:
         raise HurwitzError("normal form is defined for permutation systems")
-    verdicts = entry_simplicity_verdicts(s)
-    if any(v is not Simplicity.SIMPLE for v in verdicts):
-        bad = next(i for i, v in enumerate(verdicts) if v is not Simplicity.SIMPLE)
-        raise NonSimpleSystemError(f"entry {bad} is not a transposition")
-    if not is_closing(s):
+    pairs = []
+    for i, e in enumerate(s.entries):
+        moved = [k for k, image in enumerate(e.images, 1) if image != k]
+        if len(moved) != 2:
+            raise NonSimpleSystemError(f"entry {i} is not a transposition")
+        pairs.append((moved[0], moved[1]))
+    identity = list(range(1, s.degree + 1))
+    images = identity.copy()
+    for a, b in reversed(pairs):
+        images[a - 1], images[b - 1] = images[b - 1], images[a - 1]
+    if images != identity:
         raise NonClosingSystemError(
             f"total monodromy {total_monodromy(s)} is not the identity"
         )
-    if not is_transitive(s):
+    orbits = permutations._pair_orbits(pairs, s.degree)
+    if len(orbits) != 1:
         raise IntransitiveSystemError(
-            f"monodromy group is intransitive: orbits {[sorted(o) for o in orbit_partition(s)]}"
+            f"monodromy group is intransitive: orbits {[sorted(o) for o in orbits]}"
         )
+    return pairs
 
 
 def hc_normal_form(s: HurwitzSystem) -> tuple[HurwitzSystem, Trace]:
@@ -424,12 +430,12 @@ def hc_normal_form(s: HurwitzSystem) -> tuple[HurwitzSystem, Trace]:
     NonSimpleSystemError / NonClosingSystemError / IntransitiveSystemError
     when the preconditions fail.
     """
-    _check_normal_preconditions(s)
-    d, n = s.degree, len(s.entries)
+    pairs = _check_normal_preconditions(s)
+    d, n = s.degree, len(pairs)
     if d == 1:
         return s, []
 
-    w = _Worker(s)
+    w = _Worker(d, pairs)
     end = n
     for ell in range(d, 2, -1):
         _reduce_letter(w, ell, end)
@@ -450,6 +456,8 @@ def hc_normal_form(s: HurwitzSystem) -> tuple[HurwitzSystem, Trace]:
 
 def normal_form_template(degree: int, n: int) -> HurwitzSystem:
     """The expected normal form for a given degree and length."""
+    if type(n) is not int:
+        raise ValueError(f"length {n!r} is not an integer")
     m = n - 2 * (degree - 2)
     if degree < 2 or m < 2 or m % 2 != 0:
         raise ValueError(f"no normal form of degree {degree} and length {n}")

@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 from . import braids, permutations
 from .braids import BraidWord, canonical_key
 from .hurwitz import BRAID, PERMUTATION, as_permutations, check_elements, flavor_spec
-from .permutations import ParseError, Permutation
+from .permutations import ParseError, Permutation, _relabel
 
 DEFAULT_CONJUGATOR_BOUND = 3
 DEFAULT_LIFT_BUDGET = 1_000_000
@@ -395,22 +395,6 @@ def _solve_colorings(
     return solutions, checks
 
 
-def _relabeled(u: tuple[int, int], o: tuple[int, int], sign: int) -> tuple[int, int]:
-    """``_conjugated`` on point pairs: (a b) ** (c e) swaps c and e among a
-    and b.  A transposition is its own inverse, so the sign does not matter."""
-    a, b = u
-    c, e = o
-    if a == c:
-        a = e
-    elif a == e:
-        a = c
-    if b == c:
-        b = e
-    elif b == e:
-        b = c
-    return (a, b) if a < b else (b, a)
-
-
 def enumerate_simple_colorings(dg: LinkDiagram, d: int) -> list[SimpleColoring]:
     """All transposition colorings satisfying the Wirtinger relations,
     sorted by their images along the arcs (the search's own order, as its
@@ -430,7 +414,12 @@ def enumerate_simple_colorings(dg: LinkDiagram, d: int) -> list[SimpleColoring]:
     # (a b) with a < b first differs from the identity at a, where it reads
     # b, so image order is decreasing a, then increasing b.
     pairs = sorted(trans, key=lambda p: (-p[0], p[1]))
-    found, _ = _solve_colorings(dg, dict.fromkeys(dg.arcs(), pairs), _relabeled)
+    # (a b) ** (c e) relabels a and b through (c e); a transposition is its
+    # own inverse, so the crossing sign is passed in and ignored.  Indexing
+    # o rather than unpacking it builds no argument tuple per check.
+    found, _ = _solve_colorings(
+        dg, dict.fromkeys(dg.arcs(), pairs), lambda u, o, sign: _relabel(u, o[0], o[1])
+    )
     return [
         SimpleColoring(d, PERMUTATION, {arc: trans[pair] for arc, pair in assignment.items()})
         for assignment in found

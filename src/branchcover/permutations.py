@@ -70,8 +70,9 @@ class Permutation:
     def transposition(d: int, i: int, j: int) -> "Permutation":
         """The transposition (i j) in S_d."""
         _check_degree(d)
-        if not (1 <= i <= d and 1 <= j <= d and i != j):
-            raise ValueError(f"({i} {j}) is not a transposition in S_{d}")
+        exact = type(i) is int and type(j) is int
+        if not (exact and 1 <= i <= d and 1 <= j <= d and i != j):
+            raise ValueError(f"({i!r} {j!r}) is not a transposition in S_{d}")
         images = list(range(1, d + 1))
         images[i - 1], images[j - 1] = j, i
         return Permutation(tuple(images))
@@ -79,6 +80,8 @@ class Permutation:
     @staticmethod
     def adjacent(d: int, i: int) -> "Permutation":
         """The standard generator (i, i+1), 1 <= i <= d-1."""
+        if type(i) is not int:
+            raise ValueError(f"generator index {i!r} is not an integer")
         return Permutation.transposition(d, i, i + 1)
 
     @staticmethod
@@ -89,6 +92,8 @@ class Permutation:
         seen: set[int] = set()
         for cycle in cycles:
             for p in cycle:
+                if type(p) is not int:
+                    raise ValueError(f"point {p!r} is not an integer")
                 if not (1 <= p <= d):
                     raise ValueError(f"point {p} out of range 1..{d}")
                 if p in seen:
@@ -138,18 +143,19 @@ class Permutation:
 
     def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
         """Disjoint cycles, least point first, ordered by least point."""
+        images = self.images
         out = []
-        seen = [False] * self.degree
-        for start in range(1, self.degree + 1):
+        seen = [False] * len(images)
+        for start in range(1, len(images) + 1):
             if seen[start - 1]:
                 continue
             cycle = [start]
             seen[start - 1] = True
-            p = self(start)
+            p = images[start - 1]
             while p != start:
                 cycle.append(p)
                 seen[p - 1] = True
-                p = self(p)
+                p = images[p - 1]
             if len(cycle) > 1 or include_fixed:
                 out.append(tuple(cycle))
         return out
@@ -210,14 +216,35 @@ def all_transpositions(d: int) -> list[Permutation]:
 
 def orbits(perms: Sequence[Permutation], degree: int) -> list[frozenset[int]]:
     """Orbits of <perms> acting on {1..degree}, sorted by least element."""
-    classes = UnionFind(range(1, degree + 1))
     for p in perms:
         if p.degree != degree:
             raise ValueError(f"degree mismatch: {p.degree} vs {degree}")
-        for x, y in enumerate(p.images, 1):
-            if x != y:
-                classes.union(x, y)
+    moved = [(x, y) for p in perms for x, y in enumerate(p.images, 1) if x != y]
+    return _pair_orbits(moved, degree)
+
+
+def _pair_orbits(pairs: Iterable[tuple[int, int]], degree: int) -> list[frozenset[int]]:
+    """The classes of {1..degree} that the point pairs join, sorted by least
+    element: the orbits of the group the pairs generate as transpositions."""
+    classes = UnionFind(range(1, degree + 1))
+    union = classes.union
+    for x, y in pairs:
+        union(x, y)
     return [frozenset(g) for g in classes.groups()]  # groups come in point order
+
+
+def _relabel(pair: tuple[int, int], u: int, v: int) -> tuple[int, int]:
+    """The point pair of (a b) ** (u v): a and b relabelled through (u v)."""
+    a, b = pair
+    if a == u:
+        a = v
+    elif a == v:
+        a = u
+    if b == u:
+        b = v
+    elif b == v:
+        b = u
+    return (a, b) if a < b else (b, a)
 
 
 def is_transitive(perms: Sequence[Permutation], degree: int) -> bool:

@@ -6,8 +6,10 @@ import time
 import pytest
 
 from branchcover.braids import BraidWord, braids_equal
+from branchcover.covering import covering_equivalent
 from branchcover.hurwitz import (
     Equivalence,
+    HurwitzError,
     HurwitzSystem,
     IntransitiveSystemError,
     NonClosingSystemError,
@@ -18,6 +20,7 @@ from branchcover.hurwitz import (
     hc_equivalent,
     hc_normal_form,
     hurwitz_move,
+    is_closing,
     is_simple_system,
     is_transitive,
     iter_simple_closing_systems,
@@ -28,6 +31,7 @@ from branchcover.hurwitz import (
     system_to_json,
     total_monodromy,
 )
+from branchcover.hurwitz import _check_normal_preconditions
 from branchcover.permutations import Permutation, all_transpositions
 from oracles import bounded_conjugacy_simple
 
@@ -313,6 +317,152 @@ class TestNormalForm:
             done += 1
 
 
+def cycles(d, *cs):
+    return Permutation.from_cycles(d, cs)
+
+
+# Systems outside the classification theorem's reach, with the error class
+# and message the precondition check raises for each; the checks run in the
+# order flavor, simplicity, closing, transitivity.
+PRECONDITION_FAILURES = [
+    pytest.param(
+        braid_system(3, (1,), (-1,)),
+        HurwitzError, "normal form is defined for permutation systems",
+        id="braid",
+    ),
+    pytest.param(
+        HurwitzSystem.of_permutations([Permutation.identity(3), tr(3, 1, 2), tr(3, 1, 2)]),
+        NonSimpleSystemError, "entry 0 is not a transposition",
+        id="identity-first",
+    ),
+    pytest.param(
+        HurwitzSystem.of_permutations([tr(3, 1, 2), tr(3, 1, 2), Permutation.identity(3)]),
+        NonSimpleSystemError, "entry 2 is not a transposition",
+        id="identity-later",
+    ),
+    pytest.param(
+        HurwitzSystem.of_permutations([cycles(3, (1, 2, 3)), tr(3, 1, 2), tr(3, 2, 3)]),
+        NonSimpleSystemError, "entry 0 is not a transposition",
+        id="3-cycle-first",
+    ),
+    pytest.param(
+        HurwitzSystem.of_permutations(
+            [tr(4, 1, 2), tr(4, 2, 3), cycles(4, (1, 2, 3)), cycles(4, (1, 3, 2))]
+        ),
+        NonSimpleSystemError, "entry 2 is not a transposition",
+        id="3-cycle-later",
+    ),
+    pytest.param(
+        HurwitzSystem.of_permutations([cycles(4, (1, 2), (3, 4)), tr(4, 1, 2), tr(4, 3, 4)]),
+        NonSimpleSystemError, "entry 0 is not a transposition",
+        id="double-transposition-first",
+    ),
+    pytest.param(
+        HurwitzSystem.of_permutations(
+            [tr(4, 1, 2), tr(4, 2, 3), tr(4, 3, 4), cycles(4, (1, 3), (2, 4))]
+        ),
+        NonSimpleSystemError, "entry 3 is not a transposition",
+        id="double-transposition-later",
+    ),
+    pytest.param(
+        perm_system(3, (1, 2), (2, 3)),
+        NonClosingSystemError, "total monodromy (1 3 2) is not the identity",
+        id="non-closing",
+    ),
+    pytest.param(
+        perm_system(4, (1, 2), (1, 2), (2, 3), (2, 3), (1, 4)),
+        NonClosingSystemError, "total monodromy (1 4) is not the identity",
+        id="non-closing-odd",
+    ),
+    pytest.param(
+        perm_system(4, (1, 2), (3, 4), (3, 4), (1, 2)),
+        IntransitiveSystemError,
+        "monodromy group is intransitive: orbits [[1, 2], [3, 4]]",
+        id="intransitive",
+    ),
+    pytest.param(
+        perm_system(5, (1, 2), (1, 2), (3, 5), (3, 5)),
+        IntransitiveSystemError,
+        "monodromy group is intransitive: orbits [[1, 2], [3, 5], [4]]",
+        id="intransitive-fixed-point",
+    ),
+    pytest.param(
+        perm_system(4, (1, 2), (3, 4)),
+        NonClosingSystemError, "total monodromy (1 2)(3 4) is not the identity",
+        id="non-closing-and-intransitive",
+    ),
+]
+
+
+class TestPreconditions:
+    @pytest.mark.parametrize("s, error, message", PRECONDITION_FAILURES)
+    def test_error_class_and_message(self, s, error, message):
+        with pytest.raises(HurwitzError) as info:
+            hc_normal_form(s)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("s, error, message", PRECONDITION_FAILURES)
+    def test_covering_equivalent_names_the_system(self, s, error, message):
+        good = normal_form_template(s.degree, 2 * s.degree - 2)
+        for args, prefix in (((s, good), "first system: "), ((good, s), "second system: ")):
+            with pytest.raises(HurwitzError) as info:
+                covering_equivalent(*args)
+            assert type(info.value) is error
+            assert str(info.value) == prefix + message
+
+    def test_equivalence_verdicts_on_mixed_pairs(self):
+        template = normal_form_template(4, 6)
+        longer = normal_form_template(4, 8)
+        scrambled = scrambled_template(3, 4, 8)
+        intransitive = perm_system(4, (1, 2), (3, 4), (3, 4), (1, 2))
+        non_closing = perm_system(4, (1, 2), (2, 3), (3, 4), (1, 2), (1, 2), (2, 3))
+        non_simple = HurwitzSystem.of_permutations(
+            [cycles(4, (1, 2, 3)), cycles(4, (1, 3, 2)), tr(4, 1, 2), tr(4, 1, 2), tr(4, 3, 4), tr(4, 3, 4)]
+        )
+        cases = [
+            (longer, scrambled, Equivalence.EQUIVALENT),
+            (template, longer, Equivalence.DISTINCT),
+            (template, non_closing, Equivalence.DISTINCT),
+            (non_simple, template, Equivalence.DISTINCT),
+            (intransitive, template, Equivalence.DISTINCT),
+            (intransitive, intransitive, Equivalence.EQUIVALENT),
+            (non_closing, non_simple, Equivalence.DISTINCT),
+        ]
+        for s, t, verdict in cases:
+            assert hc_equivalent(s, t) is verdict
+            assert hc_equivalent(t, s) is verdict
+
+    def test_pair_check_agrees_with_the_predicates(self):
+        """Every system of length <= 5 over S_1, S_2 and S_3, non-transpositions
+        included: the pair check accepts exactly the simple, closing,
+        transitive systems, hands over their entries as sorted point pairs,
+        and refuses the others for the first predicate that fails."""
+        checked = 0
+        for d in (1, 2, 3):
+            group = [Permutation(images) for images in itertools.permutations(range(1, d + 1))]
+            for n in range(6):
+                for entries in itertools.product(group, repeat=n):
+                    s = HurwitzSystem(d, entries)
+                    simple, closing = is_simple_system(s), is_closing(s)
+                    transitive = is_transitive(s)
+                    try:
+                        pairs = _check_normal_preconditions(s)
+                    except HurwitzError as exc:
+                        assert not (simple and closing and transitive)
+                        expected = (
+                            NonSimpleSystemError if not simple
+                            else NonClosingSystemError if not closing
+                            else IntransitiveSystemError
+                        )
+                        assert type(exc) is expected
+                    else:
+                        assert simple and closing and transitive
+                        assert pairs == [tuple(sorted(e.support())) for e in entries]
+                    checked += 1
+        assert checked == 6 + 63 + 9331
+
+
 def scrambled_template(seed, d, n):
     """The (d, n) template after 3n seeded moves and transposition conjugations."""
     rng = random.Random(seed)
@@ -485,6 +635,12 @@ class TestJson:
 def test_system_degree_is_checked(flavor, degree):
     with pytest.raises(ValueError, match="degree"):
         HurwitzSystem(degree, (), flavor)
+
+
+@pytest.mark.parametrize("n", [8.0, True, "8"])
+def test_template_length_is_checked(n):
+    with pytest.raises(ValueError, match=f"length {n!r} is not an integer"):
+        normal_form_template(4, n)
 
 
 def test_entries_given_as_a_list_are_stored_as_a_tuple():

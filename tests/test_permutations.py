@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,8 @@ import pytest
 from branchcover.permutations import (
     ParseError,
     Permutation,
+    _pair_orbits,
+    _relabel,
     all_transpositions,
     compose,
     cycle_string,
@@ -86,6 +89,9 @@ class TestConjugation:
             for g in all_transpositions(5):
                 conj = a ** g
                 assert conj.support() == frozenset(g(x) for x in a.support())
+                # The point-pair relabel is the same conjugation.
+                pair = tuple(sorted(a.support()))
+                assert _relabel(pair, *sorted(g.support())) == tuple(sorted(conj.support()))
 
 
 class TestComputedResults:
@@ -135,6 +141,12 @@ class TestOrbits:
 
     def test_empty_generators(self):
         assert orbits([], 2) == [frozenset({1}), frozenset({2})]
+
+    def test_pair_orbits_match_orbits_exhaustive_s4_pairs(self):
+        group = [Permutation(images) for images in itertools.permutations(range(1, 5))]
+        for gens in itertools.combinations(group, 2):
+            pairs = [(x, y) for g in gens for x, y in enumerate(g.images, 1) if x != y]
+            assert _pair_orbits(pairs, 4) == orbits(gens, 4)
 
 
 class TestCycleStructure:
@@ -193,6 +205,24 @@ def test_images_given_as_a_list_are_stored_as_a_tuple():
 def test_non_integer_images_are_refused(images):
     with pytest.raises(ValueError, match="not integers"):
         Permutation(images)
+
+
+@pytest.mark.parametrize(
+    "build, value",
+    [
+        (lambda: Permutation.transposition(4, True, 2), "True"),
+        (lambda: Permutation.transposition(4, 1, True), "True"),
+        (lambda: Permutation.transposition(4, 1.0, 2), "1.0"),
+        (lambda: Permutation.adjacent(4, True), "True"),
+        (lambda: Permutation.adjacent(4, 1.0), "1.0"),
+        (lambda: Permutation.adjacent(4, "1"), "'1'"),
+        (lambda: Permutation.from_cycles(4, [(1.0, 2)]), "1.0"),
+        (lambda: Permutation.from_cycles(4, [(1, True)]), "True"),
+    ],
+)
+def test_non_integer_points_are_refused(build, value):
+    with pytest.raises(ValueError, match=re.escape(value)):
+        build()
 
 
 def test_repeated_images_are_refused():
