@@ -26,6 +26,10 @@ charts the black event's sign is the meridian exponent; the strand born by
 an insertion carries the opposite sign in the word, which is exactly what
 makes the entries of a closed sweep multiply to the identity.  Positions and
 event indices are 0-based.
+
+There is one sweep, ``_sweep``, over the live word: validation, monodromy
+and moves read it as it goes.  ``sweep_record`` snapshots its words and
+segment ids for orientability, rendering and the test oracles.
 """
 
 from __future__ import annotations
@@ -33,9 +37,9 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import random
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
-from . import permutations
+from . import hurwitz, permutations
 from ._unionfind import ParityUnionFind, UnionFind
 from .braids import BraidWord
 from .hurwitz import BRAID, PERMUTATION, HurwitzSystem
@@ -130,6 +134,8 @@ class Chart:
             permutations._check_degree(self.degree, 2)
         except ValueError as exc:
             raise ChartError(f"chart {exc}") from None
+        if type(self.oriented) is not bool:
+            raise ChartError(f"chart oriented must be true or false, got {self.oriented!r}")
 
     def black_count(self) -> int:
         return sum(1 for e in self.events if e.kind == "black")
@@ -211,9 +217,31 @@ def _produced(
     return consumed, ((j, c[1]), (i, b[1]), (j, a[1]))
 
 
+def _sweep(chart: Chart) -> Iterator[tuple[ChartEvent, list[Strand], list[Strand], tuple, int]]:
+    """Yield (event, live word before it, consumed, produced, first segment
+    id of produced) per event, then splice; raises ChartError on violation."""
+    word: list[Strand] = []
+    degree, oriented = chart.degree, chart.oriented
+    first = 0
+    for idx, ev in enumerate(chart.events):
+        try:
+            consumed, produced = _produced(ev, word, degree, oriented)
+        except ChartError as exc:
+            raise ChartError(str(exc), idx) from None
+        yield ev, word, consumed, produced, first
+        strands = [(lab, sign, seg) for seg, (lab, sign) in enumerate(produced, first)]
+        word[ev.position : ev.position + len(consumed)] = strands
+        first += len(produced)
+    if word:
+        raise ChartError(
+            f"sweep ends with nonempty word {tuple((l, s) for l, s, _ in word)}",
+            len(chart.events),
+        )
+
+
 @dataclasses.dataclass
 class SweepRecord:
-    """Strand bookkeeping of one sweep, shared by the chart algorithms."""
+    """Snapshots of one sweep, for orientability, rendering and test oracles."""
 
     words: list[tuple[Strand, ...]]  # words[t] before event t; words[-1] final
     event_io: list[tuple[tuple[int, ...], tuple[int, ...]]]  # segment ids in/out
@@ -222,30 +250,13 @@ class SweepRecord:
 
 def sweep_record(chart: Chart) -> SweepRecord:
     """Run the sweep, validating every event; raises ChartError on violation."""
-    word: list[Strand] = []
     record = SweepRecord([], [], {})
-    segment_label = record.segment_label
-
-    for idx, ev in enumerate(chart.events):
+    for _, word, consumed, produced, first in _sweep(chart):
         record.words.append(tuple(word))
-        try:
-            consumed, produced = _produced(ev, word, chart.degree, chart.oriented)
-        except ChartError as exc:
-            raise ChartError(str(exc), idx) from None
-        first = len(segment_label)
-        strands = [(lab, sign, first + k) for k, (lab, sign) in enumerate(produced)]
-        for lab, _, seg in strands:
-            segment_label[seg] = lab
-        word[ev.position : ev.position + len(consumed)] = strands
-        record.event_io.append(
-            (tuple(s[2] for s in consumed), tuple(range(first, first + len(strands))))
-        )
-
-    if word:
-        raise ChartError(
-            f"sweep ends with nonempty word {tuple((l, s) for l, s, _ in word)}",
-            len(chart.events),
-        )
+        for seg, (lab, _) in enumerate(produced, first):
+            record.segment_label[seg] = lab
+        ids = tuple(range(first, first + len(produced)))
+        record.event_io.append((tuple([s[2] for s in consumed]), ids))
     record.words.append(())
     return record
 
@@ -264,7 +275,8 @@ def validate_chart(chart: Chart) -> ChartReport:
     Never raises; the report carries the first violation and its event index.
     """
     try:
-        sweep_record(chart)
+        for _ in _sweep(chart):
+            pass
     except ChartError as exc:
         return ChartReport(False, str(exc), exc.event_index, 0)
     return ChartReport(True, None, None, chart.black_count())
@@ -274,12 +286,11 @@ def chart_hurwitz_system(chart: Chart) -> HurwitzSystem:
     """Meridian images of the black vertices, in sweep order."""
     d = chart.degree
     entries: list = []
-    record = sweep_record(chart)
-    for ev, word in zip(chart.events, record.words):
+    transpositions: dict[tuple[int, int], Permutation] = {}
+    for ev, word, consumed, _, _ in _sweep(chart):
         if ev.kind != "black":
             continue
-        p = ev.position
-        prefix = word[:p]
+        prefix = word[: ev.position]
         lab = ev.labels[0]
         if chart.oriented:
             # Meridian exponent: the declared sign for an insertion, the
@@ -287,7 +298,7 @@ def chart_hurwitz_system(chart: Chart) -> HurwitzSystem:
             if ev.insert:
                 sign = ev.sign if ev.sign is not None else 1
             else:
-                sign = word[p][1]
+                sign = consumed[0][1]
             pw = BraidWord(d, tuple(l * s for l, s, _ in prefix))
             entries.append(pw * BraidWord(d, (lab * sign,)) * pw.inverse())
         else:
@@ -296,9 +307,13 @@ def chart_hurwitz_system(chart: Chart) -> HurwitzSystem:
             at = list(range(1, d + 1))
             for l, _, _ in prefix:
                 at[l - 1], at[l] = at[l], at[l - 1]
-            entries.append(Permutation.transposition(d, at[lab - 1], at[lab]))
-    flavor = BRAID if chart.oriented else PERMUTATION
-    return HurwitzSystem(d, tuple(entries), flavor)
+            a, b = at[lab - 1], at[lab]
+            pair = (a, b) if a < b else (b, a)
+            if pair not in transpositions:
+                transpositions[pair] = Permutation.transposition(d, *pair)
+            entries.append(transpositions[pair])
+    # The sweep checked every label, so the entries need no second check.
+    return hurwitz._unchecked(d, tuple(entries), BRAID if chart.oriented else PERMUTATION)
 
 
 def forget_orientation(chart: Chart) -> Chart:
@@ -319,22 +334,34 @@ def forget_orientation(chart: Chart) -> Chart:
 # the monodromy-preservation property test is the ground truth for the rest.
 
 
+def _event_index(value) -> int:
+    """An event index of a move site; an exact int, not a bool or a float."""
+    if type(value) is not int:
+        raise SiteError(f"event index must be an integer, got {value!r}")
+    return value
+
+
 def _rewrite(chart: Chart, start: int, end: int, new_events: Sequence[ChartEvent]) -> Chart:
     """Replace events start:end by ``new_events``, keeping the word after them.
 
-    The input is swept once; ``new_events`` run through ``_produced`` from
-    the word before the window and must end in the word after it.  Events
-    outside the window then see the same word, so the output is valid
-    without a second sweep.
+    The input is swept once, copying only the words before ``start`` and
+    before ``end``; ``new_events`` run through ``_produced`` from the first
+    and must end in the second.  Events outside the window then see the same
+    word, so the output is valid without a second sweep.
     """
     n = len(chart.events)
+    start, end = _event_index(start), _event_index(end)
     if not (0 <= start <= end <= n):
         raise MoveError(f"event slice {start}:{end} out of range for {n} events")
+    word, after = [], []  # two lists: new events splice into word; a closed sweep ends empty
     try:
-        words = sweep_record(chart).words
+        for t, (_, live, _, _, _) in enumerate(_sweep(chart)):
+            if t == start:
+                word = list(live)
+            if t == end:
+                after = list(live)
     except ChartError as exc:
         raise MoveError(f"move needs a valid chart: {exc}") from None
-    word = list(words[start])
     for k, ev in enumerate(new_events):
         try:
             consumed, produced = _produced(ev, word, chart.degree, chart.oriented)
@@ -342,14 +369,14 @@ def _rewrite(chart: Chart, start: int, end: int, new_events: Sequence[ChartEvent
             raise MoveError(f"move produces an invalid chart: new event {k}: {exc}") from None
         word[ev.position : ev.position + len(consumed)] = produced
     width = 2 if chart.oriented else 1  # signs mean nothing on unoriented charts
-    if [s[:width] for s in word] != [s[:width] for s in words[end]]:
+    if [s[:width] for s in word] != [s[:width] for s in after]:
         raise MoveError("move changes the word after its window")
     events = chart.events[:start] + tuple(new_events) + chart.events[end:]
     return Chart(chart.degree, chart.oriented, events)
 
 
 def _pair(chart: Chart, at: int) -> tuple[ChartEvent, ChartEvent]:
-    if not (0 <= at < len(chart.events) - 1):
+    if not (0 <= _event_index(at) < len(chart.events) - 1):
         raise MoveError("no event pair at this index")
     return chart.events[at], chart.events[at + 1]
 
@@ -449,7 +476,7 @@ def patch_rewrite(chart: Chart, start: int, end: int, replacement: Sequence[Char
     This is the in-a-disk rewriting move: because no branch point is touched
     and the boundary word is preserved, the monodromy is unchanged exactly.
     """
-    if any(ev.kind == "black" for ev in chart.events[start:end]):
+    if any(ev.kind == "black" for ev in chart.events[_event_index(start) : _event_index(end)]):
         raise MoveError("patch may not contain black vertices")
     if any(ev.kind == "black" for ev in replacement):
         raise MoveError("replacement may not contain black vertices")
@@ -737,10 +764,8 @@ def chart_from_json(data: dict) -> Chart:
         raw = data["events"]
     except (KeyError, TypeError) as exc:
         raise ChartError(f"chart file needs degree/oriented/events: {exc}") from exc
-    for name, value, want, text in (("oriented", oriented, bool, "true or false"),
-                                    ("events", raw, list, "a list")):
-        if type(value) is not want:
-            raise ChartError(f"chart {name} must be {text}, got {value!r}")
+    if type(raw) is not list:
+        raise ChartError(f"chart events must be a list, got {raw!r}")
     events = []
     for k, item in enumerate(raw):
         try:

@@ -283,20 +283,46 @@ def bounded_conjugacy_simple(w, max_conjugator_length: int = 6):
 def chart_entries_by_products(chart) -> list:
     """Meridian images of a permutation chart, each as the product
     pw (lab lab+1) pw^-1 of its prefix word pw, composed generator by
-    generator (the direct reading of the sweep)."""
+    generator (the direct reading of the sweep).
+
+    The words come from a label-only replay of the events here, not from the
+    library's sweep; the replay asserts the label ranges and distances, the
+    positions, that every event finds the labels it names, and that the
+    sweep closes.
+    """
     from branchcover import permutations
-    from branchcover.charts import sweep_record
     from branchcover.permutations import Permutation
 
     d = chart.degree
+    word: list[int] = []
     entries = []
-    for ev, word in zip(chart.events, sweep_record(chart).words):
-        if ev.kind != "black":
-            continue
-        pw = permutations.product(
-            (Permutation.adjacent(d, l) for l, _, _ in word[: ev.position]), degree=d
-        )
-        entries.append(pw * Permutation.adjacent(d, ev.labels[0]) * pw.inverse())
+    for ev in chart.events:
+        p, labels = ev.position, ev.labels
+        assert 0 <= p <= len(word) and all(1 <= l < d for l in labels), ev
+        if ev.kind == "black":
+            pw = permutations.product(
+                (Permutation.adjacent(d, l) for l in word[:p]), degree=d
+            )
+            entries.append(pw * Permutation.adjacent(d, labels[0]) * pw.inverse())
+            if ev.insert:
+                word.insert(p, labels[0])
+            else:
+                assert word[p] == labels[0], ev
+                del word[p]
+        elif ev.kind == "cup":
+            word[p:p] = [labels[0]] * 2
+        elif ev.kind == "cap":
+            assert word[p : p + 2] == [labels[0]] * 2, ev
+            del word[p : p + 2]
+        elif ev.kind == "crossing":
+            i, j = labels
+            assert abs(i - j) > 1 and word[p : p + 2] == [i, j], ev
+            word[p : p + 2] = [j, i]
+        else:
+            i, j = labels
+            assert abs(i - j) == 1 and word[p : p + 3] == [i, j, i], ev
+            word[p : p + 3] = [j, i, j]
+    assert not word, word
     return entries
 
 

@@ -3,6 +3,7 @@ import functools
 import itertools
 import operator
 import random
+import re
 import time
 
 import pytest
@@ -144,6 +145,32 @@ class TestValidation:
         assert not report.valid
         assert message in report.error
         assert report.event_index == index
+
+    def test_report_matches_the_recorded_sweep(self):
+        # Valid charts of both kinds, and copies with one event's position
+        # or labels changed: the report names what sweep_record raises.
+        rng = random.Random(26)
+        invalid = 0
+        for k in range(150):
+            d = rng.choice([3, 4, 5])
+            c = random_chart(d, rng.randrange(4, 30), rng, oriented=k % 2 == 1)
+            t = rng.randrange(len(c.events))
+            ev = c.events[t]
+            if k % 3 == 0:
+                ev = dataclasses.replace(ev, position=rng.randrange(8))
+            else:
+                ev = dataclasses.replace(ev, labels=tuple(rng.randrange(1, d + 1) for _ in ev.labels))
+            bad = Chart(d, c.oriented, c.events[:t] + (ev,) + c.events[t + 1:])
+            for chart in (c, bad):
+                report = validate_chart(chart)
+                try:
+                    sweep_record(chart)
+                    expected = (True, None, None)
+                except ChartError as exc:
+                    expected = (False, str(exc), exc.event_index)
+                    invalid += 1
+                assert (report.valid, report.error, report.event_index) == expected
+        assert invalid > 50
 
 
 class TestMonodromy:
@@ -428,6 +455,35 @@ class TestMoves:
         with pytest.raises(MoveError, match="out of range"):
             apply_chart_move(c, "cup-cap-insert", at=at, position=0, label=2)
 
+    @pytest.mark.parametrize("index", [True, 0.0, "0", 1.5], ids=repr)
+    def test_event_index_must_be_an_exact_int(self, index):
+        c = Chart(3, False, (black(1, 0, True), cup(2, 1), cap(2, 1), black(1, 0, False)))
+        message = f"event index must be an integer, got {index!r}"
+        for move, site in (("cup-cap-cancel", {}), ("swap", {}),
+                           ("cup-cap-insert", {"position": 0, "label": 1})):
+            with pytest.raises(SiteError, match=re.escape(message)):
+                apply_chart_move(c, move, at=index, **site)
+        for start, end in ((index, 3), (1, index)):
+            with pytest.raises(SiteError, match=re.escape(message)):
+                patch_rewrite(c, start, end, [])
+
+    def test_insert_at_the_end_must_close(self):
+        # The words before and after an empty window at the end are both the
+        # final empty word; new events that leave strands change it.
+        c = two_vertex_chart(3)
+        with pytest.raises(MoveError, match="changes the word after its window"):
+            patch_rewrite(c, 2, 2, [cup(1, 0)])
+        out = cup_cap_insert(c, 2, 0, 1)
+        assert out.events == c.events + (cup(1, 0), cap(1, 0))
+
+    def test_window_before_an_invalid_event_is_refused(self):
+        # The move's window is fine; the sweep after it is not.
+        c = Chart(3, False, two_vertex_chart(3).events + (black(2, 5, False),))
+        for call in (lambda: cup_cap_insert(c, 0, 0, 1),
+                     lambda: patch_rewrite(c, 1, 1, [])):
+            with pytest.raises(MoveError, match="move needs a valid chart: event 2: position 5"):
+                call()
+
 
 def _applicable_move_sites(c):
     """All (move, site) pairs applicable to chart c, discovered by trying."""
@@ -682,6 +738,11 @@ class TestSerialization:
     def test_json_error(self):
         with pytest.raises(ChartError):
             chart_from_json({"degree": 3})
+
+    @pytest.mark.parametrize("oriented", [1, "no", 0, None], ids=repr)
+    def test_oriented_must_be_a_bool(self, oriented):
+        with pytest.raises(ChartError, match=re.escape(f"oriented must be true or false, got {oriented!r}")):
+            Chart(2, oriented, ())
 
     @pytest.mark.parametrize("degree", [True, "3", 0, 17])
     def test_degree_is_checked(self, degree):
