@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 from . import braids, permutations
 from .braids import BraidWord, canonical_key
 from .hurwitz import BRAID, PERMUTATION, as_permutations, check_elements, flavor_spec
-from .permutations import ParseError, Permutation, _relabel
+from .permutations import ParseError, Permutation
 
 DEFAULT_CONJUGATOR_BOUND = 3
 DEFAULT_LIFT_BUDGET = 1_000_000
@@ -79,12 +79,15 @@ class LinkDiagram:
             if len(quad) != 4:
                 raise LinkError(f"crossing {quad} is not a quadruple")
             for e in quad:
+                # Arcs are named by their least edge, free loops by -1, -2, ...
+                if type(e) is not int or e < 0:
+                    raise LinkError(f"edge {e!r} is not an integer >= 0")
                 counts[e] = counts.get(e, 0) + 1
         bad = sorted(e for e, c in counts.items() if c != 2)
         if bad:
             raise LinkError(f"edge {bad[0]} appears {counts[bad[0]]} times, expected 2")
-        if self.free_loops < 0:
-            raise LinkError("free_loops must be nonnegative")
+        if type(self.free_loops) is not int or self.free_loops < 0:
+            raise LinkError(f"free_loops must be an integer >= 0, got {self.free_loops!r}")
         self._strands  # orientation consistency is part of validity
 
     # -- the strand walk -----------------------------------------------
@@ -319,76 +322,76 @@ class SearchExhausted(Exception):
 def _solve_colorings(
     dg: LinkDiagram,
     candidates: dict,
-    act: Callable,
-    fits: Optional[Callable] = None,
+    table: Callable,
+    fits: Optional[dict] = None,
     limit: Optional[int] = None,
     budget: float = math.inf,
 ) -> tuple[list[dict], int]:
-    """Backtracking search for arc colorings satisfying every crossing.
+    """Backtracking search for integer arc colorings satisfying every crossing.
 
-    Arcs are branched in increasing order over ``candidates[arc]``, in the
-    given order.  A crossing whose under-in and over arcs are both colored
-    forces its under-out color ``act(u, o, sign)``: a colored under-out must
-    equal it, an uncolored one must pass ``fits(arc, value)`` and
-    takes it.  So every relation is evaluated once both its inputs are set,
-    and each completed assignment satisfies all of them.  Solutions come in
-    lexicographic order of candidate positions along the arcs, at most
-    ``limit`` of them.  Returns (solutions, checks), where checks counts
-    relation evaluations; raises SearchExhausted once checks > budget.
+    Each arc keeps the crossings it enters as triggers (under-in, over,
+    under-out, rows), where ``rows = table(sign)`` and ``rows[u][o] >= 0`` is
+    the forced under-out color.  Arcs are branched in increasing order over
+    ``candidates[arc]``.  Once a crossing's under-in and over arcs are colored,
+    a colored under-out must equal the forced color, and an uncolored one
+    takes it if it lies in ``fits[arc]`` (when given).  Solutions, at most
+    ``limit``, come in lexicographic order of candidate positions along the
+    arcs, as dicts in the order the arcs were colored.  Returns (solutions,
+    checks), where checks counts relation evaluations; raises
+    SearchExhausted once checks > budget.
     """
     arcs = dg.arcs()
-    by_inputs: dict[int, list[CrossingRelation]] = {}
+    at = {arc: i for i, arc in enumerate(arcs)}
+    triggers: list[list[tuple]] = [[] for _ in arcs]
     for rel in dg.crossing_relations():
-        by_inputs.setdefault(rel.under_in, []).append(rel)
-        by_inputs.setdefault(rel.over, []).append(rel)
+        trigger = (at[rel.under_in], at[rel.over], at[rel.under_out], table(rel.sign))
+        triggers[trigger[0]].append(trigger)
+        triggers[trigger[1]].append(trigger)
+    allowed = None if fits is None else [fits[arc] for arc in arcs]
+    color = [-1] * len(arcs)  # -1: not colored yet
+    trail: list[int] = []  # colored positions, in the order they were colored
     solutions: list[dict] = []
-    assignment: dict = {}
     checks = 0
 
-    def propagate(start) -> Optional[list]:
-        """Colors forced by coloring ``start``, or None (undone) on a clash."""
+    def propagate(start: int) -> bool:
+        """Color what coloring ``start`` forces; False on a clash."""
         nonlocal checks
-        forced = []
         queue = [start]
         while queue:
-            for rel in by_inputs.get(queue.pop(), ()):
-                if rel.under_in not in assignment or rel.over not in assignment:
+            for u, o, out, rows in triggers[queue.pop()]:
+                cu, co = color[u], color[o]
+                if cu < 0 or co < 0:
                     continue
                 checks += 1
                 if checks > budget:
                     raise SearchExhausted(checks)
-                value = act(assignment[rel.under_in], assignment[rel.over], rel.sign)
-                out = rel.under_out
-                if out in assignment:
-                    if assignment[out] == value:
-                        continue
-                elif fits is None or fits(out, value):
-                    assignment[out] = value
-                    forced.append(out)
-                    queue.append(out)
+                value = rows[cu][co]
+                have = color[out]
+                if have == value:
                     continue
-                for fx in forced:
-                    del assignment[fx]
-                return None
-        return forced
+                if have >= 0 or (allowed is not None and value not in allowed[out]):
+                    return False
+                color[out] = value
+                trail.append(out)
+                queue.append(out)
+        return True
 
     def backtrack(k: int) -> bool:
-        """Extend the assignment from arc k on; True once limit is reached."""
-        while k < len(arcs) and arcs[k] in assignment:
+        """Extend the coloring from position k on; True once limit is reached."""
+        while k < len(arcs) and color[k] >= 0:
             k += 1
         if k == len(arcs):
-            solutions.append(dict(assignment))
+            solutions.append({arcs[i]: color[i] for i in trail})
             return len(solutions) == limit
-        arc = arcs[k]
-        for value in candidates[arc]:
-            assignment[arc] = value
-            forced = propagate(arc)
-            if forced is not None:
-                if backtrack(k + 1):
-                    return True
-                for fx in forced:
-                    del assignment[fx]
-            del assignment[arc]
+        mark = len(trail)
+        for value in candidates[arcs[k]]:
+            color[k] = value
+            trail.append(k)
+            if propagate(k) and backtrack(k + 1):
+                return True
+            for i in trail[mark:]:
+                color[i] = -1
+            del trail[mark:]
         return False
 
     backtrack(0)
@@ -400,28 +403,22 @@ def enumerate_simple_colorings(dg: LinkDiagram, d: int) -> list[SimpleColoring]:
     sorted by their images along the arcs (the search's own order, as its
     candidates are sorted by image).
 
-    The search runs on sorted point pairs (a, b), where a relation check
-    relabels two points, and each coloring found maps its pairs back to
-    one shared Permutation per transposition."""
+    The search runs over the conjugation table of T_d, the transpositions
+    as point pairs, so a relation check is one table lookup; each coloring
+    found maps its indices to one shared Permutation per transposition."""
     try:
         permutations._check_degree(d, 2)
     except ValueError as exc:
         raise LinkError(f"coloring {exc}") from None
-    trans = {
-        (a, b): Permutation.transposition(d, a, b)
-        for a, b in itertools.combinations(range(1, d + 1), 2)
-    }
+    pairs, table = permutations._transposition_table(d)
+    trans = permutations.all_transpositions(d)  # in pair order
     # (a b) with a < b first differs from the identity at a, where it reads
-    # b, so image order is decreasing a, then increasing b.
-    pairs = sorted(trans, key=lambda p: (-p[0], p[1]))
-    # (a b) ** (c e) relabels a and b through (c e); a transposition is its
-    # own inverse, so the crossing sign is passed in and ignored.  Indexing
-    # o rather than unpacking it builds no argument tuple per check.
-    found, _ = _solve_colorings(
-        dg, dict.fromkeys(dg.arcs(), pairs), lambda u, o, sign: _relabel(u, o[0], o[1])
-    )
+    # b, so image order is decreasing a, then increasing b.  A transposition
+    # is its own inverse, so both signs read the same table.
+    order = sorted(range(len(pairs)), key=lambda k: (-pairs[k][0], pairs[k][1]))
+    found, _ = _solve_colorings(dg, dict.fromkeys(dg.arcs(), order), lambda sign: table)
     return [
-        SimpleColoring(d, PERMUTATION, {arc: trans[pair] for arc, pair in assignment.items()})
+        SimpleColoring(d, PERMUTATION, {arc: trans[k] for arc, k in assignment.items()})
         for assignment in found
     ]
 
@@ -709,6 +706,27 @@ def simple_braid_candidates(
     return [w for w in _simple_conjugates(d, conjugator_bound) if braids.project(w) == target]
 
 
+class _ConjugationTable(dict):
+    """table[u][o] = the index in ``words`` of o^-sign u o^sign, each row and
+    entry made on first use.  Words hash by normal form, so equal braids
+    share one index, spelled as the first word met."""
+
+    def __init__(self, index: dict, words: list, sign: int, u: Optional[int] = None):
+        super().__init__()
+        self.index, self.words, self.sign, self.u = index, words, sign, u
+
+    def __missing__(self, key: int):
+        if self.u is None:  # the table: make row ``key``
+            value = _ConjugationTable(self.index, self.words, self.sign, key)
+        else:  # row u: intern the conjugate by word ``key``
+            w = _conjugated(self.words[self.u], self.words[key], self.sign)
+            value = self.index.setdefault(w, len(self.words))
+            if value == len(self.words):
+                self.words.append(w)
+        self[key] = value
+        return value
+
+
 def find_simple_lift(
     dg: LinkDiagram,
     f: SimpleColoring,
@@ -718,31 +736,38 @@ def find_simple_lift(
     """Search for a braid coloring projecting to f arc by arc.
 
     Candidates per arc are the bounded conjugates of generators projecting
-    to the arc's color, computed once per call; crossing
-    relations propagate forced values, which project to f because f
-    satisfies the relations and projection is a homomorphism.  Each relation
-    is checked by exact braid equality as soon as its under-in and over arcs
-    are set, so a completed assignment needs no second pass.  The lift found
-    is still re-verified with coloring_satisfies, outside the budget.
-    ``checks`` counts relation evaluations.  "No lift within bounds" is not
-    a proof of non-liftability.
+    to the arc's color, computed once per call and interned as integers;
+    crossing relations propagate forced values, which project to f because
+    f satisfies the relations and projection is a homomorphism.  Each
+    relation is a lookup in a conjugation table filled on first use, so
+    exact braid equality is decided once per interned word, and a completed
+    assignment needs no second pass.  The lift found is still re-verified
+    with coloring_satisfies, outside the budget.  ``checks`` counts relation
+    evaluations.  "No lift within bounds" is not a proof of non-liftability.
     """
+    for name, value in (("conjugator bound", conjugator_bound), ("budget", budget)):
+        if type(value) is not int or value < 0:
+            raise LinkError(f"{name} must be an integer >= 0, got {value!r}")
     if f.flavor != PERMUTATION:
         raise LinkError("the base coloring must be permutation-flavored")
     if not coloring_satisfies(dg, f):
         raise LinkError("the base coloring does not satisfy the diagram")
     d = f.degree
-    pool = [(w, braids.project(w)) for w in _simple_conjugates(d, conjugator_bound)]
+    words = _simple_conjugates(d, conjugator_bound)  # distinct, so indices 0..n-1
+    index = {w: k for k, w in enumerate(words)}
+    images = [braids.project(w) for w in words]
     candidates = {
-        arc: [w for w, image in pool if image == f.assignment[arc]] for arc in dg.arcs()
+        arc: [k for k, image in enumerate(images) if image == f.assignment[arc]]
+        for arc in dg.arcs()
     }
+    tables = {sign: _ConjugationTable(index, words, sign) for sign in (1, -1)}
     try:
-        found, checks = _solve_colorings(dg, candidates, _conjugated, limit=1, budget=budget)
+        found, checks = _solve_colorings(dg, candidates, tables.__getitem__, limit=1, budget=budget)
     except SearchExhausted as exc:
         return LiftSearchResult(None, exhausted=True, checks=exc.args[0])
     if not found:
         return LiftSearchResult(None, checks=checks)
-    lift = SimpleColoring(d, BRAID, found[0])
+    lift = SimpleColoring(d, BRAID, {arc: words[k] for arc, k in found[0].items()})
     if not coloring_satisfies(dg, lift):
         raise LinkError("the lift found fails its Wirtinger re-check")
     return LiftSearchResult(lift, checks=checks)

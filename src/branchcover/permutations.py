@@ -18,6 +18,7 @@ without re-checking them.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import re
 from typing import Iterable, Sequence
@@ -245,6 +246,16 @@ def _relabel(pair: tuple[int, int], u: int, v: int) -> tuple[int, int]:
     elif b == v:
         b = u
     return (a, b) if a < b else (b, a)
+
+
+@functools.lru_cache(maxsize=MAX_DEGREE)  # callers check the degree first
+def _transposition_table(d: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, ...], ...]]:
+    """The point pairs of the transpositions of S_d, in ``all_transpositions``
+    order, and their conjugation table: entry [x][y] is the index of
+    pairs[x] ** pairs[y], read off by ``_relabel``."""
+    pairs = tuple(itertools.combinations(range(1, d + 1), 2))
+    index = {pair: k for k, pair in enumerate(pairs)}
+    return pairs, tuple(tuple(index[_relabel(x, u, v)] for u, v in pairs) for x in pairs)
 
 
 def is_transitive(perms: Sequence[Permutation], degree: int) -> bool:

@@ -16,6 +16,7 @@ negative one the inverse translation.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import threading
 from typing import Optional, Sequence
 
@@ -44,16 +45,25 @@ class QuandleReport:
 
 @dataclasses.dataclass(frozen=True)
 class FiniteQuandle:
-    """Elements 0..n-1 with op[x][y] = x |> y; optional display names."""
+    """Elements 0..n-1 with op[x][y] = x |> y; optional display names.
+
+    The table is stored as a tuple of tuples of exact ints, which the
+    coloring search indexes directly."""
 
     op: tuple[tuple[int, ...], ...]
     names: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
+        object.__setattr__(self, "op", tuple(map(tuple, self.op)))
+        if self.names is not None:
+            object.__setattr__(self, "names", tuple(self.names))
         n = len(self.op)
         for row in self.op:
-            if len(row) != n or any(not (0 <= v < n) for v in row):
-                raise QuandleError("operation table is not square over 0..n-1")
+            if len(row) != n:
+                raise QuandleError("operation table is not square")
+            for v in row:
+                if type(v) is not int or not 0 <= v < n:
+                    raise QuandleError(f"table entry {v!r} is not an integer in 0..{n - 1}")
         if self.names is not None and len(self.names) != n:
             raise QuandleError("names must match the element count")
 
@@ -63,13 +73,27 @@ class FiniteQuandle:
     def apply(self, x: int, y: int) -> int:
         return self.op[x][y]
 
+    @functools.cached_property
+    def _inverse(self) -> tuple[tuple[int, ...], ...]:
+        """inv[x][y] = the z with z |> y = x; raises unless every right
+        translation is a bijection."""
+        columns = list(zip(*self.op))  # columns[y][z] = z |> y
+        for y, column in enumerate(columns):
+            if len(set(column)) != len(column):
+                raise QuandleError(f"right translation by {y} is not a bijection")
+        # A bijective column sorted by its values lists each value's preimage.
+        return tuple(zip(*(sorted(range(len(c)), key=c.__getitem__) for c in columns)))
+
     def inverse_apply(self, x: int, y: int) -> int:
         """The z with z |> y = x; right translations must be bijective."""
-        column = [self.op[z][y] for z in range(len(self.op))]
-        try:
-            return column.index(x)
-        except ValueError:
-            raise QuandleError(f"right translation by {y} is not invertible at {x}")
+        n = len(self.op)
+        if not (0 <= x < n and 0 <= y < n):
+            raise QuandleError(f"({x!r}, {y!r}) are not two elements of 0..{n - 1}")
+        return self._inverse[x][y]
+
+    def _table(self, sign: int) -> tuple[tuple[int, ...], ...]:
+        """The table the coloring search reads at a crossing of this sign."""
+        return self.op if sign == 1 else self._inverse
 
     def name(self, x: int) -> str:
         return self.names[x] if self.names else str(x)
@@ -126,27 +150,17 @@ def product_quandle(a: FiniteQuandle, b: FiniteQuandle) -> FiniteQuandle:
 
 
 def make_Td(d: int) -> FiniteQuandle:
-    """The d(d-1)/2 transpositions of S_d under conjugation."""
+    """The d(d-1)/2 transpositions of S_d under conjugation, built on
+    point pairs."""
     try:
         permutations._check_degree(d, 2)
     except ValueError as exc:
         raise QuandleError(f"T_d {exc}") from None
-    elements = permutations.all_transpositions(d)
-    index = {p: k for k, p in enumerate(elements)}
-    op = tuple(
-        tuple(index[x ** y] for y in elements) for x in elements
-    )
-    names = tuple(str(p) for p in elements)
-    return FiniteQuandle(op, names)
+    pairs, table = permutations._transposition_table(d)
+    return FiniteQuandle(table, tuple(f"({a} {b})" for a, b in pairs))
 
 
 # -- diagram colorings -------------------------------------------------------
-
-
-def _crossing_rule(q: FiniteQuandle):
-    """Outgoing under-arc element: u |> o, or the inverse translation at a
-    negative crossing."""
-    return lambda u, o, sign: q.apply(u, o) if sign == 1 else q.inverse_apply(u, o)
 
 
 def quandle_colorings(dg: LinkDiagram, q: FiniteQuandle) -> list[dict]:
@@ -156,7 +170,7 @@ def quandle_colorings(dg: LinkDiagram, q: FiniteQuandle) -> list[dict]:
     elements along the arcs.
     """
     candidates = dict.fromkeys(dg.arcs(), range(len(q)))
-    return _solve_colorings(dg, candidates, _crossing_rule(q))[0]
+    return _solve_colorings(dg, candidates, q._table)[0]
 
 
 def td_coloring_to_simple(dg: LinkDiagram, d: int, coloring: dict) -> SimpleColoring:
@@ -215,13 +229,8 @@ def lift_through_surjection(
             )
     # A forced value leaves its fiber only where the coloring breaks a
     # crossing rule; fits then prunes, and no lift is found.
-    found, _ = _solve_colorings(
-        dg,
-        {arc: fibers[coloring[arc]] for arc in arcs},
-        _crossing_rule(source),
-        fits=lambda arc, x: p[x] == coloring[arc],
-        limit=1,
-    )
+    fiber_of = {arc: fibers[coloring[arc]] for arc in arcs}
+    found, _ = _solve_colorings(dg, fiber_of, source._table, fits=fiber_of, limit=1)
     return {arc: found[0][arc] for arc in arcs} if found else None  # keys in arc order
 
 

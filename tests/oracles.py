@@ -412,12 +412,52 @@ def pd_orientation(crossings):
 
 
 def simple_colorings_by_permutations(dg, d: int) -> list[dict]:
-    """Transposition colorings of dg as arc -> Permutation assignments: the
-    one coloring engine run over Permutation candidates sorted by image,
-    each relation checked by conjugating with ``**``.  The reference for
-    the point-pair search of ``enumerate_simple_colorings``."""
-    from branchcover.links import _conjugated, _solve_colorings
+    """Transposition colorings of dg as arc -> Permutation assignments: a
+    backtracking search of its own over Permutation candidates sorted by
+    image, each relation checked by conjugating with ``**``.  The reference
+    for the table search of ``enumerate_simple_colorings``.
+
+    Arcs are branched in increasing order; coloring an arc evaluates each
+    crossing it enters once both inputs are colored (last colored arc
+    first), so the assignments come in the same order, with the same item
+    order, as the search under test."""
     from branchcover.permutations import all_transpositions
 
     trans = sorted(all_transpositions(d), key=lambda t: t.images)
-    return _solve_colorings(dg, dict.fromkeys(dg.arcs(), trans), _conjugated)[0]
+    arcs = dg.arcs()
+    relations = dg.crossing_relations()
+    entering = {arc: [r for r in relations for a in (r.under_in, r.over) if a == arc] for arc in arcs}
+    found = []
+    colors = {}
+
+    def forced_by(arc):
+        """The arcs that coloring arc forces, and False on a clash."""
+        added, stack = [], [arc]
+        while stack:
+            for r in entering[stack.pop()]:
+                if r.under_in in colors and r.over in colors:
+                    o = colors[r.over]
+                    value = colors[r.under_in] ** (o if r.sign == 1 else o.inverse())
+                    if r.under_out not in colors:
+                        colors[r.under_out] = value
+                        added.append(r.under_out)
+                        stack.append(r.under_out)
+                    elif colors[r.under_out] != value:
+                        return added, False
+        return added, True
+
+    def extend():
+        free = [arc for arc in arcs if arc not in colors]
+        if not free:
+            found.append(dict(colors))
+            return
+        for t in trans:
+            colors[free[0]] = t
+            added, ok = forced_by(free[0])
+            if ok:
+                extend()
+            for arc in added + [free[0]]:
+                del colors[arc]
+
+    extend()
+    return found

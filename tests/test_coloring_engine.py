@@ -1,6 +1,7 @@
 """The one coloring search behind simple colorings, quandle colorings and
-fiber lifts, checked against T_d colorings and brute-force fiber lifts on
-seeded braid closures."""
+fiber lifts, checked against T_d colorings, an independent permutation
+search, brute-force colorings of a non-involutory quandle and brute-force
+fiber lifts on seeded braid closures."""
 
 import itertools
 import random
@@ -125,3 +126,39 @@ def test_surjection_lift_is_first_brute_force_lift(d):
                 found += got is not None
                 missing += got is None
     assert found and missing
+
+
+def brute_force_colorings(dg, q):
+    """Every arc map in lexicographic order, kept when each crossing holds:
+    u |> o = out at a positive crossing, out |> o = u at a negative one."""
+    arcs = dg.arcs()
+    relations = dg.crossing_relations()
+    out = []
+    for combo in itertools.product(range(len(q)), repeat=len(arcs)):
+        c = dict(zip(arcs, combo))
+        if all(
+            q.apply(c[r.under_in], c[r.over]) == c[r.under_out]
+            if r.sign == 1
+            else q.apply(c[r.under_out], c[r.over]) == c[r.under_in]
+            for r in relations
+        ):
+            out.append(c)
+    return out
+
+
+def test_negative_crossings_read_the_inverse_table():
+    # T_d and dihedral quandles are involutory, so only a quandle whose
+    # right translations are not involutions tells the inverse table from
+    # the forward one: in Z_5 with t = 2, x |> y = 2x - y.
+    q = alexander_quandle(5, 2)
+    assert quandle_validate(q).valid
+    assert any(q.apply(q.apply(x, y), y) != x for x in range(5) for y in range(5))
+    diagrams = [corpus_diagram(name) for name in CORPUS]
+    diagrams += [dg for d in (2, 3) for dg in closures(d, 15, seed=40 + d)]
+    telling = 0  # diagrams with a negative crossing and a non-constant coloring
+    for dg in diagrams:
+        want = brute_force_colorings(dg, q)
+        assert quandle_colorings(dg, q) == want
+        negative = any(dg.crossing_sign(k) == -1 for k in range(len(dg.crossings)))
+        telling += negative and any(len(set(c.values())) > 1 for c in want)
+    assert telling >= 5

@@ -476,3 +476,26 @@ class TestValidation:
         broken[arcs[0]] = tr(3, 2, 3)
         with pytest.raises(LinkError):
             find_simple_lift(TREFOIL, SimpleColoring(3, "permutation", broken))
+
+    @pytest.mark.parametrize("bound", [1.5, True, "2", -1])
+    def test_conjugator_bound_must_be_an_exact_int(self, bound):
+        f = enumerate_simple_colorings(TREFOIL, 2)[0]
+        with pytest.raises(LinkError, match="conjugator bound"):
+            find_simple_lift(TREFOIL, f, conjugator_bound=bound)
+
+    @pytest.mark.parametrize("budget", [1.5, float("inf"), True, -1])
+    def test_budget_must_be_an_exact_int(self, budget):
+        f = enumerate_simple_colorings(TREFOIL, 2)[0]
+        with pytest.raises(LinkError, match="budget"):
+            find_simple_lift(TREFOIL, f, budget=budget)
+
+    @pytest.mark.parametrize(
+        "crossings, free_loops",
+        [(((True, 2, 2, True),), 0), (((1.0, 2, 2, 1),), 0), (((1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, "3")), 0),
+         ((), True), ((), 1.0),
+         # A free loop is the arc -1, so an edge -1 would name a second arc -1.
+         (((-1, 4, 2, 5), (3, 6, 4, -1), (5, 2, 6, 3)), 1)],
+    )
+    def test_diagram_edges_and_free_loops_must_be_ints_at_least_zero(self, crossings, free_loops):
+        with pytest.raises(LinkError, match="integer"):
+            LinkDiagram(crossings, free_loops)

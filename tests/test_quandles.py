@@ -4,7 +4,7 @@ import random
 import pytest
 
 from branchcover.braids import BraidWord, braids_equal, project
-from branchcover.links import LinkError, corpus_diagram, enumerate_simple_colorings
+from branchcover.links import LinkError, braid_closure_pd, corpus_diagram, enumerate_simple_colorings
 from branchcover.permutations import Permutation, all_transpositions
 from branchcover.quandles import (
     FiniteQuandle,
@@ -78,6 +78,44 @@ class TestValidate:
             q = make_Td(d)
             assert len(q) == d * (d - 1) // 2
             assert quandle_validate(q).valid
+
+
+class TestFiniteQuandleValues:
+    def test_table_is_stored_as_tuples(self):
+        q = FiniteQuandle([[0]], ["x"])
+        assert q.op == ((0,),) and q.names == ("x",)
+        assert hash(q) == hash(FiniteQuandle(((0,),), ("x",)))
+
+    @pytest.mark.parametrize("entry", [0.0, False, "0", None])
+    def test_entries_must_be_exact_ints(self, entry):
+        with pytest.raises(QuandleError, match="not an integer"):
+            FiniteQuandle(((entry,),))
+
+    def test_inverse_table_inverts(self):
+        # Z_5 with x |> y = 2x - y: right translations are not involutions.
+        q = FiniteQuandle(tuple(tuple((2 * x - y) % 5 for y in range(5)) for x in range(5)))
+        for x in range(5):
+            for y in range(5):
+                assert q.inverse_apply(q.apply(x, y), y) == x
+        with pytest.raises(QuandleError, match="elements"):
+            q.inverse_apply(-1, 0)
+
+    def test_non_bijective_column_is_refused_before_the_search(self):
+        # Column 0 of the table reads (0, 0): right translation by 0 is not
+        # a bijection.  The trefoil's crossings are all negative, so the
+        # coloring search needs the inverse table and refuses the quandle
+        # before it colors an arc; a diagram whose crossings are all
+        # positive never asks for it.
+        q = FiniteQuandle(((0, 0), (0, 1)))
+        dg = corpus_diagram("trefoil")
+        assert {dg.crossing_sign(k) for k in range(3)} == {-1}
+        with pytest.raises(QuandleError, match="right translation by 0 is not a bijection"):
+            quandle_colorings(dg, q)
+        with pytest.raises(QuandleError, match="right translation by 0"):
+            q.inverse_apply(0, 1)
+        mirror = braid_closure_pd([-1, -1, -1], 2)
+        assert {mirror.crossing_sign(k) for k in range(3)} == {1}
+        assert quandle_colorings(mirror, q) == [{1: 0, 2: 0, 4: 0}, {1: 1, 2: 1, 4: 1}]
 
 
 class TestMakeTd:
