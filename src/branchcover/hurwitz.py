@@ -554,10 +554,14 @@ def hc_equivalent(
     monodromy, orbit sizes, and for braid systems of degree >= 3 the super
     summit invariants of the total monodromy) certify DISTINCT, and
     everything else falls back to a bounded bidirectional search over the
-    move graph, which reports UNKNOWN when the budget is exhausted.
+    move graph, which reports UNKNOWN when the budget is exhausted.  A
+    budget that is not an integer >= 0 is refused (HurwitzError), as the
+    CLI's ``--budget`` is.
     """
     if s.degree != t.degree or s.flavor != t.flavor:
         raise HurwitzError("systems must share degree and flavor")
+    if type(budget) is not int or budget < 0:
+        raise HurwitzError(f"budget must be an integer >= 0, got {budget!r}")
     if s.flavor == PERMUTATION:
         normal = [_meets_normal_preconditions(s), _meets_normal_preconditions(t)]
         if all(normal):
@@ -585,28 +589,72 @@ def iter_simple_closing_systems(
 ) -> Iterable[HurwitzSystem]:
     """All length-n transposition systems with identity product, one by one.
 
-    The last entry is forced (it must invert the prefix product), so this
-    walks (#transpositions)^(n-1) prefixes.
+    The systems come in ``itertools.product(all_transpositions(degree),
+    repeat=n)`` order, keeping those whose product is the identity and, when
+    ``transitive_only``, whose group is transitive.  A degree outside
+    1..MAX_DEGREE or a length that is not an exact int is refused
+    (ValueError) when the first system is asked for; a length below 2
+    yields nothing.
+
+    Cost.  The walk holds the inverse of the product of its first n-2
+    entries as one image list, swaps two slots in place on the way down and
+    back on the way up (a transposition is an involution), and so visits
+    C(d, 2)^(n-2) prefixes without building a ``Permutation``.  The last
+    two entries (t, u) must satisfy t u = (prefix product)^-1, so the
+    closing (t, u), in t order, are listed once per distinct inverse (at
+    most d! lists): each of the C(d, 2)^(n-1) candidate systems costs one
+    step of such a list.  Transitivity depends only on the set of
+    transpositions used, so it runs one union-find
+    (``permutations._pair_orbits``) per distinct set, keyed by the bitmask
+    of their indices.  Every system is built fresh, its entries taken from
+    one ``all_transpositions`` list.
     """
-    if n <= 0:
+    permutations._check_degree(degree)
+    if type(n) is not int:
+        raise ValueError(f"length {n!r} is not an integer")
+    if n < 2:
         return
     trans = permutations.all_transpositions(degree)
-    identity = Permutation.identity(degree)
+    pairs = permutations._transposition_table(degree)[0]  # in ``trans`` order
+    index = {pair: k for k, pair in enumerate(pairs)}
+    points = range(1, degree + 1)
+    inverse = list(range(degree + 1))  # slot x: the prefix product's preimage of x
+    prefix = [None] * (n - 2)  # the first n-2 entries
+    endings: dict[tuple[int, ...], list[tuple[Permutation, Permutation, int]]] = {}
+    transitive: dict[int, bool] = {}
 
-    def rec(prefix: list[Permutation], prod: Permutation):
-        if len(prefix) == n - 1:
-            last = prod.inverse()
-            if permutations.is_transposition(last):
-                entries = prefix + [last]
-                if not transitive_only or permutations.is_transitive(entries, degree):
-                    yield _unchecked(degree, tuple(entries), PERMUTATION)
+    def walk(depth: int, used: int):
+        if depth < n - 2:
+            for k, (a, b) in enumerate(pairs):
+                inverse[a], inverse[b] = inverse[b], inverse[a]
+                prefix[depth] = trans[k]
+                yield from walk(depth + 1, used | 1 << k)
+                inverse[a], inverse[b] = inverse[b], inverse[a]
             return
-        for t in trans:
-            prefix.append(t)
-            yield from rec(prefix, permutations.compose(prod, t))
-            prefix.pop()
+        key = tuple(inverse)
+        if key not in endings:
+            endings[key] = []
+            for k, (a, b) in enumerate(pairs):
+                # Swapped, the list holds the images of t (prefix product)^-1 = u.
+                inverse[a], inverse[b] = inverse[b], inverse[a]
+                moved = [x for x in points if inverse[x] != x]
+                inverse[a], inverse[b] = inverse[b], inverse[a]
+                if len(moved) == 2:
+                    j = index[moved[0], moved[1]]
+                    endings[key].append((trans[k], trans[j], 1 << k | 1 << j))
+        for t, u, bits in endings[key]:
+            if transitive_only:
+                mask = used | bits
+                joined = transitive.get(mask)
+                if joined is None:
+                    chosen = [pair for k, pair in enumerate(pairs) if mask >> k & 1]
+                    orbits = permutations._pair_orbits(chosen, degree)
+                    joined = transitive[mask] = len(orbits) == 1
+                if not joined:
+                    continue
+            yield _unchecked(degree, (*prefix, t, u), PERMUTATION)
 
-    yield from rec([], identity)
+    yield from walk(0, 0)
 
 
 # -- JSON files ----------------------------------------------------------

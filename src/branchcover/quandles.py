@@ -70,7 +70,15 @@ class FiniteQuandle:
     def __len__(self) -> int:
         return len(self.op)
 
+    def _check_pair(self, x, y) -> None:
+        """Refuse anything but two exact ints in 0..n-1; the public
+        operations check here, the package's own loops read ``op``."""
+        n = len(self.op)
+        if not (type(x) is int and type(y) is int and 0 <= x < n and 0 <= y < n):
+            raise QuandleError(f"({x!r}, {y!r}) are not two elements of 0..{n - 1}")
+
     def apply(self, x: int, y: int) -> int:
+        self._check_pair(x, y)
         return self.op[x][y]
 
     @functools.cached_property
@@ -86,9 +94,7 @@ class FiniteQuandle:
 
     def inverse_apply(self, x: int, y: int) -> int:
         """The z with z |> y = x; right translations must be bijective."""
-        n = len(self.op)
-        if not (0 <= x < n and 0 <= y < n):
-            raise QuandleError(f"({x!r}, {y!r}) are not two elements of 0..{n - 1}")
+        self._check_pair(x, y)
         return self._inverse[x][y]
 
     def _table(self, sign: int) -> tuple[tuple[int, ...], ...]:
@@ -101,19 +107,19 @@ class FiniteQuandle:
 
 def quandle_validate(q: FiniteQuandle) -> QuandleReport:
     """Exhaustively check idempotence, right-invertibility, distributivity."""
-    n = len(q)
+    op, n = q.op, len(q)
     for x in range(n):
-        if q.apply(x, x) != x:
+        if op[x][x] != x:
             return QuandleReport(False, f"idempotence fails at {q.name(x)}")
     for y in range(n):
-        seen = {q.apply(x, y) for x in range(n)}
+        seen = {op[x][y] for x in range(n)}
         if len(seen) != n:
             return QuandleReport(False, f"right translation by {q.name(y)} is not a bijection")
     for x in range(n):
         for y in range(n):
             for z in range(n):
-                left = q.apply(q.apply(x, y), z)
-                right = q.apply(q.apply(x, z), q.apply(y, z))
+                left = op[op[x][y]][z]
+                right = op[op[x][z]][op[y][z]]
                 if left != right:
                     return QuandleReport(
                         False,
@@ -145,7 +151,7 @@ def product_quandle(a: FiniteQuandle, b: FiniteQuandle) -> FiniteQuandle:
         for xb in range(nb):
             for ya in range(na):
                 for yb in range(nb):
-                    op[enc(xa, xb)][enc(ya, yb)] = enc(a.apply(xa, ya), b.apply(xb, yb))
+                    op[enc(xa, xb)][enc(ya, yb)] = enc(a.op[xa][ya], b.op[xb][yb])
     return FiniteQuandle(tuple(tuple(row) for row in op))
 
 
@@ -187,14 +193,17 @@ def td_coloring_to_simple(dg: LinkDiagram, d: int, coloring: dict) -> SimpleColo
 def is_quandle_homomorphism(
     p: Sequence[int], source: FiniteQuandle, target: FiniteQuandle
 ) -> bool:
-    n = len(source)
-    if len(p) != n or any(not (0 <= v < len(target)) for v in p):
-        return False
-    return all(
-        p[source.apply(x, y)] == target.apply(p[x], p[y])
-        for x in range(n)
-        for y in range(n)
-    )
+    """Does p (source element x -> target element p[x]) respect |>?  A map
+    that is not one element number of the target per source element is
+    refused (QuandleError)."""
+    n, m = len(source), len(target)
+    if len(p) != n:
+        raise QuandleError(f"the map has {len(p)} entries for {n} source elements")
+    for v in p:
+        if type(v) is not int or not 0 <= v < m:
+            raise QuandleError(f"map value {v!r} is not an element of 0..{m - 1}")
+    sop, top = source.op, target.op
+    return all(p[sop[x][y]] == top[p[x]][p[y]] for x in range(n) for y in range(n))
 
 
 def lift_through_surjection(
@@ -223,7 +232,7 @@ def lift_through_surjection(
         t: [x for x in range(len(source)) if p[x] == t] for t in range(len(target))
     }
     for arc in arcs:
-        if coloring[arc] not in fibers:
+        if type(coloring[arc]) is not int or coloring[arc] not in fibers:
             raise QuandleError(
                 f"arc {arc}: color {coloring[arc]!r} is not an element of the target"
             )

@@ -9,8 +9,10 @@ directly, so agreement with the library is a two-route check.
 from __future__ import annotations
 
 import functools
+import itertools
 
 from branchcover.hurwitz import HurwitzSystem
+from branchcover.permutations import all_transpositions
 
 
 class _UnionFind:
@@ -29,6 +31,30 @@ class _UnionFind:
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
             self.parent[ra] = rb
+
+
+def closing_transposition_tuples(d: int, n: int, transitive_only: bool) -> list[tuple]:
+    """Brute force over all C(d, 2)^n tuples of transpositions of S_d, in
+    ``itertools.product`` order.  Keeps those whose left-to-right product,
+    computed on image tuples, is the identity and, when asked, those whose
+    moved points one union-find joins into a single class."""
+    identity = tuple(range(1, d + 1))
+    out = []
+    for combo in itertools.product(all_transpositions(d), repeat=n):
+        images = identity
+        for t in combo:
+            images = tuple(t.images[x - 1] for x in images)
+        if images != identity:
+            continue
+        if transitive_only:
+            sheets = _UnionFind()
+            for t in combo:
+                for x, y in enumerate(t.images, 1):
+                    sheets.union(x, y)
+            if len({sheets.find(x) for x in identity}) != 1:
+                continue
+        out.append(combo)
+    return out
 
 
 def polygon_euler_data(s: HurwitzSystem) -> list[tuple[frozenset[int], int]]:

@@ -33,7 +33,7 @@ from branchcover.hurwitz import (
 )
 from branchcover.hurwitz import _check_normal_preconditions
 from branchcover.permutations import Permutation, all_transpositions
-from oracles import bounded_conjugacy_simple
+from oracles import bounded_conjugacy_simple, closing_transposition_tuples
 
 
 def tr(d, i, j):
@@ -590,6 +590,17 @@ class TestEquivalence:
                 t = conjugate_system(t, rng.choice(all_transpositions(4)))
             assert hc_equivalent(s, t, budget=50_000) is Equivalence.EQUIVALENT
 
+    @pytest.mark.parametrize("budget", [1.5, True, -1, "10", None])
+    def test_budget_must_be_an_integer(self, budget):
+        s = perm_system(3, (1, 2), (1, 2))
+        with pytest.raises(HurwitzError, match="budget"):
+            hc_equivalent(s, s, budget=budget)
+
+    def test_zero_budget_is_accepted(self):
+        s = braid_system(3, (1,), (-1,))
+        assert hc_equivalent(s, s, budget=0) is Equivalence.EQUIVALENT
+        assert hc_equivalent(s, braid_system(3, (2,), (-2,)), budget=0) is Equivalence.UNKNOWN
+
 
 class TestEnumeration:
     def test_d2_counts(self):
@@ -612,6 +623,41 @@ class TestEnumeration:
             if total_monodromy(s).is_identity() and is_transitive(s):
                 brute += 1
         assert len(family) == brute
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_matches_brute_force_in_order(self, d):
+        for n in range(1, 7):
+            for transitive_only in (True, False):
+                expected = [
+                    HurwitzSystem.of_permutations(combo, d)
+                    for combo in closing_transposition_tuples(d, n, transitive_only)
+                ]
+                assert list(iter_simple_closing_systems(d, n, transitive_only)) == expected
+
+    def test_interleaved_walks_do_not_share_state(self):
+        expected = list(iter_simple_closing_systems(4, 6))
+        a, b = iter_simple_closing_systems(4, 6), iter_simple_closing_systems(4, 6)
+        got_a, got_b = [], []
+        for s in a:
+            got_a.append(s)
+            got_b.extend(itertools.islice(b, 2))  # b runs at twice a's pace
+        got_b.extend(b)
+        assert got_a == expected and got_b == expected
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_no_systems_of_non_positive_length(self, n):
+        assert list(iter_simple_closing_systems(3, n)) == []
+        assert list(iter_simple_closing_systems(3, n, transitive_only=False)) == []
+
+    @pytest.mark.parametrize("n", [4.0, True, "4", None])
+    def test_length_is_checked(self, n):
+        with pytest.raises(ValueError, match=f"length {n!r} is not an integer"):
+            list(iter_simple_closing_systems(3, n))
+
+    @pytest.mark.parametrize("d", [0, True, 3.0, 17])
+    def test_degree_is_checked(self, d):
+        with pytest.raises(ValueError, match="degree"):
+            list(iter_simple_closing_systems(d, 4))
 
 
 class TestJson:

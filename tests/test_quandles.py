@@ -273,7 +273,7 @@ class TestLiftThroughSurjection:
         with pytest.raises(QuandleError, match="surjective"):
             lift_through_surjection([0, 0, 0], trivial_quandle(3), trivial_quandle(3), dg, {-1: 0})
 
-    @pytest.mark.parametrize("color", [99, -1, 3])
+    @pytest.mark.parametrize("color", [99, -1, 3, True, 1.0])
     def test_rejects_color_outside_target(self, color):
         dg = corpus_diagram("trefoil")
         q = make_Td(3)
@@ -282,6 +282,31 @@ class TestLiftThroughSurjection:
         col[arc] = color
         with pytest.raises(QuandleError, match=f"arc {arc}: color {color} "):
             lift_through_surjection([0, 1, 2], q, q, dg, col)
+
+
+class TestElementChecks:
+    @pytest.mark.parametrize("x, y", [(-1, 0), (3, 0), (0, -1), (True, 0), (0, 1.0), ("0", 0)])
+    def test_apply_and_inverse_apply_refuse_non_elements(self, x, y):
+        q = dihedral_quandle(3)
+        with pytest.raises(QuandleError, match=r"not two elements of 0\.\.2"):
+            q.apply(x, y)
+        with pytest.raises(QuandleError, match=r"not two elements of 0\.\.2"):
+            q.inverse_apply(x, y)
+
+    @pytest.mark.parametrize("value", [2.0, True, -1, 3, "2"])
+    def test_maps_must_be_element_numbers(self, value):
+        q = dihedral_quandle(3)
+        p = [0, 1, value]
+        with pytest.raises(QuandleError, match=f"map value {value!r} is not an element"):
+            is_quandle_homomorphism(p, q, q)
+        dg = corpus_diagram("trefoil")
+        with pytest.raises(QuandleError, match="map value"):
+            lift_through_surjection(p, q, q, dg, quandle_colorings(dg, q)[0])
+
+    def test_map_length_must_match_the_source(self):
+        q = dihedral_quandle(3)
+        with pytest.raises(QuandleError, match="2 entries for 3 source elements"):
+            is_quandle_homomorphism([0, 1], q, q)
 
 
 class TestLiftToAd:
