@@ -59,6 +59,11 @@ class _Strands(NamedTuple):
     count: int  # closed strands with crossings
 
 
+# One relation evaluation of a coloring search, on positions in arcs():
+# (under-in, over, under-out, crossing sign, whether it colors under-out).
+_Step = tuple[int, int, int, int, bool]
+
+
 @dataclasses.dataclass(frozen=True)
 class LinkDiagram:
     """A PD code plus crossingless unknot components.
@@ -142,6 +147,46 @@ class LinkDiagram:
                 walk(k, 3)
         return _Strands(heads, tuple(b_to_d), arcs, count)
 
+    @functools.cached_property
+    def _coloring_plan(self) -> tuple[tuple[int, tuple[_Step, ...]], ...]:
+        """The steps every coloring search of this diagram takes, as levels
+        ``(seed, steps)``.
+
+        Which arcs a branch colors, and in what order, does not depend on
+        the colors: an arc is colored exactly when both inputs of one of
+        its crossings are.  So propagation runs here once, on colored flags.
+        Each crossing is a trigger of its under-in arc and of its over arc
+        (twice of an arc that is both).  Coloring an arc evaluates its
+        triggers in crossing order once both inputs are colored, last
+        colored arc first.  Each level is seeded by the first uncolored
+        position, and its steps are every evaluation that seed causes,
+        repeats included.
+        """
+        at = {arc: i for i, arc in enumerate(self.arcs())}
+        arc_of = self._strands.arcs
+        triggers: list[list[tuple[int, int, int, int]]] = [[] for _ in at]
+        for k, (a, b, c, _) in enumerate(self.crossings):
+            trigger = (at[arc_of[a]], at[arc_of[b]], at[arc_of[c]], self.crossing_sign(k))
+            triggers[trigger[0]].append(trigger)
+            triggers[trigger[1]].append(trigger)
+        colored = [False] * len(at)
+        levels = []
+        for seed in range(len(at)):
+            if colored[seed]:
+                continue
+            colored[seed] = True
+            steps, queue = [], [seed]
+            while queue:
+                for u, o, out, sign in triggers[queue.pop()]:
+                    if colored[u] and colored[o]:
+                        new = not colored[out]
+                        steps.append((u, o, out, sign, new))
+                        if new:
+                            colored[out] = True
+                            queue.append(out)
+            levels.append((seed, tuple(steps)))
+        return tuple(levels)
+
     def crossing_sign(self, k: int) -> int:
         """+1 when the over strand runs d -> b, -1 when b -> d."""
         return -1 if self._strands.b_to_d[k] else 1
@@ -213,16 +258,16 @@ def braid_closure_pd(letters: Sequence[int], strands: int) -> LinkDiagram:
     Positive letters cross the left strand over the right.  Strand positions
     untouched by any letter close into free loops.
     """
-    if strands < 2:
-        raise LinkError("braid closures need at least 2 strands")
+    if type(strands) is not int or strands < 2:
+        raise LinkError(f"braid closures need an integer >= 2 strands, got {strands!r}")
     current = list(range(1, strands + 1))
     next_id = strands + 1
     crossings = []
     touched = set()
     for letter in letters:
+        if type(letter) is not int or not 1 <= abs(letter) <= strands - 1:
+            raise LinkError(f"letter {letter!r} is not a nonzero integer of size <= {strands - 1}")
         i = abs(letter)
-        if not (1 <= i <= strands - 1):
-            raise LinkError(f"letter {letter} out of range for {strands} strands")
         touched.update({i, i + 1})
         x, y = current[i - 1], current[i]
         u, v = next_id, next_id + 1
@@ -296,6 +341,15 @@ class SimpleColoring:
         return permutations.is_transitive(perms, self.degree)
 
 
+def _unchecked(degree: int, flavor: str, assignment: dict) -> SimpleColoring:
+    """A SimpleColoring whose colors are checked elements of the given
+    flavor and degree, such as the shared transpositions of
+    ``all_transpositions(degree)``; nothing is re-checked."""
+    c = object.__new__(SimpleColoring)
+    c.__dict__.update(degree=degree, flavor=flavor, assignment=assignment)
+    return c
+
+
 def _conjugated(u, o, sign: int):
     """Color of the outgoing under-arc: o^-sign u o^sign."""
     if sign == 1:
@@ -329,72 +383,71 @@ def _solve_colorings(
 ) -> tuple[list[dict], int]:
     """Backtracking search for integer arc colorings satisfying every crossing.
 
-    Each arc keeps the crossings it enters as triggers (under-in, over,
-    under-out, rows), where ``rows = table(sign)`` and ``rows[u][o] >= 0`` is
-    the forced under-out color.  Arcs are branched in increasing order over
-    ``candidates[arc]``.  Once a crossing's under-in and over arcs are colored,
-    a colored under-out must equal the forced color, and an uncolored one
-    takes it if it lies in ``fits[arc]`` (when given).  Solutions, at most
-    ``limit``, come in lexicographic order of candidate positions along the
-    arcs, as dicts in the order the arcs were colored.  Returns (solutions,
-    checks), where checks counts relation evaluations; raises
-    SearchExhausted once checks > budget.
+    The search follows the diagram's ``_coloring_plan``: level i branches
+    its seed arc over ``candidates[arc]``, then runs the level's steps in
+    order.  A step (under-in, over, under-out, sign, new) reads the forced
+    under-out color ``rows[u][o]`` from ``rows = table(sign)``, which is
+    asked once per sign the diagram has.  A ``new`` step colors under-out,
+    provided the color lies in ``fits[arc]`` (when given); any other step
+    compares it with under-out's color.  A clash ends the branch, and a
+    level that runs through descends to the next.  Every input a step reads
+    was colored by an earlier level or step, so nothing is undone.
+    Solutions, at most ``limit``, come in lexicographic order of candidate
+    positions along the arcs, as dicts in the order the arcs were colored.
+
+    Returns (solutions, checks), where checks counts the steps run, one
+    relation evaluation each.  The plan keeps every evaluation that
+    propagation through a queue of triggers would make, repeats included,
+    in the same order, so the count is the queue's at any budget.  The
+    budget (an int >= 0, or inf) is compared after each level's run rather
+    than per step: a run past it raises SearchExhausted(budget + 1), the
+    count at the step that first went over.
     """
     arcs = dg.arcs()
-    at = {arc: i for i, arc in enumerate(arcs)}
-    triggers: list[list[tuple]] = [[] for _ in arcs]
-    for rel in dg.crossing_relations():
-        trigger = (at[rel.under_in], at[rel.over], at[rel.under_out], table(rel.sign))
-        triggers[trigger[0]].append(trigger)
-        triggers[trigger[1]].append(trigger)
+    plan = dg._coloring_plan
+    signs = set(map(dg.crossing_sign, range(len(dg.crossings))))
+    tables = {sign: table(sign) for sign in (1, -1) if sign in signs}
     allowed = None if fits is None else [fits[arc] for arc in arcs]
-    color = [-1] * len(arcs)  # -1: not colored yet
-    trail: list[int] = []  # colored positions, in the order they were colored
+    levels = [
+        (seed, candidates[arcs[seed]], [(u, o, out, tables[sign], new) for u, o, out, sign, new in steps])
+        for seed, steps in plan
+    ]
+    # The positions a branch colors, in the order it colors them.
+    order = [i for seed, steps in plan for i in (seed, *(out for _, _, out, _, new in steps if new))]
+    names = [arcs[i] for i in order]
+    color = [-1] * len(arcs)
     solutions: list[dict] = []
     checks = 0
 
-    def propagate(start: int) -> bool:
-        """Color what coloring ``start`` forces; False on a clash."""
+    def descend(i: int) -> bool:
+        """Run levels i, i+1, ...; True once limit is reached."""
         nonlocal checks
-        queue = [start]
-        while queue:
-            for u, o, out, rows in triggers[queue.pop()]:
-                cu, co = color[u], color[o]
-                if cu < 0 or co < 0:
-                    continue
-                checks += 1
-                if checks > budget:
-                    raise SearchExhausted(checks)
-                value = rows[cu][co]
-                have = color[out]
-                if have == value:
-                    continue
-                if have >= 0 or (allowed is not None and value not in allowed[out]):
-                    return False
-                color[out] = value
-                trail.append(out)
-                queue.append(out)
-        return True
-
-    def backtrack(k: int) -> bool:
-        """Extend the coloring from position k on; True once limit is reached."""
-        while k < len(arcs) and color[k] >= 0:
-            k += 1
-        if k == len(arcs):
-            solutions.append({arcs[i]: color[i] for i in trail})
+        if checks > budget:
+            raise SearchExhausted(budget + 1)
+        if i == len(levels):
+            solutions.append(dict(zip(names, map(color.__getitem__, order))))
             return len(solutions) == limit
-        mark = len(trail)
-        for value in candidates[arcs[k]]:
-            color[k] = value
-            trail.append(k)
-            if propagate(k) and backtrack(k + 1):
-                return True
-            for i in trail[mark:]:
-                color[i] = -1
-            del trail[mark:]
+        seed, values, steps = levels[i]
+        for value in values:
+            color[seed] = value
+            for u, o, out, rows, new in steps:
+                checks += 1
+                forced = rows[color[u]][color[o]]
+                if new:
+                    if allowed is not None and forced not in allowed[out]:
+                        break
+                    color[out] = forced
+                elif color[out] != forced:
+                    break
+            else:
+                if descend(i + 1):
+                    return True
+                continue
+            if checks > budget:
+                raise SearchExhausted(budget + 1)
         return False
 
-    backtrack(0)
+    descend(0)
     return solutions, checks
 
 
@@ -405,7 +458,8 @@ def enumerate_simple_colorings(dg: LinkDiagram, d: int) -> list[SimpleColoring]:
 
     The search runs over the conjugation table of T_d, the transpositions
     as point pairs, so a relation check is one table lookup; each coloring
-    found maps its indices to one shared Permutation per transposition."""
+    found maps its indices to one shared Permutation per transposition and
+    is built unchecked."""
     try:
         permutations._check_degree(d, 2)
     except ValueError as exc:
@@ -418,7 +472,7 @@ def enumerate_simple_colorings(dg: LinkDiagram, d: int) -> list[SimpleColoring]:
     order = sorted(range(len(pairs)), key=lambda k: (-pairs[k][0], pairs[k][1]))
     found, _ = _solve_colorings(dg, dict.fromkeys(dg.arcs(), order), lambda sign: table)
     return [
-        SimpleColoring(d, PERMUTATION, {arc: trans[k] for arc, k in assignment.items()})
+        _unchecked(d, PERMUTATION, {arc: trans[k] for arc, k in assignment.items()})
         for assignment in found
     ]
 
@@ -531,8 +585,14 @@ def montesinos_replace(
     return _splice(dg, coloring, quads, weld, colors)
 
 
+def _check_twists(n) -> None:
+    if type(n) is not int or n < 1:
+        raise LinkError(f"half-twist count must be an integer >= 1, got {n!r}")
+
+
 def flat_tangle(n: int = 3) -> Tangle:
     """Two parallel strands with the same boundary as an n-half-twist tangle."""
+    _check_twists(n)
     return Tangle((), wires=((100, 100 + n), (200, 200 + n)))
 
 
@@ -544,6 +604,7 @@ def twist_boundary_colors(a: Permutation, b: Permutation, n: int = 3) -> dict:
     left edge l_{k+1} welds into the over-arc of crossing k, so the
     positional color pair evolves by (x, y) -> (y, conj of x by y).
     """
+    _check_twists(n)
     colors = {}
     left, right = a, b
     for k in range(n + 1):
@@ -682,9 +743,11 @@ class LiftSearchResult:
     checks: int = 0
 
 
-def _simple_conjugates(d: int, conjugator_bound: int) -> list[BraidWord]:
+@functools.lru_cache(maxsize=8)
+def _simple_conjugates(d: int, conjugator_bound: int) -> tuple[BraidWord, ...]:
     """The distinct conjugates w g^e w^-1 (|w| <= bound), first spelling
-    found breadth-first, sorted by their free-group images."""
+    found breadth-first, sorted by their free-group images; computed once
+    per (d, bound) and shared, so callers copy it before extending it."""
     generators = [BraidWord(d, (i * s,)) for i in range(1, d) for s in (1, -1)]
     seen, frontier = set(generators), generators
     for _ in range(conjugator_bound):
@@ -696,7 +759,7 @@ def _simple_conjugates(d: int, conjugator_bound: int) -> list[BraidWord]:
                     seen.add(v)
                     nxt.append(v)
         frontier = nxt
-    return sorted(seen, key=canonical_key)
+    return tuple(sorted(seen, key=canonical_key))
 
 
 def simple_braid_candidates(
@@ -736,14 +799,15 @@ def find_simple_lift(
     """Search for a braid coloring projecting to f arc by arc.
 
     Candidates per arc are the bounded conjugates of generators projecting
-    to the arc's color, computed once per call and interned as integers;
-    crossing relations propagate forced values, which project to f because
-    f satisfies the relations and projection is a homomorphism.  Each
-    relation is a lookup in a conjugation table filled on first use, so
-    exact braid equality is decided once per interned word, and a completed
-    assignment needs no second pass.  The lift found is still re-verified
-    with coloring_satisfies, outside the budget.  ``checks`` counts relation
-    evaluations.  "No lift within bounds" is not a proof of non-liftability.
+    to the arc's color, from a pool computed once per (d, bound), interned
+    as integers; crossing relations propagate forced values, which project
+    to f because f satisfies the relations and projection is a
+    homomorphism.  Each relation is a lookup in a conjugation table filled
+    on first use, so exact braid equality is decided once per interned
+    word, and a completed assignment needs no second pass.  The lift found
+    is still re-verified with coloring_satisfies, outside the budget.
+    ``checks`` counts relation evaluations.  "No lift within bounds" is not
+    a proof of non-liftability.
     """
     for name, value in (("conjugator bound", conjugator_bound), ("budget", budget)):
         if type(value) is not int or value < 0:
@@ -753,7 +817,8 @@ def find_simple_lift(
     if not coloring_satisfies(dg, f):
         raise LinkError("the base coloring does not satisfy the diagram")
     d = f.degree
-    words = _simple_conjugates(d, conjugator_bound)  # distinct, so indices 0..n-1
+    # Distinct, so indices 0..n-1; a fresh list, as the tables append to it.
+    words = list(_simple_conjugates(d, conjugator_bound))
     index = {w: k for k, w in enumerate(words)}
     images = [braids.project(w) for w in words]
     candidates = {

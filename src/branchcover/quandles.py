@@ -70,15 +70,16 @@ class FiniteQuandle:
     def __len__(self) -> int:
         return len(self.op)
 
-    def _check_pair(self, x, y) -> None:
-        """Refuse anything but two exact ints in 0..n-1; the public
+    def _check_elements(self, *xs) -> None:
+        """Refuse anything but exact ints in 0..n-1; the public
         operations check here, the package's own loops read ``op``."""
         n = len(self.op)
-        if not (type(x) is int and type(y) is int and 0 <= x < n and 0 <= y < n):
-            raise QuandleError(f"({x!r}, {y!r}) are not two elements of 0..{n - 1}")
+        if not all(type(x) is int and 0 <= x < n for x in xs):
+            what = f"{xs[0]!r} is not an element" if len(xs) == 1 else f"{xs!r} are not two elements"
+            raise QuandleError(f"{what} of 0..{n - 1}")
 
     def apply(self, x: int, y: int) -> int:
-        self._check_pair(x, y)
+        self._check_elements(x, y)
         return self.op[x][y]
 
     @functools.cached_property
@@ -94,7 +95,7 @@ class FiniteQuandle:
 
     def inverse_apply(self, x: int, y: int) -> int:
         """The z with z |> y = x; right translations must be bijective."""
-        self._check_pair(x, y)
+        self._check_elements(x, y)
         return self._inverse[x][y]
 
     def _table(self, sign: int) -> tuple[tuple[int, ...], ...]:
@@ -102,6 +103,7 @@ class FiniteQuandle:
         return self.op if sign == 1 else self._inverse
 
     def name(self, x: int) -> str:
+        self._check_elements(x)
         return self.names[x] if self.names else str(x)
 
 
@@ -130,11 +132,15 @@ def quandle_validate(q: FiniteQuandle) -> QuandleReport:
 
 
 def trivial_quandle(n: int) -> FiniteQuandle:
+    if type(n) is not int or n < 0:
+        raise QuandleError(f"trivial quandle order must be an integer >= 0, got {n!r}")
     return FiniteQuandle(tuple(tuple(x for _ in range(n)) for x in range(n)))
 
 
 def dihedral_quandle(n: int) -> FiniteQuandle:
     """Z_n with x |> y = 2y - x; for n = 3 this is T_3 in disguise."""
+    if type(n) is not int or n < 1:
+        raise QuandleError(f"dihedral quandle order must be an integer >= 1, got {n!r}")
     return FiniteQuandle(
         tuple(tuple((2 * y - x) % n for y in range(n)) for x in range(n))
     )

@@ -487,3 +487,25 @@ def simple_colorings_by_permutations(dg, d: int) -> list[dict]:
 
     extend()
     return found
+
+
+def colorings_by_product(dg, candidates: dict, holds) -> list[dict]:
+    """Every arc map drawn from ``candidates[arc]``, in ``itertools.product``
+    order along ``dg.arcs()``, kept when ``holds(u, o, out, sign)`` is true
+    at every crossing.  No propagation and no pruning: the reference for
+    the order and the set of solutions of the coloring search, on diagrams
+    of a few arcs."""
+    arcs = dg.arcs()
+    relations = dg.crossing_relations()
+    found = []
+    for combo in itertools.product(*(candidates[arc] for arc in arcs)):
+        c = dict(zip(arcs, combo))
+        if all(holds(c[r.under_in], c[r.over], c[r.under_out], r.sign) for r in relations):
+            found.append(c)
+    return found
+
+
+def quandle_rule(q):
+    """The crossing rule of a finite quandle read forward only: u |> o = out
+    at a positive crossing, out |> o = u at a negative one."""
+    return lambda u, o, out, sign: q.apply(u, o) == out if sign == 1 else q.apply(out, o) == u

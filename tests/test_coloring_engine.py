@@ -1,16 +1,30 @@
 """The one coloring search behind simple colorings, quandle colorings and
 fiber lifts, checked against T_d colorings, an independent permutation
-search, brute-force colorings of a non-involutory quandle and brute-force
-fiber lifts on seeded braid closures."""
+search, and a product over all arc maps (T_3, T_4, dihedral and
+non-involutory quandles, fiber lifts) on seeded braid closures, kinks and
+free loops; its relation-check counts are pinned at several budgets."""
 
-import itertools
 import random
 
 import pytest
 
-from branchcover.links import CORPUS, braid_closure_pd, corpus_diagram, enumerate_simple_colorings
+from branchcover.links import (
+    CORPUS,
+    LinkDiagram,
+    SearchExhausted,
+    _fresh_ids,
+    _solve_colorings,
+    _with_renamed_heads,
+    braid_closure_pd,
+    corpus_diagram,
+    enumerate_simple_colorings,
+    find_simple_lift,
+    r1_add,
+)
 from branchcover.quandles import (
     FiniteQuandle,
+    QuandleError,
+    dihedral_quandle,
     is_quandle_homomorphism,
     lift_through_surjection,
     make_Td,
@@ -20,7 +34,7 @@ from branchcover.quandles import (
     td_coloring_to_simple,
     trivial_quandle,
 )
-from oracles import simple_colorings_by_permutations
+from oracles import colorings_by_product, quandle_rule, simple_colorings_by_permutations
 
 
 def closures(d, count, seed, max_arcs=5):
@@ -41,22 +55,29 @@ def alexander_quandle(n, t):
     )
 
 
-def rule(q, u, o, sign):
-    return q.apply(u, o) if sign == 1 else q.inverse_apply(u, o)
-
-
 def first_brute_force_lift(p, source, dg, coloring):
-    arcs = dg.arcs()
-    relations = dg.crossing_relations()
-    fibers = [[x for x in range(len(source)) if p[x] == coloring[a]] for a in arcs]
-    for combo in itertools.product(*fibers):
-        lift = dict(zip(arcs, combo))
-        if all(
-            lift[r.under_out] == rule(source, lift[r.under_in], lift[r.over], r.sign)
-            for r in relations
-        ):
-            return lift
-    return None
+    fibers = {a: [x for x in range(len(source)) if p[x] == coloring[a]] for a in dg.arcs()}
+    lifts = colorings_by_product(dg, fibers, quandle_rule(source))
+    return lifts[0] if lifts else None
+
+
+def over_first_kink(dg, edge, sign):
+    """dg with a kink on ``edge`` that passes over first and then under, so
+    the kink's under-in arc is its over arc."""
+    m, z = _fresh_ids(dg, 2)
+    quads = _with_renamed_heads(dg, {edge: z})
+    quads.append([m, edge, z, m] if sign == -1 else [m, m, z, edge])
+    return LinkDiagram(tuple(map(tuple, quads)))
+
+
+def kinks_and_loops():
+    """Kinks of both kinds and signs on the trefoil, and free loops with and
+    without crossings."""
+    trefoil = corpus_diagram("trefoil")
+    out = [over_first_kink(trefoil, e, s) for e in (1, 4) for s in (1, -1)]
+    f = enumerate_simple_colorings(trefoil, 3)[0]
+    out += [r1_add(trefoil, f, 2, s)[0] for s in (1, -1)]
+    return out + [LinkDiagram((), 2), LinkDiagram(trefoil.crossings, 1)]
 
 
 @pytest.mark.parametrize("d", [3, 4])
@@ -117,7 +138,7 @@ def test_surjection_lift_is_first_brute_force_lift(d):
     for p, source, target in surjections():
         assert quandle_validate(source).valid and quandle_validate(target).valid
         assert is_quandle_homomorphism(p, source, target)
-        for dg in closures(d, 12, seed=10 + d):
+        for dg in closures(d, 12, seed=10 + d) + kinks_and_loops():
             maps = quandle_colorings(dg, target)
             maps += [{a: rng.randrange(len(target)) for a in dg.arcs()} for _ in range(3)]
             for col in maps:
@@ -129,21 +150,7 @@ def test_surjection_lift_is_first_brute_force_lift(d):
 
 
 def brute_force_colorings(dg, q):
-    """Every arc map in lexicographic order, kept when each crossing holds:
-    u |> o = out at a positive crossing, out |> o = u at a negative one."""
-    arcs = dg.arcs()
-    relations = dg.crossing_relations()
-    out = []
-    for combo in itertools.product(range(len(q)), repeat=len(arcs)):
-        c = dict(zip(arcs, combo))
-        if all(
-            q.apply(c[r.under_in], c[r.over]) == c[r.under_out]
-            if r.sign == 1
-            else q.apply(c[r.under_out], c[r.over]) == c[r.under_in]
-            for r in relations
-        ):
-            out.append(c)
-    return out
+    return colorings_by_product(dg, dict.fromkeys(dg.arcs(), range(len(q))), quandle_rule(q))
 
 
 def test_negative_crossings_read_the_inverse_table():
@@ -162,3 +169,101 @@ def test_negative_crossings_read_the_inverse_table():
         negative = any(dg.crossing_sign(k) == -1 for k in range(len(dg.crossings)))
         telling += negative and any(len(set(c.values())) > 1 for c in want)
     assert telling >= 5
+
+
+def small_diagrams():
+    """Diagrams of at most 6 arcs: the corpus, seeded closures, kinks and
+    free loops."""
+    out = [corpus_diagram(name) for name in CORPUS]
+    return out + [dg for d in (2, 3, 4) for dg in closures(d, 6, seed=60 + d)] + kinks_and_loops()
+
+
+def test_over_first_kink_reads_its_over_arc_as_under_in():
+    dg = over_first_kink(corpus_diagram("trefoil"), 1, -1)
+    rel = dg.crossing_relations()[-1]
+    assert rel.under_in == rel.over != rel.under_out
+
+
+@pytest.mark.parametrize("q", [make_Td(3), make_Td(4), dihedral_quandle(5)], ids=["T3", "T4", "R5"])
+def test_search_matches_the_product_over_all_arc_maps(q):
+    # The order of the solutions too: the search's order is the product's.
+    for dg in small_diagrams():
+        arcs = dg.arcs()
+        got = [[c[a] for a in arcs] for c in quandle_colorings(dg, q)]
+        assert got == [[c[a] for a in arcs] for c in brute_force_colorings(dg, q)]
+
+
+def test_a_table_without_right_inverse_is_refused_only_at_a_negative_crossing():
+    q = FiniteQuandle(((0, 0), (0, 1)))  # right translation by 0 is not a bijection
+    positive = braid_closure_pd([-1, -1, -1], 2)
+    assert {positive.crossing_sign(k) for k in range(3)} == {1}
+    forward = colorings_by_product(
+        positive, dict.fromkeys(positive.arcs(), range(2)), lambda u, o, out, sign: q.op[u][o] == out
+    )
+    assert quandle_colorings(positive, q) == forward
+    with pytest.raises(QuandleError, match="not a bijection"):
+        quandle_colorings(corpus_diagram("trefoil"), q)
+
+
+def pinned_diagrams():
+    """Seeded closures on 3 and 4 strands, an over-first kink, and free
+    loops with and without crossings."""
+    rng = random.Random(2012)
+    out = []
+    for strands in (3, 3, 3, 4, 4):
+        n = rng.randrange(6, 10)
+        out.append(braid_closure_pd([rng.choice((1, -1)) * rng.randrange(1, strands) for _ in range(n)], strands))
+    trefoil = corpus_diagram("trefoil")
+    return out + [over_first_kink(trefoil, 1, -1), LinkDiagram(trefoil.crossings, 1), LinkDiagram((), 2)]
+
+
+# Relation checks of a full search of each pinned diagram, per quandle
+# (T_3, T_4, Z_5 with t = 2), at limits 1, 2 and None.  Any budget below a
+# count raises SearchExhausted(budget + 1); any other returns the count.
+PINNED_CHECKS = [
+    ((11, 28, 45), (11, 34, 126), (11, 32, 95)),
+    ((10, 19, 252), (10, 19, 1944), (10, 19, 1050)),
+    ((10, 35, 60), (10, 40, 240), (10, 20, 250)),
+    ((9, 36, 63), (9, 15, 372), (9, 48, 165)),
+    ((11, 21, 99), (11, 21, 378), (11, 62, 215)),
+    ((6, 10, 42), (6, 10, 144), (6, 22, 70)),
+    ((4, 4, 36), (4, 4, 132), (4, 4, 60)),
+    ((0, 0, 0), (0, 0, 0), (0, 0, 0)),
+]
+
+
+@pytest.mark.parametrize("budget", [5, 50, 500])
+def test_check_counts_are_pinned_at_every_budget(budget):
+    quandles = [make_Td(3), make_Td(4), alexander_quandle(5, 2)]
+    for dg, row in zip(pinned_diagrams(), PINNED_CHECKS, strict=True):
+        for q, counts in zip(quandles, row, strict=True):
+            candidates = dict.fromkeys(dg.arcs(), range(len(q)))
+            for limit, full in zip((1, 2, None), counts, strict=True):
+                if full <= budget:
+                    assert _solve_colorings(dg, candidates, q._table, limit=limit, budget=budget)[1] == full
+                else:
+                    with pytest.raises(SearchExhausted) as info:
+                        _solve_colorings(dg, candidates, q._table, limit=limit, budget=budget)
+                    assert info.value.args == (budget + 1,)
+
+
+# find_simple_lift on the trefoil's transitive 3-colorings at conjugator
+# bound 2: (checks, exhausted) at budgets 5, 50 and 500.
+PINNED_LIFTS = [
+    [(6, True), (12, False), (12, False)],
+    [(6, True), (10, False), (10, False)],
+    [(6, True), (10, False), (10, False)],
+    [(6, True), (10, False), (10, False)],
+    [(6, True), (8, False), (8, False)],
+    [(6, True), (8, False), (8, False)],
+]
+
+
+def test_lift_checks_are_pinned():
+    trefoil = corpus_diagram("trefoil")
+    colorings = [c for c in enumerate_simple_colorings(trefoil, 3) if c.is_transitive()]
+    got = [
+        [(r.checks, r.exhausted) for r in (find_simple_lift(trefoil, c, 2, budget) for budget in (5, 50, 500))]
+        for c in colorings
+    ]
+    assert got == PINNED_LIFTS

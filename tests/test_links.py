@@ -443,6 +443,19 @@ class TestLifts:
             for w in cands:
                 assert project(w) == target
 
+    def test_lift_pool_is_cached_and_left_unchanged(self):
+        f = next(c for c in enumerate_simple_colorings(TREFOIL, 3) if c.is_transitive())
+        _simple_conjugates.cache_clear()
+        first = find_simple_lift(TREFOIL, f, 2)
+        pool = _simple_conjugates(3, 2)
+        size = len(pool)
+        second = find_simple_lift(TREFOIL, f, 2)
+        assert first.lift is not None and first == second
+        spell = [(arc, w.letters) for arc, w in first.lift.assignment.items()]
+        assert spell == [(arc, w.letters) for arc, w in second.lift.assignment.items()]
+        assert _simple_conjugates(3, 2) is pool and type(pool) is tuple and len(pool) == size
+        assert _simple_conjugates.cache_info().hits >= 2
+
     @pytest.mark.parametrize("d, bound", [(3, 0), (3, 1), (3, 2), (3, 3), (4, 0), (4, 1), (4, 2)])
     def test_candidate_pool_is_every_bounded_conjugate_once(self, d, bound):
         pool = _simple_conjugates(d, bound)
@@ -459,6 +472,22 @@ class TestLifts:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("n", [True, 2.5, "3", 0])
+    def test_half_twist_counts_must_be_exact_ints(self, n):
+        with pytest.raises(LinkError, match="half-twist count"):
+            flat_tangle(n)
+        with pytest.raises(LinkError, match="half-twist count"):
+            twist_boundary_colors(tr(3, 1, 2), tr(3, 2, 3), n)
+
+    @pytest.mark.parametrize(
+        "letters, strands",
+        [((1, 1, 1), 2.0), ((1, 1, 1), True), ((1, 1, 1), "2"), ((1.0, 1, 1), 2), ((True, 1, 1), 2),
+         ((1, 0), 3), ((1, -3), 3)],
+    )
+    def test_closure_letters_and_strands_must_be_exact_ints(self, letters, strands):
+        with pytest.raises(LinkError):
+            braid_closure_pd(letters, strands)
+
     def test_wrong_flavor_lift_input(self):
         f = SimpleColoring(2, "braid", {-1: BraidWord(2, (1,))})
         with pytest.raises(LinkError):

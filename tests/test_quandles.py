@@ -303,6 +303,24 @@ class TestElementChecks:
         with pytest.raises(QuandleError, match="map value"):
             lift_through_surjection(p, q, q, dg, quandle_colorings(dg, q)[0])
 
+    @pytest.mark.parametrize("x", [-1, 3, 7, True, 1.0, "0"])
+    def test_name_refuses_non_elements(self, x):
+        for q in (make_Td(3), dihedral_quandle(3)):
+            with pytest.raises(QuandleError, match=r"is not an element of 0\.\.2"):
+                q.name(x)
+        assert make_Td(3).name(2) == "(2 3)" and dihedral_quandle(3).name(2) == "2"
+
+    @pytest.mark.parametrize("n", [True, 3.0, "3", 0, -1])
+    def test_dihedral_order_must_be_an_exact_int_at_least_one(self, n):
+        with pytest.raises(QuandleError, match="dihedral quandle order"):
+            dihedral_quandle(n)
+
+    @pytest.mark.parametrize("n", [True, 3.0, "3", -1])
+    def test_trivial_order_must_be_an_exact_int(self, n):
+        with pytest.raises(QuandleError, match="trivial quandle order"):
+            trivial_quandle(n)
+        assert len(trivial_quandle(0)) == 0
+
     def test_map_length_must_match_the_source(self):
         q = dihedral_quandle(3)
         with pytest.raises(QuandleError, match="2 entries for 3 source elements"):
