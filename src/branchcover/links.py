@@ -399,9 +399,11 @@ def _solve_colorings(
     relation evaluation each.  The plan keeps every evaluation that
     propagation through a queue of triggers would make, repeats included,
     in the same order, so the count is the queue's at any budget.  The
-    budget (an int >= 0, or inf) is compared after each level's run rather
-    than per step: a run past it raises SearchExhausted(budget + 1), the
-    count at the step that first went over.
+    budget (an int >= 0, or inf) is compared once per branch, before the
+    level's run: a run that would pass it makes only the steps the budget
+    allows, then raises SearchExhausted(budget + 1), the count at the step
+    that would have gone over.  So at most ``budget`` lookups are made, as
+    when the budget was compared per step.
     """
     arcs = dg.arcs()
     plan = dg._coloring_plan
@@ -422,15 +424,15 @@ def _solve_colorings(
     def descend(i: int) -> bool:
         """Run levels i, i+1, ...; True once limit is reached."""
         nonlocal checks
-        if checks > budget:
-            raise SearchExhausted(budget + 1)
         if i == len(levels):
             solutions.append(dict(zip(names, map(color.__getitem__, order))))
             return len(solutions) == limit
         seed, values, steps = levels[i]
         for value in values:
             color[seed] = value
-            for u, o, out, rows, new in steps:
+            # A run that would pass the budget stops before the step that does.
+            run = steps if checks + len(steps) <= budget else steps[: budget - checks]
+            for u, o, out, rows, new in run:
                 checks += 1
                 forced = rows[color[u]][color[o]]
                 if new:
@@ -440,11 +442,10 @@ def _solve_colorings(
                 elif color[out] != forced:
                     break
             else:
+                if run is not steps:
+                    raise SearchExhausted(budget + 1)
                 if descend(i + 1):
                     return True
-                continue
-            if checks > budget:
-                raise SearchExhausted(budget + 1)
         return False
 
     descend(0)
@@ -743,11 +744,9 @@ class LiftSearchResult:
     checks: int = 0
 
 
-@functools.lru_cache(maxsize=8)
-def _simple_conjugates(d: int, conjugator_bound: int) -> tuple[BraidWord, ...]:
+def _simple_conjugates(d: int, conjugator_bound: int) -> list[BraidWord]:
     """The distinct conjugates w g^e w^-1 (|w| <= bound), first spelling
-    found breadth-first, sorted by their free-group images; computed once
-    per (d, bound) and shared, so callers copy it before extending it."""
+    found breadth-first, sorted by their free-group images."""
     generators = [BraidWord(d, (i * s,)) for i in range(1, d) for s in (1, -1)]
     seen, frontier = set(generators), generators
     for _ in range(conjugator_bound):
@@ -759,7 +758,7 @@ def _simple_conjugates(d: int, conjugator_bound: int) -> tuple[BraidWord, ...]:
                     seen.add(v)
                     nxt.append(v)
         frontier = nxt
-    return tuple(sorted(seen, key=canonical_key))
+    return sorted(seen, key=canonical_key)
 
 
 def simple_braid_candidates(
@@ -799,15 +798,14 @@ def find_simple_lift(
     """Search for a braid coloring projecting to f arc by arc.
 
     Candidates per arc are the bounded conjugates of generators projecting
-    to the arc's color, from a pool computed once per (d, bound), interned
-    as integers; crossing relations propagate forced values, which project
-    to f because f satisfies the relations and projection is a
-    homomorphism.  Each relation is a lookup in a conjugation table filled
-    on first use, so exact braid equality is decided once per interned
-    word, and a completed assignment needs no second pass.  The lift found
-    is still re-verified with coloring_satisfies, outside the budget.
-    ``checks`` counts relation evaluations.  "No lift within bounds" is not
-    a proof of non-liftability.
+    to the arc's color, computed once per call and interned as integers;
+    crossing relations propagate forced values, which project to f because
+    f satisfies the relations and projection is a homomorphism.  Each
+    relation is a lookup in a conjugation table filled on first use, so
+    exact braid equality is decided once per interned word, and a completed
+    assignment needs no second pass.  The lift found is still re-verified
+    with coloring_satisfies, outside the budget.  ``checks`` counts relation
+    evaluations.  "No lift within bounds" is not a proof of non-liftability.
     """
     for name, value in (("conjugator bound", conjugator_bound), ("budget", budget)):
         if type(value) is not int or value < 0:
@@ -817,8 +815,7 @@ def find_simple_lift(
     if not coloring_satisfies(dg, f):
         raise LinkError("the base coloring does not satisfy the diagram")
     d = f.degree
-    # Distinct, so indices 0..n-1; a fresh list, as the tables append to it.
-    words = list(_simple_conjugates(d, conjugator_bound))
+    words = _simple_conjugates(d, conjugator_bound)  # distinct, so indices 0..n-1
     index = {w: k for k, w in enumerate(words)}
     images = [braids.project(w) for w in words]
     candidates = {

@@ -139,8 +139,8 @@ def trivial_quandle(n: int) -> FiniteQuandle:
 
 def dihedral_quandle(n: int) -> FiniteQuandle:
     """Z_n with x |> y = 2y - x; for n = 3 this is T_3 in disguise."""
-    if type(n) is not int or n < 1:
-        raise QuandleError(f"dihedral quandle order must be an integer >= 1, got {n!r}")
+    if type(n) is not int or n < 0:
+        raise QuandleError(f"dihedral quandle order must be an integer >= 0, got {n!r}")
     return FiniteQuandle(
         tuple(tuple((2 * y - x) % n for y in range(n)) for x in range(n))
     )

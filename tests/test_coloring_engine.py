@@ -8,6 +8,8 @@ import random
 
 import pytest
 
+from branchcover import links
+from branchcover.braids import BraidWord
 from branchcover.links import (
     CORPUS,
     LinkDiagram,
@@ -245,6 +247,47 @@ def test_check_counts_are_pinned_at_every_budget(budget):
                     with pytest.raises(SearchExhausted) as info:
                         _solve_colorings(dg, candidates, q._table, limit=limit, budget=budget)
                     assert info.value.args == (budget + 1,)
+
+
+def counting_table(q):
+    """q's table(sign), with a count of the entries read from it."""
+    reads = [0]
+
+    class Row(tuple):
+        def __getitem__(self, o):
+            reads[0] += 1
+            return tuple.__getitem__(self, o)
+
+    return (lambda sign: [Row(r) for r in q._table(sign)]), reads
+
+
+@pytest.mark.parametrize("budget", [0, 1, 5, 50])
+def test_no_entry_is_read_past_the_budget(budget):
+    for q in (make_Td(3), alexander_quandle(5, 2)):
+        for dg in pinned_diagrams():
+            table, reads = counting_table(q)
+            try:
+                checks = _solve_colorings(dg, dict.fromkeys(dg.arcs(), range(len(q))), table, budget=budget)[1]
+            except SearchExhausted:
+                checks = budget
+            assert reads[0] == checks <= budget
+
+
+@pytest.mark.parametrize("budget", [0, 1, 5])
+def test_a_lift_conjugates_no_word_past_the_budget(budget, monkeypatch):
+    trefoil = corpus_diagram("trefoil")
+    f = next(c for c in enumerate_simple_colorings(trefoil, 3) if c.is_transitive())
+    made = []  # braid conjugations; the base coloring's check conjugates permutations
+    conjugated = links._conjugated
+
+    def counted(u, o, sign):
+        if isinstance(u, BraidWord):
+            made.append(u)
+        return conjugated(u, o, sign)
+
+    monkeypatch.setattr(links, "_conjugated", counted)
+    result = find_simple_lift(trefoil, f, 2, budget)
+    assert result.exhausted and result.checks == budget + 1 and len(made) <= budget
 
 
 # find_simple_lift on the trefoil's transitive 3-colorings at conjugator

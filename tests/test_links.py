@@ -443,19 +443,6 @@ class TestLifts:
             for w in cands:
                 assert project(w) == target
 
-    def test_lift_pool_is_cached_and_left_unchanged(self):
-        f = next(c for c in enumerate_simple_colorings(TREFOIL, 3) if c.is_transitive())
-        _simple_conjugates.cache_clear()
-        first = find_simple_lift(TREFOIL, f, 2)
-        pool = _simple_conjugates(3, 2)
-        size = len(pool)
-        second = find_simple_lift(TREFOIL, f, 2)
-        assert first.lift is not None and first == second
-        spell = [(arc, w.letters) for arc, w in first.lift.assignment.items()]
-        assert spell == [(arc, w.letters) for arc, w in second.lift.assignment.items()]
-        assert _simple_conjugates(3, 2) is pool and type(pool) is tuple and len(pool) == size
-        assert _simple_conjugates.cache_info().hits >= 2
-
     @pytest.mark.parametrize("d, bound", [(3, 0), (3, 1), (3, 2), (3, 3), (4, 0), (4, 1), (4, 2)])
     def test_candidate_pool_is_every_bounded_conjugate_once(self, d, bound):
         pool = _simple_conjugates(d, bound)
