@@ -28,7 +28,8 @@ import functools
 import re
 from typing import Iterable, Sequence
 
-from .permutations import ParseError, Permutation, _check_degree, product
+from . import permutations
+from .permutations import ParseError, Permutation, _check_degree
 
 Letter = int
 
@@ -163,10 +164,16 @@ def braids_equal(u: BraidWord, v: BraidWord) -> bool:
 
 
 def project(w: BraidWord) -> Permutation:
-    """Natural projection B_d -> S_d; exponent signs are forgotten."""
-    return product(
-        (Permutation.adjacent(w.degree, abs(x)) for x in w.letters), degree=w.degree
-    )
+    """Natural projection B_d -> S_d; exponent signs are forgotten.
+
+    Swapping slots |x|-1 and |x| of an image list per letter x, right to
+    left, builds the left-to-right product of the adjacent transpositions.
+    """
+    images = list(range(1, w.degree + 1))
+    for x in reversed(w.letters):
+        i = abs(x)
+        images[i - 1], images[i] = images[i], images[i - 1]
+    return permutations._unchecked(tuple(images))
 
 
 def exponent_sum(w: BraidWord) -> int:

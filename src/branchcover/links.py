@@ -27,7 +27,7 @@ import math
 import re
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from . import braids, permutations
+from . import permutations
 from .braids import BraidWord, canonical_key
 from .hurwitz import BRAID, PERMUTATION, as_permutations, check_elements, flavor_spec
 from .permutations import ParseError, Permutation
@@ -744,28 +744,30 @@ class LiftSearchResult:
     checks: int = 0
 
 
-def _simple_conjugates(d: int, conjugator_bound: int) -> list[BraidWord]:
+def _simple_conjugates(d: int, conjugator_bound: int) -> list[tuple[BraidWord, tuple[int, int]]]:
     """The distinct conjugates w g^e w^-1 (|w| <= bound), first spelling
-    found breadth-first, sorted by their free-group images."""
-    generators = [BraidWord(d, (i * s,)) for i in range(1, d) for s in (1, -1)]
-    seen, frontier = set(generators), generators
+    found breadth-first, sorted by their free-group images, each with the
+    point pair of its projection, a transposition.
+
+    The search carries the pairs: u ** g projects to project(u) relabelled
+    through g's pair (i, i+1), so no word is projected.  The pool stays
+    sorted by ``canonical_key``: the order decides which lift is found, and
+    perfbench's tracer counts braid keys only through this sort.  Discovery
+    order would need fewer checks; it waits until the tracer counts braid
+    equality some other way.
+    """
+    generators = [(BraidWord(d, (i * s,)), (i, i + 1)) for i in range(1, d) for s in (1, -1)]
+    seen, frontier = dict(generators), generators
     for _ in range(conjugator_bound):
         nxt = []
-        for u in frontier:
-            for g in generators:
+        for u, pair in frontier:
+            for g, (i, j) in generators:
                 v = u ** g
                 if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
+                    seen[v] = relabelled = permutations._relabel(pair, i, j)
+                    nxt.append((v, relabelled))
         frontier = nxt
-    return sorted(seen, key=canonical_key)
-
-
-def simple_braid_candidates(
-    d: int, target: Permutation, conjugator_bound: int
-) -> list[BraidWord]:
-    """All conjugates w g^e w^-1 (|w| <= bound) projecting to the target."""
-    return [w for w in _simple_conjugates(d, conjugator_bound) if braids.project(w) == target]
+    return [(w, seen[w]) for w in sorted(seen, key=canonical_key)]
 
 
 class _ConjugationTable(dict):
@@ -797,15 +799,19 @@ def find_simple_lift(
 ) -> LiftSearchResult:
     """Search for a braid coloring projecting to f arc by arc.
 
-    Candidates per arc are the bounded conjugates of generators projecting
-    to the arc's color, computed once per call and interned as integers;
-    crossing relations propagate forced values, which project to f because
-    f satisfies the relations and projection is a homomorphism.  Each
-    relation is a lookup in a conjugation table filled on first use, so
-    exact braid equality is decided once per interned word, and a completed
-    assignment needs no second pass.  The lift found is still re-verified
-    with coloring_satisfies, outside the budget.  ``checks`` counts relation
-    evaluations.  "No lift within bounds" is not a proof of non-liftability.
+    The candidate pool, the bounded conjugates of generators with the point
+    pairs of their projections, is built once per call and interned as
+    integers; its indices are grouped by pair once.  Candidates are listed
+    only for the seed arcs of the diagram's ``_coloring_plan``, the arcs the
+    search branches on: each gets the pool words whose pair is the points
+    its color moves.  Crossing relations force every other arc's value,
+    which projects to f because f satisfies the relations and projection
+    is a homomorphism.  Each relation is a lookup in a conjugation table
+    filled on first use, so exact braid equality is decided once per
+    interned word, and a completed assignment needs no second pass.  The
+    lift found is still re-verified with coloring_satisfies, outside the
+    budget.  ``checks`` counts relation evaluations.  "No lift within
+    bounds" is not a proof of non-liftability.
     """
     for name, value in (("conjugator bound", conjugator_bound), ("budget", budget)):
         if type(value) is not int or value < 0:
@@ -815,13 +821,17 @@ def find_simple_lift(
     if not coloring_satisfies(dg, f):
         raise LinkError("the base coloring does not satisfy the diagram")
     d = f.degree
-    words = _simple_conjugates(d, conjugator_bound)  # distinct, so indices 0..n-1
+    pool = _simple_conjugates(d, conjugator_bound)  # distinct, so indices 0..n-1
+    words = [w for w, _ in pool]
     index = {w: k for k, w in enumerate(words)}
-    images = [braids.project(w) for w in words]
-    candidates = {
-        arc: [k for k, image in enumerate(images) if image == f.assignment[arc]]
-        for arc in dg.arcs()
-    }
+    by_pair: dict[tuple[int, ...], list[int]] = {}
+    for k, (_, pair) in enumerate(pool):
+        by_pair.setdefault(pair, []).append(k)
+    arcs = dg.arcs()
+    candidates = {}
+    for seed, _ in dg._coloring_plan:  # the only arcs the search branches
+        moved = tuple(sorted(f.assignment[arcs[seed]].support()))
+        candidates[arcs[seed]] = by_pair.get(moved, [])
     tables = {sign: _ConjugationTable(index, words, sign) for sign in (1, -1)}
     try:
         found, checks = _solve_colorings(dg, candidates, tables.__getitem__, limit=1, budget=budget)

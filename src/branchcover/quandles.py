@@ -163,13 +163,18 @@ def product_quandle(a: FiniteQuandle, b: FiniteQuandle) -> FiniteQuandle:
 
 def make_Td(d: int) -> FiniteQuandle:
     """The d(d-1)/2 transpositions of S_d under conjugation, built on
-    point pairs."""
+    point pairs.
+
+    T_d is involutory, (x |> y) |> y = x, so its table is its own right
+    inverse and is handed over as such rather than computed."""
     try:
         permutations._check_degree(d, 2)
     except ValueError as exc:
         raise QuandleError(f"T_d {exc}") from None
     pairs, table = permutations._transposition_table(d)
-    return FiniteQuandle(table, tuple(f"({a} {b})" for a, b in pairs))
+    q = FiniteQuandle(table, tuple(f"({a} {b})" for a, b in pairs))
+    q.__dict__["_inverse"] = q.op
+    return q
 
 
 # -- diagram colorings -------------------------------------------------------

@@ -306,6 +306,28 @@ def bounded_conjugacy_simple(w, max_conjugator_length: int = 6):
     return None
 
 
+def braid_projection_images(d: int, letters) -> tuple[int, ...]:
+    """The image tuple of the left-to-right product of the adjacent
+    transpositions (|x| |x|+1) of S_d over the letters x, composed one
+    factor at a time on plain tuples: (a * b)(p) = b(a(p))."""
+    images = tuple(range(1, d + 1))
+    for x in letters:
+        i = abs(x)
+        swap = list(range(1, d + 1))
+        swap[i - 1], swap[i] = i + 1, i
+        images = tuple(swap[image - 1] for image in images)
+    return images
+
+
+def simple_braid_candidates(d: int, target, conjugator_bound: int) -> list:
+    """The words of the lift pool ``links._simple_conjugates(d, bound)``
+    whose carried projection pair is the two points the target moves."""
+    from branchcover.links import _simple_conjugates
+
+    moved = tuple(sorted(target.support()))
+    return [w for w, pair in _simple_conjugates(d, conjugator_bound) if pair == moved]
+
+
 def chart_entries_by_products(chart) -> list:
     """Meridian images of a permutation chart, each as the product
     pw (lab lab+1) pw^-1 of its prefix word pw, composed generator by

@@ -21,6 +21,7 @@ from branchcover.braids import (
 from branchcover.hurwitz import BRAID, HurwitzSystem
 from branchcover.links import SimpleColoring
 from branchcover.permutations import ParseError, Permutation, compose
+from oracles import braid_projection_images
 
 
 def bw(d, *letters):
@@ -110,6 +111,13 @@ class TestProject:
 
     def test_word(self):
         assert project(bw(3, 1, 2, 1)) == Permutation.transposition(3, 1, 3)
+
+    def test_matches_the_product_of_adjacent_transpositions(self):
+        rng = random.Random(7)
+        for d in range(2, 17):
+            for n in range(41):
+                letters = [rng.choice((1, -1)) * rng.randrange(1, d) for _ in range(n)]
+                assert project(BraidWord(d, letters)) == Permutation(braid_projection_images(d, letters))
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)

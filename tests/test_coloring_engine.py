@@ -310,3 +310,303 @@ def test_lift_checks_are_pinned():
         for c in colorings
     ]
     assert got == PINNED_LIFTS
+
+
+# find_simple_lift at the default conjugator bound and budget on the first
+# 12 simple colorings of each corpus diagram at degrees 2 and 3: (checks,
+# letters by arc) per lift.  The spelling found depends on the order of the
+# candidate pool, so a change of that order shows here.
+CORPUS_LIFTS = {
+    ("unknot", 2): [
+        (0, {-1: (1,)}),
+    ],
+    ("unknot", 3): [
+        (0, {-1: (2, -1, 2, -1, -2, 1, -2)}),
+        (0, {-1: (-1, 2, 2, -1, -2, -2, 1)}),
+        (0, {-1: (2, 2, 2, -1, -2, -2, -2)}),
+    ],
+    ("trefoil", 2): [
+        (4, {1: (1,), 2: (1,), 4: (1,)}),
+    ],
+    ("trefoil", 3): [
+        (4, {1: (2, -1, 2, -1, -2, 1, -2), 2: (2, -1, 2, -1, -2, 1, -2), 4: (2, -1, 2, -1, -2, 1, -2)}),
+        (6, {
+            1: (2, -1, 2, -1, -2, 1, -2),
+            2: (2, 2, -1, -2, -2),
+            4: (2, -1, 2, -1, -2, 1, 2, -1, -2, -1, 2, 1, -2, 1, -2),
+        }),
+        (26, {1: (2, -1, 2, -1, -2, 1, -2), 2: (2, -1, -2), 4: (2, 2, -1, -2, -2)}),
+        (6, {1: (-1, 2, 2, -1, -2, -2, 1), 2: (-1, 2, -1, -2, 1), 4: (2, -1, -2)}),
+        (4, {1: (-1, 2, 2, -1, -2, -2, 1), 2: (-1, 2, 2, -1, -2, -2, 1), 4: (-1, 2, 2, -1, -2, -2, 1)}),
+        (26, {
+            1: (-1, 2, 2, -1, -2, -2, 1),
+            2: (2, -1, -2),
+            4: (-1, 2, 2, -1, -2, -2, 1, 2, -1, -2, -1, 2, 2, 1, -2, -2, 1),
+        }),
+        (12, {1: (2, 2, 2, -1, -2, -2, -2), 2: (-2,), 4: (2, 2, 2, -1, -2, 1, -2, -2, -2)}),
+        (6, {1: (2, 2, 2, -1, -2, -2, -2), 2: (2, 2, -1, -2, -2), 4: (-2,)}),
+        (4, {1: (2, 2, 2, -1, -2, -2, -2), 2: (2, 2, 2, -1, -2, -2, -2), 4: (2, 2, 2, -1, -2, -2, -2)}),
+    ],
+    ("figure-eight", 2): [
+        (6, {1: (1,), 2: (1,), 4: (1,), 3: (1,)}),
+    ],
+    ("figure-eight", 3): [
+        (6, {
+            1: (2, -1, 2, -1, -2, 1, -2),
+            2: (2, -1, 2, -1, -2, 1, -2),
+            4: (2, -1, 2, -1, -2, 1, -2),
+            3: (2, -1, 2, -1, -2, 1, -2),
+        }),
+        (6, {
+            1: (-1, 2, 2, -1, -2, -2, 1),
+            2: (-1, 2, 2, -1, -2, -2, 1),
+            4: (-1, 2, 2, -1, -2, -2, 1),
+            3: (-1, 2, 2, -1, -2, -2, 1),
+        }),
+        (6, {
+            1: (2, 2, 2, -1, -2, -2, -2),
+            2: (2, 2, 2, -1, -2, -2, -2),
+            4: (2, 2, 2, -1, -2, -2, -2),
+            3: (2, 2, 2, -1, -2, -2, -2),
+        }),
+    ],
+    ("5_2", 2): [
+        (5, {1: (1,), 2: (1,), 4: (1,), 6: (1,), 8: (1,)}),
+    ],
+    ("5_2", 3): [
+        (5, {
+            1: (2, -1, 2, -1, -2, 1, -2),
+            2: (2, -1, 2, -1, -2, 1, -2),
+            4: (2, -1, 2, -1, -2, 1, -2),
+            6: (2, -1, 2, -1, -2, 1, -2),
+            8: (2, -1, 2, -1, -2, 1, -2),
+        }),
+        (5, {
+            1: (-1, 2, 2, -1, -2, -2, 1),
+            2: (-1, 2, 2, -1, -2, -2, 1),
+            4: (-1, 2, 2, -1, -2, -2, 1),
+            6: (-1, 2, 2, -1, -2, -2, 1),
+            8: (-1, 2, 2, -1, -2, -2, 1),
+        }),
+        (5, {
+            1: (2, 2, 2, -1, -2, -2, -2),
+            2: (2, 2, 2, -1, -2, -2, -2),
+            4: (2, 2, 2, -1, -2, -2, -2),
+            6: (2, 2, 2, -1, -2, -2, -2),
+            8: (2, 2, 2, -1, -2, -2, -2),
+        }),
+    ],
+    ("granny", 2): [
+        (8, {1: (1,), 2: (1,), 4: (1,), 6: (1,), 3: (1,), 10: (1,)}),
+    ],
+    ("granny", 3): [
+        (8, {
+            1: (2, -1, 2, -1, -2, 1, -2),
+            2: (2, -1, 2, -1, -2, 1, -2),
+            4: (2, -1, 2, -1, -2, 1, -2),
+            6: (2, -1, 2, -1, -2, 1, -2),
+            3: (2, -1, 2, -1, -2, 1, -2),
+            10: (2, -1, 2, -1, -2, 1, -2),
+        }),
+        (10, {
+            1: (2, -1, 2, -1, -2, 1, -2),
+            2: (2, -1, 2, -1, -2, 1, -2),
+            4: (2, -1, 2, -1, -2, 1, -2),
+            6: (2, -1, 2, -1, -2, 1, -2),
+            3: (2, 2, -1, -2, -2),
+            10: (2, -1, 2, -1, -2, 1, 2, -1, -2, -1, 2, 1, -2, 1, -2),
+        }),
+        (30, {
+            1: (2, -1, 2, -1, -2, 1, -2),
+            2: (2, -1, 2, -1, -2, 1, -2),
+            4: (2, -1, 2, -1, -2, 1, -2),
+            6: (2, -1, 2, -1, -2, 1, -2),
+            3: (2, -1, -2),
+            10: (2, 2, -1, -2, -2),
+        }),
+        (11, {
+            1: (2, -1, 2, -1, -2, 1, -2),
+            2: (2, 2, -1, -2, -2),
+            4: (2, -1, 2, -1, -2, 1, 2, -1, -2, -1, 2, 1, -2, 1, -2),
+            6: (2, 2, -1, -2, -2),
+            3: (2, -1, 2, -1, -2, 1, -2),
+            10: (2, -1, -2),
+        }),
+        (13, {
+            1: (2, -1, 2, -1, -2, 1, -2),
+            2: (2, 2, -1, -2, -2),
+            4: (2, -1, 2, -1, -2, 1, 2, -1, -2, -1, 2, 1, -2, 1, -2),
+            6: (2, 2, -1, -2, -2),
+            3: (2, 2, -1, -2, -2),
+            10: (2, 2, -1, -2, -2),
+        }),
+        (11, {
+            1: (2, -1, 2, -1, -2, 1, -2),
+            2: (2, 2, -1, -2, -2),
+            4: (2, -1, 2, -1, -2, 1, 2, -1, -2, -1, 2, 1, -2, 1, -2),
+            6: (2, 2, -1, -2, -2),
+            3: (2, 2, 2, -1, -2, -2, -2),
+            10: (2, 2, -1, 2, -1, -2, 1, -2, -2),
+        }),
+        (41, {
+            1: (2, -1, 2, -1, -2, 1, -2),
+            2: (2, -1, -2),
+            4: (2, 2, -1, -2, -2),
+            6: (2, -1, -2),
+            3: (2, -1, 2, -1, -2, 1, -2),
+            10: (2, -1, -1, 2, -1, -2, 1, 1, -2),
+        }),
+        (41, {
+            1: (2, -1, 2, -1, -2, 1, -2),
+            2: (2, -1, -2),
+            4: (2, 2, -1, -2, -2),
+            6: (2, -1, -2),
+            3: (-1, 2, 2, -1, -2, -2, 1),
+            10: (-1, 2, -1, -2, 1),
+        }),
+        (63, {
+            1: (2, -1, 2, -1, -2, 1, -2),
+            2: (2, -1, -2),
+            4: (2, 2, -1, -2, -2),
+            6: (2, -1, -2),
+            3: (2, -1, -2),
+            10: (2, -1, -2),
+        }),
+        (13, {
+            1: (-1, 2, 2, -1, -2, -2, 1),
+            2: (-1, 2, -1, -2, 1),
+            4: (2, -1, -2),
+            6: (-1, 2, -1, -2, 1),
+            3: (-1, 2, -1, -2, 1),
+            10: (-1, 2, -1, -2, 1),
+        }),
+        (11, {
+            1: (-1, 2, 2, -1, -2, -2, 1),
+            2: (-1, 2, -1, -2, 1),
+            4: (2, -1, -2),
+            6: (-1, 2, -1, -2, 1),
+            3: (-1, 2, 2, -1, -2, -2, 1),
+            10: (-1, 2, -1, 2, -1, -2, 1, -2, 1),
+        }),
+        (13, {
+            1: (-1, 2, 2, -1, -2, -2, 1),
+            2: (-1, 2, -1, -2, 1),
+            4: (2, -1, -2),
+            6: (-1, 2, -1, -2, 1),
+            3: (-1, -1, 2, -1, -2, 1, 1),
+            10: (-1,),
+        }),
+    ],
+    ("square", 2): [
+        (8, {1: (1,), 2: (1,), 4: (1,), 6: (1,), 3: (1,), 11: (1,)}),
+    ],
+    ("square", 3): [
+        (8, {
+            1: (2, -1, 2, -1, -2, 1, -2),
+            2: (2, -1, 2, -1, -2, 1, -2),
+            4: (2, -1, 2, -1, -2, 1, -2),
+            6: (2, -1, 2, -1, -2, 1, -2),
+            3: (2, -1, 2, -1, -2, 1, -2),
+            11: (2, -1, 2, -1, -2, 1, -2),
+        }),
+        (10, {
+            1: (2, -1, 2, -1, -2, 1, -2),
+            2: (2, -1, 2, -1, -2, 1, -2),
+            4: (2, -1, 2, -1, -2, 1, -2),
+            6: (2, -1, 2, -1, -2, 1, -2),
+            3: (2, 2, -1, -2, -2),
+            11: (2, 2, 1, -2, -1, 2, -1, -2, 1, 2, -1, -2, -2),
+        }),
+        (30, {
+            1: (2, -1, 2, -1, -2, 1, -2),
+            2: (2, -1, 2, -1, -2, 1, -2),
+            4: (2, -1, 2, -1, -2, 1, -2),
+            6: (2, -1, 2, -1, -2, 1, -2),
+            3: (2, -1, -2),
+            11: (2, 2, -1, -2, -2),
+        }),
+        (11, {
+            1: (2, -1, 2, -1, -2, 1, -2),
+            2: (2, 2, -1, -2, -2),
+            4: (2, -1, 2, -1, -2, 1, 2, -1, -2, -1, 2, 1, -2, 1, -2),
+            6: (2, 2, -1, -2, -2),
+            3: (2, -1, 2, -1, -2, 1, -2),
+            11: (2, -1, -2),
+        }),
+        (13, {
+            1: (2, -1, 2, -1, -2, 1, -2),
+            2: (2, 2, -1, -2, -2),
+            4: (2, -1, 2, -1, -2, 1, 2, -1, -2, -1, 2, 1, -2, 1, -2),
+            6: (2, 2, -1, -2, -2),
+            3: (2, 2, -1, -2, -2),
+            11: (2, 2, -1, -2, -2),
+        }),
+        (11, {
+            1: (2, -1, 2, -1, -2, 1, -2),
+            2: (2, 2, -1, -2, -2),
+            4: (2, -1, 2, -1, -2, 1, 2, -1, -2, -1, 2, 1, -2, 1, -2),
+            6: (2, 2, -1, -2, -2),
+            3: (2, 2, 2, -1, -2, -2, -2),
+            11: (2, 2, 2, 1, -2, -1, 2, -1, -2, -2, -2),
+        }),
+        (41, {
+            1: (2, -1, 2, -1, -2, 1, -2),
+            2: (2, -1, -2),
+            4: (2, 2, -1, -2, -2),
+            6: (2, -1, -2),
+            3: (2, -1, 2, -1, -2, 1, -2),
+            11: (2, -1, 2, 1, -2, -1, 2, -1, -2, 1, -2),
+        }),
+        (41, {
+            1: (2, -1, 2, -1, -2, 1, -2),
+            2: (2, -1, -2),
+            4: (2, 2, -1, -2, -2),
+            6: (2, -1, -2),
+            3: (-1, 2, 2, -1, -2, -2, 1),
+            11: (-1, 2, -1, -2, 1),
+        }),
+        (63, {
+            1: (2, -1, 2, -1, -2, 1, -2),
+            2: (2, -1, -2),
+            4: (2, 2, -1, -2, -2),
+            6: (2, -1, -2),
+            3: (2, -1, -2),
+            11: (2, -1, -2),
+        }),
+        (13, {
+            1: (-1, 2, 2, -1, -2, -2, 1),
+            2: (-1, 2, -1, -2, 1),
+            4: (2, -1, -2),
+            6: (-1, 2, -1, -2, 1),
+            3: (-1, 2, -1, -2, 1),
+            11: (-1, 2, -1, -2, 1),
+        }),
+        (11, {
+            1: (-1, 2, 2, -1, -2, -2, 1),
+            2: (-1, 2, -1, -2, 1),
+            4: (2, -1, -2),
+            6: (-1, 2, -1, -2, 1),
+            3: (-1, 2, 2, -1, -2, -2, 1),
+            11: (-1, 2, 2, 1, -2, -1, 2, -1, -2, -2, 1),
+        }),
+        (13, {
+            1: (-1, 2, 2, -1, -2, -2, 1),
+            2: (-1, 2, -1, -2, 1),
+            4: (2, -1, -2),
+            6: (-1, 2, -1, -2, 1),
+            3: (-1, -1, 2, -1, -2, 1, 1),
+            11: (-1,),
+        }),
+    ],
+}
+
+
+@pytest.mark.parametrize("name, d", list(CORPUS_LIFTS))
+def test_corpus_lifts_are_pinned(name, d):
+    dg = corpus_diagram(name)
+    got = []
+    for f in enumerate_simple_colorings(dg, d)[:12]:
+        result = find_simple_lift(dg, f)
+        assert not result.exhausted
+        got.append((result.checks, {arc: w.letters for arc, w in result.lift.assignment.items()}))
+    assert got == CORPUS_LIFTS[name, d]

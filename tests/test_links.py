@@ -28,12 +28,11 @@ from branchcover.links import (
     r1_remove,
     r2_add,
     r2_remove,
-    simple_braid_candidates,
     twist_boundary_colors,
     _simple_conjugates,
 )
 from branchcover.permutations import ParseError, Permutation
-from oracles import fox_three_colorings, pd_orientation
+from oracles import fox_three_colorings, pd_orientation, simple_braid_candidates
 
 
 def tr(d, i, j):
@@ -453,9 +452,11 @@ class TestLifts:
             for n in range(bound + 1)
             for c in itertools.product(letters, repeat=n)
         }
-        keys = [canonical_key(w) for w in pool]
+        keys = [canonical_key(w) for w, _ in pool]
         assert set(keys) == expected
-        assert len(set(keys)) == len(pool) == len(set(pool))
+        assert len(set(keys)) == len(pool) == len({w for w, _ in pool})
+        for w, pair in pool:
+            assert pair == tuple(sorted(project(w).support()))
 
 
 class TestValidation:

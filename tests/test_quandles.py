@@ -132,6 +132,11 @@ class TestMakeTd:
         i13 = elements.index(tr(3, 1, 3))
         assert q.apply(i12, i23) == i13
 
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_table_is_its_own_right_inverse(self, d):
+        q = make_Td(d)
+        assert q._inverse == q.op == FiniteQuandle(q.op)._inverse
+
     def test_T3_is_dihedral(self):
         # (1 2) -> 0, (1 3) -> 1, (2 3) -> 2 matches x |> y = 2y - x mod 3.
         q = make_Td(3)
