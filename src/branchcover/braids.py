@@ -29,7 +29,7 @@ import re
 from typing import Iterable, Sequence
 
 from . import permutations
-from .permutations import ParseError, Permutation, _check_degree
+from .permutations import ParseError, Permutation, _check_degree, _exact_int, _exact_ints, _exact_sign
 
 Letter = int
 
@@ -61,10 +61,9 @@ class BraidWord:
         _check_degree(self.degree, 2)
         if type(self.letters) is not tuple:
             object.__setattr__(self, "letters", tuple(self.letters))
-        for x in self.letters:
-            # type() rather than isinstance(): bool is an int subclass.
-            if type(x) is not int or x == 0 or abs(x) > self.degree - 1:
-                raise ValueError(f"generator index {x!r} out of range for degree {self.degree}")
+        _exact_ints(self.letters, "generator index", 1 - self.degree, self.degree - 1)
+        if 0 in self.letters:
+            raise ValueError(f"generator index 0 out of range for degree {self.degree}")
 
     @staticmethod
     def identity(d: int) -> "BraidWord":
@@ -72,9 +71,7 @@ class BraidWord:
 
     @staticmethod
     def generator(d: int, i: int, sign: int = 1) -> "BraidWord":
-        if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        return BraidWord(d, (i * sign,))
+        return BraidWord(d, (_exact_int(i, "generator index", 1) * _exact_sign(sign, "sign"),))
 
     def __mul__(self, other: "BraidWord") -> "BraidWord":
         if not isinstance(other, BraidWord):

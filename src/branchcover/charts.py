@@ -39,11 +39,19 @@ import inspect
 import random
 from typing import Callable, Iterator, Optional, Sequence
 
-from . import hurwitz, permutations
+from . import hurwitz
 from ._unionfind import ParityUnionFind, UnionFind
 from .braids import BraidWord
 from .hurwitz import BRAID, PERMUTATION, HurwitzSystem
-from .permutations import Permutation
+from .permutations import (
+    Permutation,
+    _check_degree,
+    _exact_bool,
+    _exact_int,
+    _exact_ints,
+    _exact_sign,
+    _transposition,
+)
 
 EVENT_KINDS = ("black", "white", "crossing", "cup", "cap")
 
@@ -82,15 +90,14 @@ class ChartEvent:
             object.__setattr__(self, "labels", tuple(self.labels))
         if self.kind not in EVENT_KINDS:
             raise ChartError(f"unknown event kind {self.kind!r}")
-        # type() rather than isinstance(): bool is an int subclass.
-        if any(type(n) is not int for n in (self.position, *self.labels)):
-            raise ChartError(f"position/labels must be integers: {self.position!r} {self.labels}")
+        _exact_int(self.position, "position", 0, error=ChartError)
+        _exact_ints(self.labels, "labels entry", 1, error=ChartError)
         if self.kind == "black" and self.insert is None:
             raise ChartError("black events need insert=True or insert=False")
-        if self.insert is not None and type(self.insert) is not bool:
-            raise ChartError(f"insert must be true or false, got {self.insert!r}")
-        if self.sign is not None and (type(self.sign) is not int or self.sign not in (1, -1)):
-            raise ChartError(f"sign must be +1 or -1, got {self.sign!r}")
+        if self.insert is not None:
+            _exact_bool(self.insert, "insert", ChartError)
+        if self.sign is not None:
+            _exact_sign(self.sign, "sign", ChartError)
         want = {"black": 1, "cup": 1, "cap": 1, "crossing": 2, "white": 2}[self.kind]
         if len(self.labels) != want:
             raise ChartError(f"{self.kind} event needs {want} label(s)")
@@ -99,6 +106,9 @@ class ChartEvent:
         if self.kind == "black":
             return (0, 1) if self.insert else (1, 0)
         return _ARITY[self.kind]
+
+
+_EVENT = frozenset({ChartEvent})
 
 
 def black(label: int, position: int, insert: bool, sign: Optional[int] = None) -> ChartEvent:
@@ -130,12 +140,11 @@ class Chart:
     def __post_init__(self):
         if type(self.events) is not tuple:
             object.__setattr__(self, "events", tuple(self.events))
-        try:
-            permutations._check_degree(self.degree, 2)
-        except ValueError as exc:
-            raise ChartError(f"chart {exc}") from None
-        if type(self.oriented) is not bool:
-            raise ChartError(f"chart oriented must be true or false, got {self.oriented!r}")
+        _check_degree(self.degree, 2, ChartError)
+        _exact_bool(self.oriented, "chart oriented", ChartError)
+        if not _EVENT.issuperset(map(type, self.events)):
+            k = next(k for k, ev in enumerate(self.events) if type(ev) is not ChartEvent)
+            raise ChartError(f"a {type(self.events[k]).__name__} is not a ChartEvent", k)
 
     def black_count(self) -> int:
         return sum(1 for e in self.events if e.kind == "black")
@@ -310,7 +319,7 @@ def chart_hurwitz_system(chart: Chart) -> HurwitzSystem:
             a, b = at[lab - 1], at[lab]
             pair = (a, b) if a < b else (b, a)
             if pair not in transpositions:
-                transpositions[pair] = Permutation.transposition(d, *pair)
+                transpositions[pair] = _transposition(d, *pair)
             entries.append(transpositions[pair])
     # The sweep checked every label, so the entries need no second check.
     return hurwitz._unchecked(d, tuple(entries), BRAID if chart.oriented else PERMUTATION)
@@ -336,9 +345,7 @@ def forget_orientation(chart: Chart) -> Chart:
 
 def _event_index(value) -> int:
     """An event index of a move site; an exact int, not a bool or a float."""
-    if type(value) is not int:
-        raise SiteError(f"event index must be an integer, got {value!r}")
-    return value
+    return _exact_int(value, "event index must be an integer, got {}", error=SiteError)
 
 
 def _rewrite(chart: Chart, start: int, end: int, new_events: Sequence[ChartEvent]) -> Chart:
@@ -399,7 +406,9 @@ def cup_cap_cancel(chart: Chart, at: int) -> Chart:
 
 
 def cup_cap_insert(chart: Chart, at: int, position: int, label: int, sign: int = 1) -> Chart:
-    """Insert a trivial circle: cup then cap at the same position."""
+    """Insert a trivial circle: cup then cap at the same position; ``sign``
+    (1 or -1) is the cup's upper twin's on an oriented chart."""
+    _exact_sign(sign, "sign", MoveError)
     return _rewrite(
         chart, at, at,
         [cup(label, position, sign if chart.oriented else None), cap(label, position)],
@@ -691,6 +700,9 @@ def random_chart(
     oriented: bool = False,
 ) -> Chart:
     """A random valid closed chart with roughly ``size`` events."""
+    _check_degree(degree, 2, ChartError)
+    _exact_int(size, "size", 0, error=ChartError)
+    _exact_bool(oriented, "oriented", ChartError)
     events: list[ChartEvent] = []
     word: list[tuple[int, int]] = []  # (label, sign)
 

@@ -26,6 +26,7 @@ import sys
 from typing import Callable
 
 from . import hurwitz
+from .permutations import _exact_ints
 
 EXIT_DOMAIN = 1
 EXIT_INPUT = 2
@@ -209,8 +210,9 @@ def quandle_check(args):
 def _element_coloring(data) -> dict:
     """A finite-lift coloring file: {"assignment": {arc: element number}}."""
     raw = data.get("assignment") if isinstance(data, dict) else None
-    if not isinstance(raw, dict) or any(type(v) is not int for v in raw.values()):
+    if not isinstance(raw, dict):
         raise ValueError(f"assignment must map arcs to element numbers, got {raw!r}")
+    _exact_ints(tuple(raw.values()), "assignment value")
     return {int(a): v for a, v in raw.items()}
 
 

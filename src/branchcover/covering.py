@@ -25,6 +25,7 @@ from .hurwitz import (
     orbit_partition,
     total_monodromy,
 )
+from .permutations import _check_degree, _exact_int
 
 
 @dataclasses.dataclass(frozen=True)
@@ -34,9 +35,10 @@ class SurfaceComponent:
     genus: int
 
     def __post_init__(self):
-        if self.euler_characteristic % 2 != 0:
+        _exact_int(self.genus, "genus", 0)
+        if _exact_int(self.euler_characteristic, "Euler characteristic") % 2 != 0:
             raise ValueError(f"odd Euler characteristic {self.euler_characteristic}")
-        if self.genus != (2 - self.euler_characteristic) // 2 or self.genus < 0:
+        if self.genus != (2 - self.euler_characteristic) // 2:
             raise ValueError(
                 f"genus {self.genus} inconsistent with chi {self.euler_characteristic}"
             )
@@ -49,6 +51,12 @@ class CoveringSurface:
     components: tuple[SurfaceComponent, ...]
 
     def __post_init__(self):
+        if type(self.components) is not tuple:
+            object.__setattr__(self, "components", tuple(self.components))
+        if not all(isinstance(c, SurfaceComponent) for c in self.components):
+            raise ValueError(f"components must be SurfaceComponents, got {self.components!r}")
+        _check_degree(self.degree)
+        _exact_int(self.branch_count, "branch count", 0)
         sheets = sorted(x for c in self.components for x in c.sheets)
         if sheets != list(range(1, self.degree + 1)):
             raise ValueError("component sheet sets do not partition the sheets")

@@ -38,7 +38,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from . import braids, permutations
 from .braids import BraidWord, parse_braid
-from .permutations import Permutation, _relabel, parse_permutation
+from .permutations import Permutation, _check_degree, _exact_bool, _exact_int, _relabel, parse_permutation
 
 Entry = Union[Permutation, BraidWord]
 
@@ -76,7 +76,7 @@ def check_elements(flavor, degree, elements: Iterable[tuple], where: str = "entr
     formats a label into the error; it is formatted only when a check fails.
     """
     element, _, least = flavor_spec(flavor)
-    permutations._check_degree(degree, least)
+    _check_degree(degree, least)
     for label, e in elements:
         if not isinstance(e, element):
             raise ValueError(
@@ -170,12 +170,11 @@ def hurwitz_move(s: HurwitzSystem, k: int, direction: str = "forward") -> Hurwit
     """One move at 0-based position k (acting on entries k and k+1).
 
     The total product is unchanged; forward and inverse at the same k undo
-    each other.
+    each other.  A position that is not an int is refused (ValueError); one
+    past the entries raises IndexError.
     """
     n = len(s.entries)
-    if type(k) is not int:
-        raise ValueError(f"move position {k!r} is not an integer")
-    if not (0 <= k <= n - 2):
+    if not (0 <= _exact_int(k, "move position") <= n - 2):
         raise IndexError(f"move position {k} out of range for {n} entries")
     a, b = s.entries[k], s.entries[k + 1]
     if direction == "forward":
@@ -300,9 +299,7 @@ class _Worker:
         built: dict[tuple[int, int], Permutation] = {}
         for a, b in self.entries:
             if (a, b) not in built:
-                images = list(range(1, self.degree + 1))
-                images[a - 1], images[b - 1] = b, a
-                built[a, b] = permutations._unchecked(tuple(images))
+                built[a, b] = permutations._transposition(self.degree, a, b)
         return _unchecked(self.degree, tuple([built[e] for e in self.entries]), PERMUTATION)
 
     def fwd(self, k: int) -> None:
@@ -314,7 +311,7 @@ class _Worker:
     def conj(self, u: int, v: int) -> None:
         """Conjugate every entry by the transposition (u v)."""
         self.entries[:] = [_relabel(e, u, v) for e in self.entries]
-        self.trace.append(("C", Permutation.transposition(self.degree, u, v)))
+        self.trace.append(("C", permutations._transposition(self.degree, u, v)))
 
     def push_right(self, j: int, target: int) -> None:
         """Move the entry at j to position target > j; it is conjugated en route."""
@@ -456,10 +453,8 @@ def hc_normal_form(s: HurwitzSystem) -> tuple[HurwitzSystem, Trace]:
 
 def normal_form_template(degree: int, n: int) -> HurwitzSystem:
     """The expected normal form for a given degree and length."""
-    if type(n) is not int:
-        raise ValueError(f"length {n!r} is not an integer")
-    m = n - 2 * (degree - 2)
-    if degree < 2 or m < 2 or m % 2 != 0:
+    m = _exact_int(n, "length") - 2 * (_check_degree(degree, 2) - 2)
+    if m < 2 or m % 2 != 0:
         raise ValueError(f"no normal form of degree {degree} and length {n}")
     entries = [Permutation.adjacent(degree, 1)] * m
     for i in range(2, degree):
@@ -496,18 +491,13 @@ def _screen_distinct(s: HurwitzSystem, t: HurwitzSystem) -> bool:
     return False
 
 
-def _neighbors(s: HurwitzSystem) -> Iterable[HurwitzSystem]:
+def _neighbors(s: HurwitzSystem, generators: list[Entry]) -> Iterable[HurwitzSystem]:
     n = len(s.entries)
     for k in range(n - 1):
         yield hurwitz_move(s, k, "forward")
         yield hurwitz_move(s, k, "inverse")
-    if s.flavor == PERMUTATION:
-        for i in range(1, s.degree):
-            yield conjugate_system(s, Permutation.adjacent(s.degree, i))
-    else:
-        for i in range(1, s.degree):
-            yield conjugate_system(s, BraidWord(s.degree, (i,)))
-            yield conjugate_system(s, BraidWord(s.degree, (-i,)))
+    for g in generators:
+        yield conjugate_system(s, g)
 
 
 def _bidirectional_search(
@@ -515,6 +505,11 @@ def _bidirectional_search(
 ) -> Equivalence:
     if s == t:
         return Equivalence.EQUIVALENT
+    d = s.degree
+    if s.flavor == PERMUTATION:
+        generators = [Permutation.adjacent(d, i) for i in range(1, d)]
+    else:
+        generators = [BraidWord(d, (x,)) for i in range(1, d) for x in (i, -i)]
     sides = [{s}, {t}]
     frontiers = [deque([s]), deque([t])]
     explored = 0
@@ -524,7 +519,7 @@ def _bidirectional_search(
             return Equivalence.DISTINCT
         side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
         current = frontiers[side].popleft()
-        for nxt in _neighbors(current):
+        for nxt in _neighbors(current, generators):
             if nxt in sides[side]:
                 continue
             if nxt in sides[1 - side]:
@@ -560,8 +555,7 @@ def hc_equivalent(
     """
     if s.degree != t.degree or s.flavor != t.flavor:
         raise HurwitzError("systems must share degree and flavor")
-    if type(budget) is not int or budget < 0:
-        raise HurwitzError(f"budget must be an integer >= 0, got {budget!r}")
+    _exact_int(budget, "budget", 0, error=HurwitzError)
     if s.flavor == PERMUTATION:
         normal = [_meets_normal_preconditions(s), _meets_normal_preconditions(t)]
         if all(normal):
@@ -592,9 +586,9 @@ def iter_simple_closing_systems(
     The systems come in ``itertools.product(all_transpositions(degree),
     repeat=n)`` order, keeping those whose product is the identity and, when
     ``transitive_only``, whose group is transitive.  A degree outside
-    1..MAX_DEGREE or a length that is not an exact int is refused
-    (ValueError) when the first system is asked for; a length below 2
-    yields nothing.
+    1..MAX_DEGREE, a length that is not an exact int or a flag that is not
+    a bool is refused (ValueError) when the first system is asked for; a
+    length below 2 yields nothing.
 
     Cost.  The walk holds the inverse of the product of its first n-2
     entries as one image list, swaps two slots in place on the way down and
@@ -609,10 +603,9 @@ def iter_simple_closing_systems(
     of their indices.  Every system is built fresh, its entries taken from
     one ``all_transpositions`` list.
     """
-    permutations._check_degree(degree)
-    if type(n) is not int:
-        raise ValueError(f"length {n!r} is not an integer")
-    if n < 2:
+    _check_degree(degree)
+    _exact_bool(transitive_only, "transitive_only")
+    if _exact_int(n, "length") < 2:
         return
     trans = permutations.all_transpositions(degree)
     pairs = permutations._transposition_table(degree)[0]  # in ``trans`` order

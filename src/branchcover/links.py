@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 from . import permutations
 from .braids import BraidWord, canonical_key
 from .hurwitz import BRAID, PERMUTATION, as_permutations, check_elements, flavor_spec
-from .permutations import ParseError, Permutation
+from .permutations import ParseError, Permutation, _check_degree, _exact_int, _exact_ints, _exact_sign
 
 DEFAULT_CONJUGATOR_BOUND = 3
 DEFAULT_LIFT_BUDGET = 1_000_000
@@ -54,7 +54,7 @@ class _Strands(NamedTuple):
     """What one walk along every strand of a diagram finds."""
 
     heads: dict[int, tuple[int, int]]  # edge -> (crossing, slot) it arrives at
-    b_to_d: tuple[bool, ...]  # per crossing: the over strand runs b -> d
+    signs: tuple[int, ...]  # per crossing: -1 when the over strand runs b -> d, else +1
     arcs: dict[int, int]  # edge -> the least edge of its Wirtinger arc
     count: int  # closed strands with crossings
 
@@ -79,20 +79,19 @@ class LinkDiagram:
     def __post_init__(self):
         if type(self.crossings) is not tuple or any(type(q) is not tuple for q in self.crossings):
             object.__setattr__(self, "crossings", tuple(map(tuple, self.crossings)))
-        counts: dict[int, int] = {}
         for quad in self.crossings:
             if len(quad) != 4:
                 raise LinkError(f"crossing {quad} is not a quadruple")
-            for e in quad:
-                # Arcs are named by their least edge, free loops by -1, -2, ...
-                if type(e) is not int or e < 0:
-                    raise LinkError(f"edge {e!r} is not an integer >= 0")
-                counts[e] = counts.get(e, 0) + 1
+        edges = [e for quad in self.crossings for e in quad]
+        # Arcs are named by their least edge, free loops by -1, -2, ...
+        _exact_ints(edges, "edge", 0, error=LinkError)
+        counts: dict[int, int] = {}
+        for e in edges:
+            counts[e] = counts.get(e, 0) + 1
         bad = sorted(e for e, c in counts.items() if c != 2)
         if bad:
             raise LinkError(f"edge {bad[0]} appears {counts[bad[0]]} times, expected 2")
-        if type(self.free_loops) is not int or self.free_loops < 0:
-            raise LinkError(f"free_loops must be an integer >= 0, got {self.free_loops!r}")
+        _exact_int(self.free_loops, "free_loops", 0, error=LinkError)
         self._strands  # orientation consistency is part of validity
 
     # -- the strand walk -----------------------------------------------
@@ -145,7 +144,7 @@ class LinkDiagram:
             if b_to_d[k] is None:
                 count += 1
                 walk(k, 3)
-        return _Strands(heads, tuple(b_to_d), arcs, count)
+        return _Strands(heads, tuple([-1 if b else 1 for b in b_to_d]), arcs, count)
 
     @functools.cached_property
     def _coloring_plan(self) -> tuple[tuple[int, tuple[_Step, ...]], ...]:
@@ -163,10 +162,10 @@ class LinkDiagram:
         repeats included.
         """
         at = {arc: i for i, arc in enumerate(self.arcs())}
-        arc_of = self._strands.arcs
+        arc_of, signs = self._strands.arcs, self._strands.signs
         triggers: list[list[tuple[int, int, int, int]]] = [[] for _ in at]
         for k, (a, b, c, _) in enumerate(self.crossings):
-            trigger = (at[arc_of[a]], at[arc_of[b]], at[arc_of[c]], self.crossing_sign(k))
+            trigger = (at[arc_of[a]], at[arc_of[b]], at[arc_of[c]], signs[k])
             triggers[trigger[0]].append(trigger)
             triggers[trigger[1]].append(trigger)
         colored = [False] * len(at)
@@ -189,11 +188,17 @@ class LinkDiagram:
 
     def crossing_sign(self, k: int) -> int:
         """+1 when the over strand runs d -> b, -1 when b -> d."""
-        return -1 if self._strands.b_to_d[k] else 1
+        return self._strands.signs[_exact_int(k, "crossing index", 0, len(self.crossings) - 1, LinkError)]
+
+    def _edge(self, edge) -> int:
+        """``edge`` itself when it is an exact int that the diagram has."""
+        if _exact_int(edge, "edge", 0, error=LinkError) not in self._strands.arcs:
+            raise LinkError(f"edge {edge} not in diagram")
+        return edge
 
     def edge_head(self, edge: int) -> tuple[int, int]:
         """(crossing, slot) where the edge arrives."""
-        return self._strands.heads[edge]
+        return self._strands.heads[self._edge(edge)]
 
     # -- derived structure -------------------------------------------
 
@@ -208,13 +213,13 @@ class LinkDiagram:
         ]
 
     def arc_of(self, edge: int) -> int:
-        return self._strands.arcs[edge]
+        return self._strands.arcs[self._edge(edge)]
 
     def crossing_relations(self) -> list[CrossingRelation]:
         arcs = self._strands.arcs
         return [
-            CrossingRelation(arcs[a], arcs[b], arcs[c], self.crossing_sign(k))
-            for k, (a, b, c, _) in enumerate(self.crossings)
+            CrossingRelation(arcs[a], arcs[b], arcs[c], sign)
+            for (a, b, c, _), sign in zip(self.crossings, self._strands.signs)
         ]
 
     def component_count(self) -> int:
@@ -258,15 +263,15 @@ def braid_closure_pd(letters: Sequence[int], strands: int) -> LinkDiagram:
     Positive letters cross the left strand over the right.  Strand positions
     untouched by any letter close into free loops.
     """
-    if type(strands) is not int or strands < 2:
-        raise LinkError(f"braid closures need an integer >= 2 strands, got {strands!r}")
+    _exact_int(strands, "strand count", 2, error=LinkError)
+    _exact_ints(letters, "letter", 1 - strands, strands - 1, LinkError)
+    if 0 in letters:
+        raise LinkError("letter 0 is not a generator")
     current = list(range(1, strands + 1))
     next_id = strands + 1
     crossings = []
     touched = set()
     for letter in letters:
-        if type(letter) is not int or not 1 <= abs(letter) <= strands - 1:
-            raise LinkError(f"letter {letter!r} is not a nonzero integer of size <= {strands - 1}")
         i = abs(letter)
         touched.update({i, i + 1})
         x, y = current[i - 1], current[i]
@@ -328,6 +333,9 @@ class SimpleColoring:
     assignment: dict
 
     def __post_init__(self):
+        if not isinstance(self.assignment, dict):
+            raise LinkError(f"assignment must be a dict from arcs to colors, got {self.assignment!r}")
+        _exact_ints(tuple(self.assignment), "arc", error=LinkError)
         try:
             check_elements(self.flavor, self.degree, self.assignment.items(), "arc {}")
         except ValueError as exc:
@@ -407,7 +415,7 @@ def _solve_colorings(
     """
     arcs = dg.arcs()
     plan = dg._coloring_plan
-    signs = set(map(dg.crossing_sign, range(len(dg.crossings))))
+    signs = set(dg._strands.signs)
     tables = {sign: table(sign) for sign in (1, -1) if sign in signs}
     allowed = None if fits is None else [fits[arc] for arc in arcs]
     levels = [
@@ -461,10 +469,7 @@ def enumerate_simple_colorings(dg: LinkDiagram, d: int) -> list[SimpleColoring]:
     as point pairs, so a relation check is one table lookup; each coloring
     found maps its indices to one shared Permutation per transposition and
     is built unchecked."""
-    try:
-        permutations._check_degree(d, 2)
-    except ValueError as exc:
-        raise LinkError(f"coloring {exc}") from None
+    _check_degree(d, 2, LinkError)
     pairs, table = permutations._transposition_table(d)
     trans = permutations.all_transpositions(d)  # in pair order
     # (a b) with a < b first differs from the identity at a, where it reads
@@ -492,6 +497,11 @@ class Tangle:
     crossings: tuple[tuple[int, int, int, int], ...]
     wires: tuple[tuple[int, int], ...] = ()
 
+    def __post_init__(self):
+        object.__setattr__(self, "crossings", tuple(map(tuple, self.crossings)))
+        object.__setattr__(self, "wires", tuple(map(tuple, self.wires)))
+        _exact_ints([e for part in (*self.crossings, *self.wires) for e in part], "edge", 0, error=LinkError)
+
     def edge_uses(self) -> dict[int, int]:
         return collections.Counter(e for part in (*self.crossings, *self.wires) for e in part)
 
@@ -501,9 +511,8 @@ class Tangle:
 
 def extract_tangle(dg: LinkDiagram, sites: Sequence[int]) -> Tangle:
     """The sub-diagram spanned by the given crossing indices."""
-    if len(set(sites)) != len(sites) or any(
-        not (0 <= k < len(dg.crossings)) for k in sites
-    ):
+    _exact_ints(sites, "crossing index", 0, len(dg.crossings) - 1, LinkError)
+    if len(set(sites)) != len(sites):
         raise LinkError("bad crossing indices for the site")
     return Tangle(tuple(dg.crossings[k] for k in sites))
 
@@ -565,6 +574,7 @@ def montesinos_replace(
     rep_boundary = replacement.boundary_edges()
     if boundary_map is None:
         boundary_map = {e: e for e in rep_boundary}
+    _exact_ints([*boundary_map, *boundary_map.values()], "boundary edge", 0, error=LinkError)
     if sorted(boundary_map) != rep_boundary or sorted(boundary_map.values()) != site_boundary:
         raise LinkError(
             f"boundary mismatch: site boundary {site_boundary}, "
@@ -586,14 +596,9 @@ def montesinos_replace(
     return _splice(dg, coloring, quads, weld, colors)
 
 
-def _check_twists(n) -> None:
-    if type(n) is not int or n < 1:
-        raise LinkError(f"half-twist count must be an integer >= 1, got {n!r}")
-
-
 def flat_tangle(n: int = 3) -> Tangle:
     """Two parallel strands with the same boundary as an n-half-twist tangle."""
-    _check_twists(n)
+    _exact_int(n, "half-twist count", 1, error=LinkError)
     return Tangle((), wires=((100, 100 + n), (200, 200 + n)))
 
 
@@ -605,7 +610,7 @@ def twist_boundary_colors(a: Permutation, b: Permutation, n: int = 3) -> dict:
     left edge l_{k+1} welds into the over-arc of crossing k, so the
     positional color pair evolves by (x, y) -> (y, conj of x by y).
     """
-    _check_twists(n)
+    _exact_int(n, "half-twist count", 1, error=LinkError)
     colors = {}
     left, right = a, b
     for k in range(n + 1):
@@ -619,6 +624,7 @@ def montesinos_pair_check(d: int = 3) -> bool:
     """Registration check: on distinct intersecting transpositions the
     3-half-twist tangle reproduces its bottom boundary colors at the top,
     matching the flat tangle's boundary monodromy."""
+    _check_degree(d, 2, LinkError)
     for a, b in itertools.permutations(permutations.all_transpositions(d), 2):
         if len(a.support() & b.support()) != 1:
             continue
@@ -646,7 +652,7 @@ def _with_renamed_heads(dg: LinkDiagram, rename: dict[int, int]) -> list[list[in
     """Crossing quads with each named edge's arriving occurrence renamed."""
     quads = [list(q) for q in dg.crossings]
     for edge, new_id in rename.items():
-        k, slot = dg.edge_head(edge)
+        k, slot = dg._strands.heads[edge]
         quads[k][slot] = new_id
     return quads
 
@@ -655,14 +661,12 @@ def r1_add(
     dg: LinkDiagram, coloring: SimpleColoring, edge: int, sign: int = 1
 ) -> tuple[LinkDiagram, SimpleColoring]:
     """Add a kink on the given edge; the loop arc copies the edge's color."""
-    if type(sign) is not int or sign not in (1, -1):
-        raise LinkError(f"kink sign must be 1 or -1, got {sign!r}")
-    if edge not in dg.edges():
-        raise LinkError(f"edge {edge} not in diagram")
+    _exact_sign(sign, "kink sign", LinkError)
+    dg._edge(edge)
     m, z = _fresh_ids(dg, 2)
     quads = _with_renamed_heads(dg, {edge: z})
     quads.append([edge, z, m, m] if sign == 1 else [edge, m, m, z])
-    color = coloring.assignment[dg.arc_of(edge)]
+    color = coloring.assignment[dg._strands.arcs[edge]]
     return _splice(dg, coloring, quads, colors={m: color, z: color})
 
 
@@ -670,8 +674,7 @@ def r1_remove(
     dg: LinkDiagram, coloring: SimpleColoring, site: int
 ) -> tuple[LinkDiagram, SimpleColoring]:
     """Remove a kink crossing (one whose over pair contains its under-out)."""
-    if not (0 <= site < len(dg.crossings)):
-        raise LinkError("bad crossing index")
+    _exact_int(site, "crossing index", 0, len(dg.crossings) - 1, LinkError)
     a, b, c, d = dg.crossings[site]
     if c == b:
         other = d
@@ -689,17 +692,14 @@ def r2_add(
     dg: LinkDiagram, coloring: SimpleColoring, over_edge: int, under_edge: int
 ) -> tuple[LinkDiagram, SimpleColoring]:
     """Poke the under edge beneath the over edge: two opposite crossings."""
-    if over_edge == under_edge:
+    if dg._edge(over_edge) == dg._edge(under_edge):
         raise LinkError("r2 needs two distinct edges")
-    for e in (over_edge, under_edge):
-        if e not in dg.edges():
-            raise LinkError(f"edge {e} not in diagram")
     u1, u2, o2, o3 = _fresh_ids(dg, 4)
     quads = _with_renamed_heads(dg, {under_edge: u2, over_edge: o3})
     quads.append([under_edge, over_edge, u1, o2])
     quads.append([u1, o3, u2, o2])
-    o_color = coloring.assignment[dg.arc_of(over_edge)]
-    u_color = coloring.assignment[dg.arc_of(under_edge)]
+    o_color = coloring.assignment[dg._strands.arcs[over_edge]]
+    u_color = coloring.assignment[dg._strands.arcs[under_edge]]
     # The over strand enters the first new crossing at slot b, so it runs
     # b -> d there and the crossing's sign is -1.
     mid_color = _conjugated(u_color, o_color, -1)
@@ -711,9 +711,10 @@ def r2_remove(
     dg: LinkDiagram, coloring: SimpleColoring, sites: tuple[int, int]
 ) -> tuple[LinkDiagram, SimpleColoring]:
     """Undo a poke: two crossings sharing both an under edge and an over edge."""
-    k1, k2 = sites
-    if k1 == k2 or not all(0 <= k < len(dg.crossings) for k in sites):
+    _exact_ints(sites, "crossing index", 0, len(dg.crossings) - 1, LinkError)
+    if len(sites) != 2 or sites[0] == sites[1]:
         raise LinkError("bad crossing indices for the site")
+    k1, k2 = sites
     a1, b1, c1, d1 = dg.crossings[k1]
     a2, b2, c2, d2 = dg.crossings[k2]
     ends = dg.crossings[k1] + dg.crossings[k2]
@@ -813,9 +814,8 @@ def find_simple_lift(
     budget.  ``checks`` counts relation evaluations.  "No lift within
     bounds" is not a proof of non-liftability.
     """
-    for name, value in (("conjugator bound", conjugator_bound), ("budget", budget)):
-        if type(value) is not int or value < 0:
-            raise LinkError(f"{name} must be an integer >= 0, got {value!r}")
+    _exact_int(conjugator_bound, "conjugator bound", 0, error=LinkError)
+    _exact_int(budget, "budget", 0, error=LinkError)
     if f.flavor != PERMUTATION:
         raise LinkError("the base coloring must be permutation-flavored")
     if not coloring_satisfies(dg, f):

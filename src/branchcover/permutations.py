@@ -13,6 +13,13 @@ constructor, ``identity``, ``transposition``, ``from_cycles`` and the parsers
 refuse anything but a bijection of 1..d in exact ints.  Results computed from
 checked values (``compose``, ``inverse``, ``**``) are built by ``_unchecked``
 without re-checking them.
+
+``_exact_int`` is the one gate for every integer argument of the package:
+each count, point, position, index, sign, budget, edge and letter goes
+through it, its sequence form ``_exact_ints`` or, for a flag, ``_exact_bool``,
+and each module passes its own error class.  The one exception is the
+constructor's test on the sum of the images, which costs less per
+``Permutation`` than a pass over them.
 """
 
 from __future__ import annotations
@@ -27,13 +34,59 @@ from ._unionfind import UnionFind
 
 MAX_DEGREE = 16
 
+_INT = frozenset({int})
 
-def _check_degree(d: int, least: int = 1) -> None:
-    """The one degree rule: an exact int (not a bool), least <= d <= MAX_DEGREE."""
-    if type(d) is not int or d < least:
-        raise ValueError(f"degree must be an integer >= {least}, got {d!r}")
-    if d > MAX_DEGREE:
-        raise ValueError(f"degree {d} exceeds the configured cap {MAX_DEGREE}")
+
+def _exact_int(value, what: str, least: int | None = None, most: int | None = None, error=ValueError) -> int:
+    """``value`` itself when it is an int, not a bool, float or str, and
+    least <= value <= most (a bound of None is open); else ``error``.
+
+    The message reads "{what} {value!r} is not an integer" plus the range.
+    A ``what`` holding "{}" is the whole message instead, with the value's
+    repr in place of the "{}".
+    """
+    if type(value) is int and (least is None or value >= least) and (most is None or value <= most):
+        return value
+    if "{}" in what:
+        raise error(what.replace("{}", repr(value)))
+    if least is None:
+        bounds = "" if most is None else f" <= {most}"
+    else:
+        bounds = f" >= {least}" if most is None else f" in {least}..{most}"
+    raise error(f"{what} {value!r} is not an integer{bounds}")
+
+
+def _exact_ints(values: Sequence, what: str, least: int | None = None, most: int | None = None, error=ValueError) -> None:
+    """``_exact_int`` for every value of a sequence, in one pass over the
+    types and one per bound; the scalar form names the first that fails."""
+    if values and (
+        not _INT.issuperset(map(type, values))
+        or least is not None and min(values) < least
+        or most is not None and max(values) > most
+    ):
+        for value in values:
+            _exact_int(value, what, least, most, error)
+
+
+def _exact_bool(value, what: str, error=ValueError) -> bool:
+    """``value`` itself when it is True or False, not 1, "no" or None."""
+    if type(value) is not bool:
+        raise error(f"{what} must be true or false, got {value!r}")
+    return value
+
+
+def _exact_sign(value, what: str, error=ValueError) -> int:
+    """``value`` itself when it is the int 1 or -1."""
+    if _exact_int(value, what, -1, 1, error) == 0:
+        raise error(f"{what} 0 is not 1 or -1")
+    return value
+
+
+def _check_degree(d: int, least: int = 1, error=ValueError) -> int:
+    """The one degree rule: an exact int with least <= d <= MAX_DEGREE."""
+    if _exact_int(d, "degree", least, error=error) > MAX_DEGREE:
+        raise error(f"degree {d} exceeds the configured cap {MAX_DEGREE}")
+    return d
 
 
 @dataclasses.dataclass(frozen=True)
@@ -71,19 +124,15 @@ class Permutation:
     def transposition(d: int, i: int, j: int) -> "Permutation":
         """The transposition (i j) in S_d."""
         _check_degree(d)
-        exact = type(i) is int and type(j) is int
-        if not (exact and 1 <= i <= d and 1 <= j <= d and i != j):
-            raise ValueError(f"({i!r} {j!r}) is not a transposition in S_{d}")
-        images = list(range(1, d + 1))
-        images[i - 1], images[j - 1] = j, i
-        return Permutation(tuple(images))
+        _exact_int(i, "point", 1, d)
+        if _exact_int(j, "point", 1, d) == i:
+            raise ValueError(f"({i} {j}) is not a transposition in S_{d}")
+        return _transposition(d, i, j)
 
     @staticmethod
     def adjacent(d: int, i: int) -> "Permutation":
         """The standard generator (i, i+1), 1 <= i <= d-1."""
-        if type(i) is not int:
-            raise ValueError(f"generator index {i!r} is not an integer")
-        return Permutation.transposition(d, i, i + 1)
+        return Permutation.transposition(d, _exact_int(i, "generator index"), i + 1)
 
     @staticmethod
     def from_cycles(d: int, cycles: Sequence[Sequence[int]]) -> "Permutation":
@@ -92,11 +141,8 @@ class Permutation:
         images = list(range(1, d + 1))
         seen: set[int] = set()
         for cycle in cycles:
+            _exact_ints(cycle, "point", 1, d)
             for p in cycle:
-                if type(p) is not int:
-                    raise ValueError(f"point {p!r} is not an integer")
-                if not (1 <= p <= d):
-                    raise ValueError(f"point {p} out of range 1..{d}")
                 if p in seen:
                     raise ValueError(f"point {p} repeated across cycles")
                 seen.add(p)
@@ -105,9 +151,7 @@ class Permutation:
         return Permutation(tuple(images))
 
     def __call__(self, point: int) -> int:
-        if not (1 <= point <= self.degree):
-            raise ValueError(f"point {point} out of range 1..{self.degree}")
-        return self.images[point - 1]
+        return self.images[_exact_int(point, "point", 1, self.degree) - 1]
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         if not isinstance(other, Permutation):
@@ -144,6 +188,7 @@ class Permutation:
 
     def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
         """Disjoint cycles, least point first, ordered by least point."""
+        _exact_bool(include_fixed, "include_fixed")
         images = self.images
         out = []
         seen = [False] * len(images)
@@ -183,6 +228,13 @@ def _unchecked(images: tuple[int, ...]) -> Permutation:
     return p
 
 
+def _transposition(d: int, i: int, j: int) -> Permutation:
+    """(i j) in S_d for checked, distinct points; nothing is re-checked."""
+    images = list(range(1, d + 1))
+    images[i - 1], images[j - 1] = j, i
+    return _unchecked(tuple(images))
+
+
 def compose(a: Permutation, b: Permutation) -> Permutation:
     """Left-to-right product: apply a, then b."""
     if a.degree != b.degree:
@@ -193,6 +245,8 @@ def compose(a: Permutation, b: Permutation) -> Permutation:
 
 def product(perms: Iterable[Permutation], degree: int | None = None) -> Permutation:
     """Ordered left-to-right product; identity for an empty sequence (degree required)."""
+    if degree is not None:
+        _check_degree(degree)
     acc: Permutation | None = None
     for p in perms:
         acc = p if acc is None else compose(acc, p)
@@ -200,6 +254,8 @@ def product(perms: Iterable[Permutation], degree: int | None = None) -> Permutat
         if degree is None:
             raise ValueError("empty product needs an explicit degree")
         return Permutation.identity(degree)
+    if degree is not None and acc.degree != degree:
+        raise ValueError(f"degree mismatch: {acc.degree} vs {degree}")
     return acc
 
 
@@ -209,14 +265,13 @@ def is_transposition(a: Permutation) -> bool:
 
 
 def all_transpositions(d: int) -> list[Permutation]:
-    return [
-        Permutation.transposition(d, i, j)
-        for i, j in itertools.combinations(range(1, d + 1), 2)
-    ]
+    _check_degree(d)
+    return [_transposition(d, i, j) for i, j in itertools.combinations(range(1, d + 1), 2)]
 
 
 def orbits(perms: Sequence[Permutation], degree: int) -> list[frozenset[int]]:
     """Orbits of <perms> acting on {1..degree}, sorted by least element."""
+    _check_degree(degree)
     for p in perms:
         if p.degree != degree:
             raise ValueError(f"degree mismatch: {p.degree} vs {degree}")

@@ -30,7 +30,7 @@ from .links import (
     _solve_colorings,
     find_simple_lift,
 )
-from .permutations import Permutation
+from .permutations import Permutation, _check_degree, _exact_int, _exact_ints
 
 
 class QuandleError(ValueError):
@@ -58,12 +58,9 @@ class FiniteQuandle:
         if self.names is not None:
             object.__setattr__(self, "names", tuple(self.names))
         n = len(self.op)
-        for row in self.op:
-            if len(row) != n:
-                raise QuandleError("operation table is not square")
-            for v in row:
-                if type(v) is not int or not 0 <= v < n:
-                    raise QuandleError(f"table entry {v!r} is not an integer in 0..{n - 1}")
+        if any(len(row) != n for row in self.op):
+            raise QuandleError("operation table is not square")
+        _exact_ints([v for row in self.op for v in row], "table entry", 0, n - 1, QuandleError)
         if self.names is not None and len(self.names) != n:
             raise QuandleError("names must match the element count")
 
@@ -73,10 +70,12 @@ class FiniteQuandle:
     def _check_elements(self, *xs) -> None:
         """Refuse anything but exact ints in 0..n-1; the public
         operations check here, the package's own loops read ``op``."""
-        n = len(self.op)
-        if not all(type(x) is int and 0 <= x < n for x in xs):
-            what = f"{xs[0]!r} is not an element" if len(xs) == 1 else f"{xs!r} are not two elements"
-            raise QuandleError(f"{what} of 0..{n - 1}")
+        last = len(self.op) - 1
+        if len(xs) == 1:
+            what = f"{{}} is not an element of 0..{last}"
+        else:
+            what = f"{xs!r} are not two elements of 0..{last}: {{}} is not one"
+        _exact_ints(xs, what, 0, last, QuandleError)
 
     def apply(self, x: int, y: int) -> int:
         self._check_elements(x, y)
@@ -132,15 +131,13 @@ def quandle_validate(q: FiniteQuandle) -> QuandleReport:
 
 
 def trivial_quandle(n: int) -> FiniteQuandle:
-    if type(n) is not int or n < 0:
-        raise QuandleError(f"trivial quandle order must be an integer >= 0, got {n!r}")
+    _exact_int(n, "trivial quandle order", 0, error=QuandleError)
     return FiniteQuandle(tuple(tuple(x for _ in range(n)) for x in range(n)))
 
 
 def dihedral_quandle(n: int) -> FiniteQuandle:
     """Z_n with x |> y = 2y - x; for n = 3 this is T_3 in disguise."""
-    if type(n) is not int or n < 0:
-        raise QuandleError(f"dihedral quandle order must be an integer >= 0, got {n!r}")
+    _exact_int(n, "dihedral quandle order", 0, error=QuandleError)
     return FiniteQuandle(
         tuple(tuple((2 * y - x) % n for y in range(n)) for x in range(n))
     )
@@ -165,15 +162,13 @@ def make_Td(d: int) -> FiniteQuandle:
     """The d(d-1)/2 transpositions of S_d under conjugation, built on
     point pairs.
 
+    The table is built from checked point pairs, so it is not re-checked.
     T_d is involutory, (x |> y) |> y = x, so its table is its own right
     inverse and is handed over as such rather than computed."""
-    try:
-        permutations._check_degree(d, 2)
-    except ValueError as exc:
-        raise QuandleError(f"T_d {exc}") from None
+    _check_degree(d, 2, QuandleError)
     pairs, table = permutations._transposition_table(d)
-    q = FiniteQuandle(table, tuple(f"({a} {b})" for a, b in pairs))
-    q.__dict__["_inverse"] = q.op
+    q = object.__new__(FiniteQuandle)
+    q.__dict__.update(op=table, names=tuple(f"({a} {b})" for a, b in pairs), _inverse=table)
     return q
 
 
@@ -192,7 +187,9 @@ def quandle_colorings(dg: LinkDiagram, q: FiniteQuandle) -> list[dict]:
 
 def td_coloring_to_simple(dg: LinkDiagram, d: int, coloring: dict) -> SimpleColoring:
     """Dictionary between T_d colorings and simple permutation colorings."""
+    _check_degree(d, 2, QuandleError)
     elements = permutations.all_transpositions(d)
+    _exact_ints(tuple(coloring.values()), "color", 0, len(elements) - 1, QuandleError)
     return SimpleColoring(
         d, PERMUTATION, {arc: elements[v] for arc, v in coloring.items()}
     )
@@ -210,9 +207,7 @@ def is_quandle_homomorphism(
     n, m = len(source), len(target)
     if len(p) != n:
         raise QuandleError(f"the map has {len(p)} entries for {n} source elements")
-    for v in p:
-        if type(v) is not int or not 0 <= v < m:
-            raise QuandleError(f"map value {v!r} is not an element of 0..{m - 1}")
+    _exact_ints(p, f"map value {{}} is not an element of 0..{m - 1}", 0, m - 1, QuandleError)
     sop, top = source.op, target.op
     return all(p[sop[x][y]] == top[p[x]][p[y]] for x in range(n) for y in range(n))
 
@@ -243,10 +238,8 @@ def lift_through_surjection(
         t: [x for x in range(len(source)) if p[x] == t] for t in range(len(target))
     }
     for arc in arcs:
-        if type(coloring[arc]) is not int or coloring[arc] not in fibers:
-            raise QuandleError(
-                f"arc {arc}: color {coloring[arc]!r} is not an element of the target"
-            )
+        _exact_int(coloring[arc], f"arc {arc}: color {{}} is not an element of the target", 0, len(target) - 1,
+                   QuandleError)
     # A forced value leaves its fiber only where the coloring breaks a
     # crossing rule; fits then prunes, and no lift is found.
     fiber_of = {arc: fibers[coloring[arc]] for arc in arcs}
@@ -282,10 +275,7 @@ class LazyBraidQuandle:
     """
 
     def __init__(self, degree: int):
-        try:
-            permutations._check_degree(degree, 2)
-        except ValueError as exc:
-            raise QuandleError(f"braid quandle {exc}") from None
+        _check_degree(degree, 2, QuandleError)
         self.degree = degree
         self._elements: dict = {}
         self._lock = threading.Lock()

@@ -739,6 +739,13 @@ class TestSerialization:
         with pytest.raises(ChartError):
             chart_from_json({"degree": 3})
 
+    @pytest.mark.parametrize("events", [("x",), [black(1, 0, True), None], (("black", 0, (1,), True),)], ids=repr)
+    def test_events_must_be_chart_events(self, events):
+        # A chart of other values used to pass, and validate_chart then
+        # raised AttributeError on it.
+        with pytest.raises(ChartError, match="is not a ChartEvent"):
+            Chart(3, False, events)
+
     @pytest.mark.parametrize("oriented", [1, "no", 0, None], ids=repr)
     def test_oriented_must_be_a_bool(self, oriented):
         with pytest.raises(ChartError, match=re.escape(f"oriented must be true or false, got {oriented!r}")):

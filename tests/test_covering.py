@@ -189,3 +189,10 @@ def test_component_validation():
         SurfaceComponent(frozenset({1}), 1, 0)
     with pytest.raises(ValueError):
         CoveringSurface(2, 0, (SurfaceComponent(frozenset({1}), 2, 0),))
+
+
+@pytest.mark.parametrize("components", [("x",), [None]], ids=repr)
+def test_components_must_be_surface_components(components):
+    # A string component used to raise AttributeError.
+    with pytest.raises(ValueError, match="components must be SurfaceComponents"):
+        CoveringSurface(3, 6, components)

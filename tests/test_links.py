@@ -208,6 +208,11 @@ class TestJson:
         with pytest.raises(LinkError, match="degree"):
             SimpleColoring(degree, flavor, {})
 
+    @pytest.mark.parametrize("assignment", [[1], None, "1"], ids=repr)
+    def test_assignment_must_be_a_dict(self, assignment):
+        with pytest.raises(LinkError, match="assignment must be a dict"):
+            SimpleColoring(3, "permutation", assignment)
+
     def test_unknown_flavor(self):
         # A flavor other than "permutation" used to be read as braid.
         with pytest.raises(LinkError, match="unknown flavor 'foo'"):
