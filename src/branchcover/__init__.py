@@ -3,7 +3,7 @@
 Exact symmetric-group and braid-group arithmetic, Hurwitz systems and their
 normal form, covering-surface reconstruction, slice-encoded charts with
 moves and the orientability decision, link diagram colorings with braid
-lifts, and finite/lazy quandles with lifting problems.
+lifts, and finite quandles with lifting problems.
 
 ``import branchcover`` loads no submodule.  Each public name below is
 imported from its module on first use (PEP 562), so a caller, and each CLI
@@ -57,7 +57,6 @@ _EXPORTS = {
     "permutations": ("Permutation", "parse_permutation"),
     "quandles": (
         "FiniteQuandle",
-        "LazyBraidQuandle",
         "lift_through_surjection",
         "lift_to_Ad",
         "make_Td",

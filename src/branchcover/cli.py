@@ -209,11 +209,13 @@ def quandle_check(args):
 
 def _element_coloring(data) -> dict:
     """A finite-lift coloring file: {"assignment": {arc: element number}}."""
+    from .links import _arc_number
+
     raw = data.get("assignment") if isinstance(data, dict) else None
     if not isinstance(raw, dict):
         raise ValueError(f"assignment must map arcs to element numbers, got {raw!r}")
     _exact_ints(tuple(raw.values()), "assignment value")
-    return {int(a): v for a, v in raw.items()}
+    return {_arc_number(a): v for a, v in raw.items()}
 
 
 def quandle_lift(args):

@@ -385,7 +385,6 @@ def _solve_colorings(
     dg: LinkDiagram,
     candidates: dict,
     table: Callable,
-    fits: Optional[dict] = None,
     limit: Optional[int] = None,
     budget: float = math.inf,
 ) -> tuple[list[dict], int]:
@@ -395,13 +394,13 @@ def _solve_colorings(
     its seed arc over ``candidates[arc]``, then runs the level's steps in
     order.  A step (under-in, over, under-out, sign, new) reads the forced
     under-out color ``rows[u][o]`` from ``rows = table(sign)``, which is
-    asked once per sign the diagram has.  A ``new`` step colors under-out,
-    provided the color lies in ``fits[arc]`` (when given); any other step
-    compares it with under-out's color.  A clash ends the branch, and a
-    level that runs through descends to the next.  Every input a step reads
-    was colored by an earlier level or step, so nothing is undone.
-    Solutions, at most ``limit``, come in lexicographic order of candidate
-    positions along the arcs, as dicts in the order the arcs were colored.
+    asked once per sign the diagram has.  A ``new`` step colors under-out
+    with it; any other step compares it with under-out's color.  A clash
+    ends the branch, and a level that runs through descends to the next.
+    Every input a step reads was colored by an earlier level or step, so
+    nothing is undone.  Solutions, at most ``limit``, come in lexicographic
+    order of candidate positions along the arcs, as dicts in the order the
+    arcs were colored.
 
     Returns (solutions, checks), where checks counts the steps run, one
     relation evaluation each.  The plan keeps every evaluation that
@@ -417,7 +416,6 @@ def _solve_colorings(
     plan = dg._coloring_plan
     signs = set(dg._strands.signs)
     tables = {sign: table(sign) for sign in (1, -1) if sign in signs}
-    allowed = None if fits is None else [fits[arc] for arc in arcs]
     levels = [
         (seed, candidates[arcs[seed]], [(u, o, out, tables[sign], new) for u, o, out, sign, new in steps])
         for seed, steps in plan
@@ -444,8 +442,6 @@ def _solve_colorings(
                 checks += 1
                 forced = rows[color[u]][color[o]]
                 if new:
-                    if allowed is not None and forced not in allowed[out]:
-                        break
                     color[out] = forced
                 elif color[out] != forced:
                     break
@@ -856,6 +852,18 @@ def coloring_to_json(coloring: SimpleColoring) -> dict:
     }
 
 
+def _arc_number(key: str) -> int:
+    """The arc a coloring file's key names: an integer written as ``str``
+    writes it, so that "01" cannot name arc 1 beside "1", nor "4_0" arc 40."""
+    try:
+        arc = int(key)
+    except (TypeError, ValueError):
+        arc = None
+    if arc is None or str(arc) != key:
+        raise LinkError(f"assignment key {key!r} is not an arc number written plainly")
+    return arc
+
+
 def coloring_from_json(data: dict) -> SimpleColoring:
     try:
         degree = data["degree"]
@@ -866,5 +874,5 @@ def coloring_from_json(data: dict) -> SimpleColoring:
     if not isinstance(raw, dict) or not all(isinstance(text, str) for text in raw.values()):
         raise LinkError(f"coloring assignment must map arcs to strings, got {raw!r}")
     parse = flavor_spec(flavor).parse
-    assignment = {int(arc): parse(text, degree) for arc, text in raw.items()}
+    assignment = {_arc_number(arc): parse(text, degree) for arc, text in raw.items()}
     return SimpleColoring(degree, flavor, assignment)

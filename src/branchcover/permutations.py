@@ -15,11 +15,9 @@ checked values (``compose``, ``inverse``, ``**``) are built by ``_unchecked``
 without re-checking them.
 
 ``_exact_int`` is the one gate for every integer argument of the package:
-each count, point, position, index, sign, budget, edge and letter goes
-through it, its sequence form ``_exact_ints`` or, for a flag, ``_exact_bool``,
-and each module passes its own error class.  The one exception is the
-constructor's test on the sum of the images, which costs less per
-``Permutation`` than a pass over them.
+each image, count, point, position, index, sign, budget, edge and letter
+goes through it, its sequence form ``_exact_ints`` or, for a flag,
+``_exact_bool``, and each module passes its own error class.
 """
 
 from __future__ import annotations
@@ -104,12 +102,9 @@ class Permutation:
             object.__setattr__(self, "images", tuple(self.images))
         d = len(self.images)
         _check_degree(d)
+        _exact_ints(self.images, "images are not integers: {} is not one")
         if sorted(self.images) != list(range(1, d + 1)):
             raise ValueError(f"images {self.images} are not a bijection of 1..{d}")
-        # The images equal 1..d, so a float or Fraction among them makes the
-        # sum a float or Fraction: one cheap test on every constructed value.
-        if type(sum(self.images)) is not int:
-            raise ValueError(f"images {self.images} are not integers")
 
     @property
     def degree(self) -> int:

@@ -3,10 +3,11 @@
 A quandle is a set with a binary operation x |> y that is idempotent, has
 bijective right translations, and is right self-distributive; conjugation
 x |> y = y^-1 x y in a group is the guiding example.  Two families matter
-here: the transpositions of S_d under conjugation (finite) and the
-conjugates of braid generators and their inverses under conjugation
-(infinite, materialized lazily with normal-form keys so equality stays
-exact).
+here: the transpositions of S_d under conjugation (finite, ``make_Td``) and
+the conjugates of braid generators and their inverses under conjugation
+(infinite).  The second is reached through ``lift_to_Ad``, whose search in
+the link module materializes it lazily, one conjugation table per lift,
+with words compared by normal form so equality stays exact.
 
 Diagram colorings by a quandle follow the same crossing rule as the link
 module: at a positive crossing the outgoing under-arc is u |> o, at a
@@ -17,12 +18,10 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import threading
 from typing import Optional, Sequence
 
-from . import braids, links, permutations
-from .braids import BraidWord
-from .hurwitz import PERMUTATION, Simplicity, braid_simplicity
+from . import links, permutations
+from .hurwitz import PERMUTATION
 from .links import (
     LinkDiagram,
     LiftSearchResult,
@@ -30,7 +29,7 @@ from .links import (
     _solve_colorings,
     find_simple_lift,
 )
-from .permutations import Permutation, _check_degree, _exact_int, _exact_ints
+from .permutations import _check_degree, _exact_int, _exact_ints
 
 
 class QuandleError(ValueError):
@@ -226,6 +225,12 @@ def lift_through_surjection(
     product order of the fibers along the arcs, or None, and None is a
     certificate (the finite search is exhaustive).  Raises unless p is a
     surjective homomorphism.
+
+    Seeds come from their fibers and p is a homomorphism, so on a valid
+    coloring every forced value lands in its fiber and every solution is a
+    lift.  A coloring that breaks a crossing rule has no lift, and any
+    solution the search finds for it fails to project to it: so the first
+    solution is checked once, at the end.
     """
     if not is_quandle_homomorphism(p, source, target):
         raise QuandleError("p is not a quandle homomorphism")
@@ -240,11 +245,10 @@ def lift_through_surjection(
     for arc in arcs:
         _exact_int(coloring[arc], f"arc {arc}: color {{}} is not an element of the target", 0, len(target) - 1,
                    QuandleError)
-    # A forced value leaves its fiber only where the coloring breaks a
-    # crossing rule; fits then prunes, and no lift is found.
-    fiber_of = {arc: fibers[coloring[arc]] for arc in arcs}
-    found, _ = _solve_colorings(dg, fiber_of, source._table, fits=fiber_of, limit=1)
-    return {arc: found[0][arc] for arc in arcs} if found else None  # keys in arc order
+    found, _ = _solve_colorings(dg, {arc: fibers[coloring[arc]] for arc in arcs}, source._table, limit=1)
+    if found and all(p[found[0][arc]] == coloring[arc] for arc in arcs):
+        return {arc: found[0][arc] for arc in arcs}  # keys in arc order
+    return None
 
 
 def lift_to_Ad(
@@ -259,55 +263,6 @@ def lift_to_Ad(
     delegates to the link module's search; results agree by construction.
     """
     return find_simple_lift(dg, coloring, conjugator_bound, budget)
-
-
-# -- the lazy conjugation quandle of simple braid elements -------------------
-
-
-class LazyBraidQuandle:
-    """Conjugates of the braid generators and inverses, under conjugation.
-
-    Elements materialize on demand, keyed by the words themselves, which
-    compare and hash as group elements, so equality is exact despite
-    laziness; membership is decided by ``braid_simplicity`` (exponent sum,
-    projection and super summit).  The cache tolerates concurrent readers
-    and idempotent concurrent inserts.
-    """
-
-    def __init__(self, degree: int):
-        _check_degree(degree, 2, QuandleError)
-        self.degree = degree
-        self._elements: dict = {}
-        self._lock = threading.Lock()
-        for i in range(1, degree):
-            for s in (1, -1):
-                self._remember(BraidWord(degree, (i * s,)))
-
-    def _remember(self, w: BraidWord) -> BraidWord:
-        with self._lock:
-            return self._elements.setdefault(w, w)
-
-    def element(self, w: BraidWord) -> BraidWord:
-        """Materialize w as a quandle element (must be certified simple)."""
-        if w.degree != self.degree:
-            raise QuandleError(f"degree {w.degree} != quandle degree {self.degree}")
-        verdict = braid_simplicity(w)
-        if verdict is not Simplicity.SIMPLE:
-            raise QuandleError(f"element is {verdict.value}, not certified simple")
-        return self._remember(w)
-
-    def apply(self, x: BraidWord, y: BraidWord) -> BraidWord:
-        """x |> y = y^-1 x y, again a simple element."""
-        return self._remember(x ** y)
-
-    def inverse_apply(self, x: BraidWord, y: BraidWord) -> BraidWord:
-        return self._remember(x ** y.inverse())
-
-    def project(self, x: BraidWord) -> Permutation:
-        return braids.project(x)
-
-    def materialized_count(self) -> int:
-        return len(self._elements)
 
 
 # -- text formats -------------------------------------------------------------

@@ -329,8 +329,11 @@ class TestLift:
 
     @pytest.mark.parametrize(
         "degree, assignment, field",
-        [(2, [1, 2], "assignment"), (2, {"1": 5}, "assignment"), ("x", {}, "degree")],
-        ids=["list", "non-string", "string-degree"],
+        [(2, [1, 2], "assignment"), (2, {"1": 5}, "assignment"), ("x", {}, "degree"),
+         # "01" beside "1" silently kept one of the two arcs; "4_0" read as arc 40.
+         (2, {"1": "(1 2)", "2": "(1 2)", "4": "(1 2)", "01": "(1 2)"}, "assignment key '01'"),
+         (2, {"1": "(1 2)", "2": "(1 2)", "4": "(1 2)", "4_0": "(1 2)"}, "assignment key '4_0'")],
+        ids=["list", "non-string", "string-degree", "leading-zero-key", "underscore-key"],
     )
     def test_malformed_coloring_is_input_error(self, runner, trefoil_file, tmp_path,
                                                degree, assignment, field):
@@ -398,8 +401,13 @@ class TestQuandleVerbs:
         assert result.exit_code == 0
         assert json.loads(result.output)["found"] is False
 
-    # A float element was truncated by int() and silently accepted.
-    @pytest.mark.parametrize("assignment", [[1, 2], {"1": 1.5}], ids=["list", "float"])
+    # A float element was truncated by int() and silently accepted; "01"
+    # beside "1" silently kept one of the two arcs; "4_0" read as arc 40.
+    @pytest.mark.parametrize(
+        "assignment",
+        [[1, 2], {"1": 1.5}, {"1": 0, "2": 0, "4": 0, "01": 0}, {"1": 0, "2": 0, "4": 0, "4_0": 0}],
+        ids=["list", "float", "leading-zero-key", "underscore-key"],
+    )
     def test_lift_through_surjection_bad_assignment(self, runner, trefoil_file, tmp_path,
                                                    assignment):
         table = tmp_path / "t3.quandle"

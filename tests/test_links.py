@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -29,6 +30,7 @@ from branchcover.links import (
     r2_add,
     r2_remove,
     twist_boundary_colors,
+    _ConjugationTable,
     _simple_conjugates,
 )
 from branchcover.permutations import ParseError, Permutation
@@ -212,6 +214,13 @@ class TestJson:
     def test_assignment_must_be_a_dict(self, assignment):
         with pytest.raises(LinkError, match="assignment must be a dict"):
             SimpleColoring(3, "permutation", assignment)
+
+    # "01" beside "1" silently kept one of the two arcs; "4_0" read as arc 40.
+    @pytest.mark.parametrize("key", ["01", "4_0", "+4", " 4", "x"])
+    def test_arc_key_must_be_an_integer_written_plainly(self, key):
+        assignment = {"1": "(1 2)", "2": "(1 2)", "4": "(1 2)", key: "(1 2)"}
+        with pytest.raises(LinkError, match=re.escape(f"assignment key {key!r}")):
+            coloring_from_json({"degree": 2, "flavor": "permutation", "assignment": assignment})
 
     def test_unknown_flavor(self):
         # A flavor other than "permutation" used to be read as braid.
@@ -439,6 +448,14 @@ class TestLifts:
             res = find_simple_lift(dg, f, budget=3000)
             assert res.lift is not None and not res.exhausted
             assert coloring_satisfies(dg, res.lift)
+
+    def test_conjugation_table_interns_equal_braids(self):
+        # s2^-1 s1 s2 and s1 s2 s1^-1 are one braid, met by two conjugations.
+        words = [BraidWord(3, (1,)), BraidWord(3, (2,)), BraidWord(3, (-1,))]
+        table = _ConjugationTable({w: k for k, w in enumerate(words)}, words, 1)
+        assert table[0][1] == 3 and words[3].letters == (-2, 1, 2)
+        assert table[1][2] == 3
+        assert len(words) == 4
 
     def test_candidates_project_correctly(self):
         for target in (tr(3, 1, 2), tr(3, 1, 3)):

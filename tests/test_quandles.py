@@ -1,14 +1,12 @@
 import itertools
-import random
 
 import pytest
 
-from branchcover.braids import BraidWord, braids_equal, project
+from branchcover.braids import project
 from branchcover.links import LinkError, braid_closure_pd, corpus_diagram, enumerate_simple_colorings
 from branchcover.permutations import Permutation, all_transpositions
 from branchcover.quandles import (
     FiniteQuandle,
-    LazyBraidQuandle,
     QuandleError,
     dihedral_quandle,
     is_quandle_homomorphism,
@@ -37,8 +35,6 @@ def test_degree_is_checked(degree):
         enumerate_simple_colorings(corpus_diagram("trefoil"), degree)
     with pytest.raises(QuandleError, match="degree"):
         make_Td(degree)
-    with pytest.raises(QuandleError, match="degree"):
-        LazyBraidQuandle(degree)
 
 
 class TestValidate:
@@ -349,50 +345,6 @@ class TestLiftToAd:
         )
         res = lift_to_Ad(dg, col)
         assert res.lift is not None
-
-
-class TestLazyBraidQuandle:
-    def test_membership_certificates(self):
-        q = LazyBraidQuandle(4)
-        w = BraidWord(4, (-2, -1, -2, 1, 2))  # equals s1^-1
-        elem = q.element(w)
-        assert braids_equal(elem, BraidWord(4, (-1,)))
-        with pytest.raises(QuandleError, match="not certified"):
-            q.element(BraidWord(4, (1, 1)))
-
-    def test_op_stays_simple_and_projects(self):
-        rng = random.Random(31)
-        for d in (3, 4, 5):
-            q = LazyBraidQuandle(d)
-            for _ in range(25):
-                x = BraidWord.generator(d, rng.randrange(1, d), rng.choice([1, -1]))
-                conj = BraidWord(
-                    d, tuple(rng.choice([1, -1]) * rng.randrange(1, d) for _ in range(3))
-                )
-                x = q.element(x ** conj)
-                y = BraidWord.generator(d, rng.randrange(1, d), rng.choice([1, -1]))
-                z = q.apply(x, y)
-                # conjugation preserves the set of simple elements
-                from branchcover.hurwitz import Simplicity, braid_simplicity
-
-                assert braid_simplicity(z) is Simplicity.SIMPLE
-                # projection is a quandle homomorphism onto T_d
-                got = project(z)
-                expect = project(x) ** project(y)
-                assert got == expect
-
-    def test_inverse_apply_inverts(self):
-        q = LazyBraidQuandle(3)
-        x = q.element(BraidWord(3, (1,)))
-        y = BraidWord(3, (2,))
-        assert braids_equal(q.inverse_apply(q.apply(x, y), y), x)
-
-    def test_cache_deduplicates(self):
-        q = LazyBraidQuandle(3)
-        before = q.materialized_count()
-        q.element(BraidWord(3, (2, 1, -2)))  # s1 conjugated by s2
-        q.element(BraidWord(3, (-1, 2, 1)))  # the same element, other spelling
-        assert q.materialized_count() == before + 1
 
 
 class TestTextFormats:

@@ -92,7 +92,6 @@ from branchcover.permutations import (
 )
 from branchcover.quandles import (
     FiniteQuandle,
-    LazyBraidQuandle,
     dihedral_quandle,
     is_quandle_homomorphism,
     lift_through_surjection,
@@ -163,7 +162,8 @@ DEGREE = Int(17)
 
 TABLE = {
     # permutations
-    "permutations.Permutation": Row(Permutation, {"images": (2, 1, 3)}, tuples=("images",)),
+    "permutations.Permutation": Row(
+        Permutation, {"images": (2, 1, 3)}, {"images": Int(4, lambda v: (2, v, 3))}, tuples=("images",)),
     "permutations.Permutation.identity": Row(Permutation.identity, {"d": 3}, {"d": DEGREE}),
     "permutations.Permutation.transposition": Row(
         Permutation.transposition, {"d": 4, "i": 1, "j": 2}, {"d": DEGREE, "i": Int(5), "j": Int(0)}),
@@ -312,7 +312,6 @@ TABLE = {
     "quandles.lift_to_Ad": Row(
         lift_to_Ad, {"dg": TREFOIL, "coloring": COLORING, "conjugator_bound": 1, "budget": 1000},
         {"conjugator_bound": Int(-1), "budget": Int(-1)}),
-    "quandles.LazyBraidQuandle": Row(LazyBraidQuandle, {"degree": 3}, {"degree": DEGREE}),
 }
 
 # Out-of-range values that raise another error on purpose, pinned elsewhere.
@@ -459,7 +458,7 @@ def test_rows_sweep_every_scalar_integer_and_flag(name):
 
 SOURCE = pathlib.Path(branchcover.__file__).parent
 GATES = ("_exact_int", "_exact_ints", "_exact_bool")
-ALLOWED = {("permutations.py", "type(sum(self.images)) is not int")}
+ALLOWED = set()
 
 
 def exact_type_tests(path: pathlib.Path):
