@@ -23,13 +23,12 @@ independent oracle for the normal form.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import re
 from typing import Iterable, Sequence
 
 from . import permutations
-from .permutations import ParseError, Permutation, _check_degree, _exact_int, _exact_ints, _exact_sign
+from .permutations import ParseError, Permutation, _Value, _check_degree, _exact_int, _exact_ints, _exact_sign
 
 Letter = int
 
@@ -49,21 +48,18 @@ def free_reduce(letters: Iterable[int]) -> tuple[int, ...]:
     return tuple(stack)
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
-class BraidWord:
+class BraidWord(_Value):
     """A word in the generators of B_d that compares and hashes as the group
     element it spells, by its left normal form (computed once per word)."""
 
-    degree: int
-    letters: tuple[Letter, ...]
-
-    def __post_init__(self):
-        _check_degree(self.degree, 2)
-        if type(self.letters) is not tuple:
-            object.__setattr__(self, "letters", tuple(self.letters))
-        _exact_ints(self.letters, "generator index", 1 - self.degree, self.degree - 1)
-        if 0 in self.letters:
-            raise ValueError(f"generator index 0 out of range for degree {self.degree}")
+    def __init__(self, degree: int, letters: tuple[Letter, ...]):
+        _check_degree(degree, 2)
+        if type(letters) is not tuple:
+            letters = tuple(letters)
+        _exact_ints(letters, "generator index", 1 - degree, degree - 1)
+        if 0 in letters:
+            raise ValueError(f"generator index 0 out of range for degree {degree}")
+        self.__dict__.update(degree=degree, letters=letters)
 
     @staticmethod
     def identity(d: int) -> "BraidWord":
@@ -399,7 +395,7 @@ def summit(w: BraidWord) -> tuple[int, int, BraidWord]:
 # Words are whitespace-separated tokens "s<i>" or "s<i>^-1", e.g.
 # "s1 s2^-1 s3"; the empty string is the identity.
 
-_BRAID_TOKEN = re.compile(r"s(\d+)(\^(-?1))?$")
+_BRAID_TOKEN = re.compile(r"s([0-9]+)(\^(-?1))?$")
 
 
 def word_string(w: BraidWord) -> str:

@@ -34,8 +34,6 @@ segment ids for orientability, rendering and the test oracles.
 
 from __future__ import annotations
 
-import dataclasses
-import inspect
 import random
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -45,6 +43,7 @@ from .braids import BraidWord
 from .hurwitz import BRAID, PERMUTATION, HurwitzSystem
 from .permutations import (
     Permutation,
+    _Value,
     _check_degree,
     _exact_bool,
     _exact_int,
@@ -77,30 +76,31 @@ class SiteError(MoveError):
     pass
 
 
-@dataclasses.dataclass(frozen=True)
-class ChartEvent:
-    kind: str
-    position: int
-    labels: tuple[int, ...]
-    insert: Optional[bool] = None  # black only
-    sign: Optional[int] = None  # oriented charts: black letter / cup upper twin
-
-    def __post_init__(self):
-        if type(self.labels) is not tuple:
-            object.__setattr__(self, "labels", tuple(self.labels))
-        if self.kind not in EVENT_KINDS:
-            raise ChartError(f"unknown event kind {self.kind!r}")
-        _exact_int(self.position, "position", 0, error=ChartError)
-        _exact_ints(self.labels, "labels entry", 1, error=ChartError)
-        if self.kind == "black" and self.insert is None:
+class ChartEvent(_Value):
+    def __init__(
+        self,
+        kind: str,
+        position: int,
+        labels: tuple[int, ...],
+        insert: Optional[bool] = None,  # black only
+        sign: Optional[int] = None,  # oriented charts: black letter / cup upper twin
+    ):
+        if type(labels) is not tuple:
+            labels = tuple(labels)
+        if kind not in EVENT_KINDS:
+            raise ChartError(f"unknown event kind {kind!r}")
+        _exact_int(position, "position", 0, error=ChartError)
+        _exact_ints(labels, "labels entry", 1, error=ChartError)
+        if kind == "black" and insert is None:
             raise ChartError("black events need insert=True or insert=False")
-        if self.insert is not None:
-            _exact_bool(self.insert, "insert", ChartError)
-        if self.sign is not None:
-            _exact_sign(self.sign, "sign", ChartError)
-        want = {"black": 1, "cup": 1, "cap": 1, "crossing": 2, "white": 2}[self.kind]
-        if len(self.labels) != want:
-            raise ChartError(f"{self.kind} event needs {want} label(s)")
+        if insert is not None:
+            _exact_bool(insert, "insert", ChartError)
+        if sign is not None:
+            _exact_sign(sign, "sign", ChartError)
+        want = {"black": 1, "cup": 1, "cap": 1, "crossing": 2, "white": 2}[kind]
+        if len(labels) != want:
+            raise ChartError(f"{kind} event needs {want} label(s)")
+        self.__dict__.update(kind=kind, position=position, labels=labels, insert=insert, sign=sign)
 
     def arity(self) -> tuple[int, int]:
         if self.kind == "black":
@@ -131,20 +131,16 @@ def cap(label: int, position: int) -> ChartEvent:
     return ChartEvent("cap", position, (label,))
 
 
-@dataclasses.dataclass(frozen=True)
-class Chart:
-    degree: int
-    oriented: bool
-    events: tuple[ChartEvent, ...]
-
-    def __post_init__(self):
-        if type(self.events) is not tuple:
-            object.__setattr__(self, "events", tuple(self.events))
-        _check_degree(self.degree, 2, ChartError)
-        _exact_bool(self.oriented, "chart oriented", ChartError)
-        if not _EVENT.issuperset(map(type, self.events)):
-            k = next(k for k, ev in enumerate(self.events) if type(ev) is not ChartEvent)
-            raise ChartError(f"a {type(self.events[k]).__name__} is not a ChartEvent", k)
+class Chart(_Value):
+    def __init__(self, degree: int, oriented: bool, events: tuple[ChartEvent, ...]):
+        if type(events) is not tuple:
+            events = tuple(events)
+        _check_degree(degree, 2, ChartError)
+        _exact_bool(oriented, "chart oriented", ChartError)
+        if not _EVENT.issuperset(map(type, events)):
+            k = next(k for k, ev in enumerate(events) if type(ev) is not ChartEvent)
+            raise ChartError(f"a {type(events[k]).__name__} is not a ChartEvent", k)
+        self.__dict__.update(degree=degree, oriented=oriented, events=events)
 
     def black_count(self) -> int:
         return sum(1 for e in self.events if e.kind == "black")
@@ -248,13 +244,17 @@ def _sweep(chart: Chart) -> Iterator[tuple[ChartEvent, list[Strand], list[Strand
         )
 
 
-@dataclasses.dataclass
-class SweepRecord:
-    """Snapshots of one sweep, for orientability, rendering and test oracles."""
+class SweepRecord(_Value):
+    """Snapshots of one sweep, for orientability, rendering and test oracles;
+    ``sweep_record`` fills its lists and dict in place."""
 
-    words: list[tuple[Strand, ...]]  # words[t] before event t; words[-1] final
-    event_io: list[tuple[tuple[int, ...], tuple[int, ...]]]  # segment ids in/out
-    segment_label: dict[int, int]
+    def __init__(
+        self,
+        words: list[tuple[Strand, ...]],  # words[t] before event t; words[-1] final
+        event_io: list[tuple[tuple[int, ...], tuple[int, ...]]],  # segment ids in/out
+        segment_label: dict[int, int],
+    ):
+        self.__dict__.update(words=words, event_io=event_io, segment_label=segment_label)
 
 
 def sweep_record(chart: Chart) -> SweepRecord:
@@ -270,12 +270,15 @@ def sweep_record(chart: Chart) -> SweepRecord:
     return record
 
 
-@dataclasses.dataclass(frozen=True)
-class ChartReport:
-    valid: bool
-    error: Optional[str] = None
-    event_index: Optional[int] = None
-    black_count: int = 0
+class ChartReport(_Value):
+    def __init__(
+        self,
+        valid: bool,
+        error: Optional[str] = None,
+        event_index: Optional[int] = None,
+        black_count: int = 0,
+    ):
+        self.__dict__.update(valid=valid, error=error, event_index=event_index, black_count=black_count)
 
 
 def validate_chart(chart: Chart) -> ChartReport:
@@ -327,9 +330,7 @@ def chart_hurwitz_system(chart: Chart) -> HurwitzSystem:
 
 def forget_orientation(chart: Chart) -> Chart:
     """Strip all signs; a braid chart becomes a permutation chart."""
-    events = tuple(
-        dataclasses.replace(ev, sign=None) for ev in chart.events
-    )
+    events = tuple(ChartEvent(ev.kind, ev.position, ev.labels, ev.insert) for ev in chart.events)
     return Chart(chart.degree, False, events)
 
 
@@ -441,10 +442,10 @@ def event_swap(chart: Chart, at: int) -> Chart:
     delta_a = a_out - a_in
     if b.position + b_in <= a.position:
         # b's window sits strictly left of a's.
-        new_a = dataclasses.replace(a, position=a.position + (b_out - b_in))
+        new_a = ChartEvent(a.kind, a.position + (b_out - b_in), a.labels, a.insert, a.sign)
         return _rewrite(chart, at, at + 2, [b, new_a])
     if b.position >= a.position + a_out:
-        new_b = dataclasses.replace(b, position=b.position - delta_a)
+        new_b = ChartEvent(b.kind, b.position - delta_a, b.labels, b.insert, b.sign)
         return _rewrite(chart, at, at + 2, [new_b, a])
     raise MoveError("event windows overlap; the pair cannot be reordered")
 
@@ -454,11 +455,11 @@ def black_through_crossing(chart: Chart, at: int) -> Chart:
     a, b = _pair(chart, at)
     if a.kind == "black" and a.insert and b.kind == "crossing":
         if a.position - b.position in (0, 1):
-            moved = dataclasses.replace(a, position=2 * b.position + 1 - a.position)
+            moved = black(a.labels[0], 2 * b.position + 1 - a.position, a.insert, a.sign)
             return _rewrite(chart, at, at + 2, [moved])
     elif a.kind == "crossing" and b.kind == "black" and not b.insert:
         if b.position - a.position in (0, 1):
-            moved = dataclasses.replace(b, position=2 * a.position + 1 - b.position)
+            moved = black(b.labels[0], 2 * a.position + 1 - b.position, b.insert, b.sign)
             return _rewrite(chart, at, at + 2, [moved])
     raise MoveError("events are not a black vertex passing through a crossing")
 
@@ -469,12 +470,12 @@ def black_into_white(chart: Chart, at: int) -> Chart:
     if a.kind == "black" and a.insert and b.kind == "white":
         if a.position - b.position in (0, 2):
             position = 2 * b.position + 2 - a.position
-            moved = dataclasses.replace(a, labels=(b.labels[1],), position=position)
+            moved = black(b.labels[1], position, a.insert, a.sign)
             return _rewrite(chart, at, at + 2, [moved])
     elif a.kind == "white" and b.kind == "black" and not b.insert:
         if b.position - a.position in (0, 2):
             position = 2 * a.position + 2 - b.position
-            moved = dataclasses.replace(b, labels=(a.labels[0],), position=position)
+            moved = black(a.labels[0], position, b.insert, b.sign)
             return _rewrite(chart, at, at + 2, [moved])
     raise MoveError("events are not a black vertex meeting a white vertex")
 
@@ -510,8 +511,9 @@ def apply_chart_move(chart: Chart, move: str, **site) -> Chart:
 
     Raises MoveError when the move does not exist or does not apply there,
     and its subclass SiteError when the site's keys do not fit the move.  The
-    keys are bound only after a TypeError (binding costs a tenth of a move);
-    if they bind, the TypeError came from inside the move and propagates.
+    keys are bound only after a TypeError (binding costs a tenth of a move,
+    and ``inspect`` is imported only then); if they bind, the TypeError came
+    from inside the move and propagates.
     """
     try:
         fn = MOVES[move]
@@ -520,6 +522,8 @@ def apply_chart_move(chart: Chart, move: str, **site) -> Chart:
     try:
         return fn(chart, **site)
     except TypeError:
+        import inspect
+
         signature = inspect.signature(fn)
         try:
             signature.bind(chart, **site)
@@ -532,11 +536,14 @@ def apply_chart_move(chart: Chart, move: str, **site) -> Chart:
 # -- orientability -------------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
-class OrientationResult:
-    orientable: bool
-    witness: Optional[Chart] = None
-    segment_signs: Optional[dict[int, int]] = None
+class OrientationResult(_Value):
+    def __init__(
+        self,
+        orientable: bool,
+        witness: Optional[Chart] = None,
+        segment_signs: Optional[dict[int, int]] = None,
+    ):
+        self.__dict__.update(orientable=orientable, witness=witness, segment_signs=segment_signs)
 
 
 def chart_orientable(chart: Chart) -> OrientationResult:
@@ -680,11 +687,11 @@ def _orient_with(chart: Chart, record: SweepRecord, signs: dict[int, int]) -> Ch
     for ev, (cons, prod) in zip(chart.events, record.event_io):
         if ev.kind == "black":
             if ev.insert:
-                events.append(dataclasses.replace(ev, sign=-signs[prod[0]]))
+                events.append(black(ev.labels[0], ev.position, True, -signs[prod[0]]))
             else:
-                events.append(dataclasses.replace(ev, sign=signs[cons[0]]))
+                events.append(black(ev.labels[0], ev.position, False, signs[cons[0]]))
         elif ev.kind == "cup":
-            events.append(dataclasses.replace(ev, sign=signs[prod[0]]))
+            events.append(cup(ev.labels[0], ev.position, signs[prod[0]]))
         else:
             events.append(ev)
     return Chart(chart.degree, True, tuple(events))

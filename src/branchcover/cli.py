@@ -9,24 +9,28 @@ value is malformed or its keys do not fit the move.  ``main`` maps those
 errors in one place and writes them to stderr as one JSON object.  Usage
 errors (an unknown, missing or malformed option, a negative ``--budget`` or
 ``--conjugator-bound``) also exit 2, with argparse's usage text on stderr;
-``-h``/``--help`` prints help.
+``-h``/``--help`` prints help.  Integer option and ``--site`` values must be
+written as ``str`` writes an int: "1_0", "+1", "01" and non-ASCII digits are
+refused, and so is a ``--site`` key given twice.
 
 The command needs only the standard library.  Each call is a fresh process,
 so each subcommand imports only the library modules it calls: ``hurwitz`` at
 the top (``charts``, ``covering``, ``links`` and ``quandles`` all import it),
-the others inside the subcommand.
+the others inside the subcommand.  The value classes are plain classes on
+one small base, so no call imports the standard library's dataclass module,
+nor ``inspect`` except for a ``--site`` whose keys do not fit the move, which
+``charts.apply_chart_move`` diagnoses with it.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from typing import Callable
 
 from . import hurwitz
-from .permutations import _exact_ints
+from .permutations import _exact_ints, _plain_int
 
 EXIT_DOMAIN = 1
 EXIT_INPUT = 2
@@ -116,7 +120,8 @@ def chart_validate(args):
     from . import charts
 
     report = charts.validate_chart(_load(args.chart_file, charts.chart_from_json))
-    _print(dataclasses.asdict(report))
+    _print({"valid": report.valid, "error": report.error, "event_index": report.event_index,
+            "black_count": report.black_count})
     return 0 if report.valid else EXIT_DOMAIN
 
 
@@ -152,10 +157,13 @@ def chart_move(args):
             if "=" not in pair:
                 raise InputExit(f"bad site argument {pair!r}")
             key, _, value = pair.partition("=")
-            try:
-                kwargs[key.strip()] = int(value)
-            except ValueError:
+            key = key.strip()
+            if key in kwargs:
+                raise InputExit(f"site key {key!r} is given twice")
+            number = _plain_int(value.strip())
+            if number is None:
                 raise InputExit(f"site values must be integers, got {value!r}")
+            kwargs[key] = number
     payload = charts.chart_to_json(charts.apply_chart_move(c, args.move_name, **kwargs))
     if args.out:
         _write(args.out, json.dumps(payload))
@@ -203,7 +211,7 @@ def quandle_check(args):
 
     q = _load(args.table_file, quandles.quandle_from_text, text=True)
     report = quandles.quandle_validate(q)
-    _print(dataclasses.asdict(report))
+    _print({"valid": report.valid, "error": report.error})
     return 0 if report.valid else EXIT_DOMAIN
 
 
@@ -254,14 +262,21 @@ def render(args):
 
 
 def _bound(text: str) -> int:
-    """``type=`` of the search bounds: anything but a non-negative integer is a
-    usage error."""
-    try:
-        if int(text) >= 0:
-            return int(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    """``type=`` of the search bounds: anything but a non-negative integer,
+    written plainly, is a usage error."""
+    value = _plain_int(text)
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
+def _integer(text: str) -> int:
+    """``type=`` of ``--degree``: an integer written plainly; the library
+    checks its range."""
+    value = _plain_int(text)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return value
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -295,7 +310,7 @@ def _parser() -> argparse.ArgumentParser:
     sub.add_argument("--site", default="", help="Comma-separated key=value arguments.")
     sub.add_argument("--out", help="Write the moved chart.")
     sub = command(color, "pd_file")
-    sub.add_argument("--degree", "-d", type=int, required=True)
+    sub.add_argument("--degree", "-d", type=_integer, required=True)
     sub.add_argument("--show-colors", action="store_true", help="Name degree-3 colors.")
     for run in (lift, quandle_lift):
         sub = command(run, "pd_file", "coloring_file")

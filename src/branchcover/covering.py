@@ -14,8 +14,6 @@ missing O entirely contributes zero.
 
 from __future__ import annotations
 
-import dataclasses
-
 from .hurwitz import (
     HurwitzSystem,
     NonClosingSystemError,
@@ -25,41 +23,31 @@ from .hurwitz import (
     orbit_partition,
     total_monodromy,
 )
-from .permutations import _check_degree, _exact_int
+from .permutations import _Value, _check_degree, _exact_int
 
 
-@dataclasses.dataclass(frozen=True)
-class SurfaceComponent:
-    sheets: frozenset[int]
-    euler_characteristic: int
-    genus: int
-
-    def __post_init__(self):
-        _exact_int(self.genus, "genus", 0)
-        if _exact_int(self.euler_characteristic, "Euler characteristic") % 2 != 0:
-            raise ValueError(f"odd Euler characteristic {self.euler_characteristic}")
-        if self.genus != (2 - self.euler_characteristic) // 2:
-            raise ValueError(
-                f"genus {self.genus} inconsistent with chi {self.euler_characteristic}"
-            )
+class SurfaceComponent(_Value):
+    def __init__(self, sheets: frozenset[int], euler_characteristic: int, genus: int):
+        _exact_int(genus, "genus", 0)
+        if _exact_int(euler_characteristic, "Euler characteristic") % 2 != 0:
+            raise ValueError(f"odd Euler characteristic {euler_characteristic}")
+        if genus != (2 - euler_characteristic) // 2:
+            raise ValueError(f"genus {genus} inconsistent with chi {euler_characteristic}")
+        self.__dict__.update(sheets=sheets, euler_characteristic=euler_characteristic, genus=genus)
 
 
-@dataclasses.dataclass(frozen=True)
-class CoveringSurface:
-    degree: int
-    branch_count: int
-    components: tuple[SurfaceComponent, ...]
-
-    def __post_init__(self):
-        if type(self.components) is not tuple:
-            object.__setattr__(self, "components", tuple(self.components))
-        if not all(isinstance(c, SurfaceComponent) for c in self.components):
-            raise ValueError(f"components must be SurfaceComponents, got {self.components!r}")
-        _check_degree(self.degree)
-        _exact_int(self.branch_count, "branch count", 0)
-        sheets = sorted(x for c in self.components for x in c.sheets)
-        if sheets != list(range(1, self.degree + 1)):
+class CoveringSurface(_Value):
+    def __init__(self, degree: int, branch_count: int, components: tuple[SurfaceComponent, ...]):
+        if type(components) is not tuple:
+            components = tuple(components)
+        if not all(isinstance(c, SurfaceComponent) for c in components):
+            raise ValueError(f"components must be SurfaceComponents, got {components!r}")
+        _check_degree(degree)
+        _exact_int(branch_count, "branch count", 0)
+        sheets = sorted(x for c in components for x in c.sheets)
+        if sheets != list(range(1, degree + 1)):
             raise ValueError("component sheet sets do not partition the sheets")
+        self.__dict__.update(degree=degree, branch_count=branch_count, components=components)
 
     def total_euler_characteristic(self) -> int:
         return sum(c.euler_characteristic for c in self.components)

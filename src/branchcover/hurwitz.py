@@ -31,14 +31,21 @@ computing normal forms.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 from collections import deque
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from . import braids, permutations
 from .braids import BraidWord, parse_braid
-from .permutations import Permutation, _check_degree, _exact_bool, _exact_int, _relabel, parse_permutation
+from .permutations import (
+    Permutation,
+    _Value,
+    _check_degree,
+    _exact_bool,
+    _exact_int,
+    _relabel,
+    parse_permutation,
+)
 
 Entry = Union[Permutation, BraidWord]
 
@@ -120,18 +127,14 @@ class Equivalence(enum.Enum):
     UNKNOWN = "unknown"
 
 
-@dataclasses.dataclass(frozen=True)
-class HurwitzSystem:
+class HurwitzSystem(_Value):
     """Ordered tuple of meridian images, all of one flavor and degree."""
 
-    degree: int
-    entries: tuple[Entry, ...]
-    flavor: str = PERMUTATION
-
-    def __post_init__(self):
-        if type(self.entries) is not tuple:
-            object.__setattr__(self, "entries", tuple(self.entries))
-        check_elements(self.flavor, self.degree, enumerate(self.entries))
+    def __init__(self, degree: int, entries: tuple[Entry, ...], flavor: str = PERMUTATION):
+        if type(entries) is not tuple:
+            entries = tuple(entries)
+        check_elements(flavor, degree, enumerate(entries))
+        self.__dict__.update(degree=degree, entries=entries, flavor=flavor)
 
     def __len__(self) -> int:
         return len(self.entries)

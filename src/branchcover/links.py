@@ -20,7 +20,6 @@ u; for transposition colors both signs conjugate identically.
 from __future__ import annotations
 
 import collections
-import dataclasses
 import functools
 import itertools
 import math
@@ -30,7 +29,16 @@ from typing import Callable, NamedTuple, Optional, Sequence
 from . import permutations
 from .braids import BraidWord, canonical_key
 from .hurwitz import BRAID, PERMUTATION, as_permutations, check_elements, flavor_spec
-from .permutations import ParseError, Permutation, _check_degree, _exact_int, _exact_ints, _exact_sign
+from .permutations import (
+    ParseError,
+    Permutation,
+    _Value,
+    _check_degree,
+    _exact_int,
+    _exact_ints,
+    _exact_sign,
+    _plain_int,
+)
 
 DEFAULT_CONJUGATOR_BOUND = 3
 DEFAULT_LIFT_BUDGET = 1_000_000
@@ -40,14 +48,11 @@ class LinkError(ValueError):
     pass
 
 
-@dataclasses.dataclass(frozen=True)
-class CrossingRelation:
+class CrossingRelation(_Value):
     """Wirtinger data of one crossing, expressed on arcs."""
 
-    under_in: int
-    over: int
-    under_out: int
-    sign: int
+    def __init__(self, under_in: int, over: int, under_out: int, sign: int):
+        self.__dict__.update(under_in=under_in, over=over, under_out=under_out, sign=sign)
 
 
 class _Strands(NamedTuple):
@@ -64,8 +69,7 @@ class _Strands(NamedTuple):
 _Step = tuple[int, int, int, int, bool]
 
 
-@dataclasses.dataclass(frozen=True)
-class LinkDiagram:
+class LinkDiagram(_Value):
     """A PD code plus crossingless unknot components.
 
     >>> dg = LinkDiagram(((1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)))
@@ -73,16 +77,17 @@ class LinkDiagram:
     ([1, 2, 4], [-1, -1, -1], 1)
     """
 
-    crossings: tuple[tuple[int, int, int, int], ...]
-    free_loops: int = 0  # crossingless unknot components
-
-    def __post_init__(self):
-        if type(self.crossings) is not tuple or any(type(q) is not tuple for q in self.crossings):
-            object.__setattr__(self, "crossings", tuple(map(tuple, self.crossings)))
-        for quad in self.crossings:
+    def __init__(
+        self,
+        crossings: tuple[tuple[int, int, int, int], ...],
+        free_loops: int = 0,  # crossingless unknot components
+    ):
+        if type(crossings) is not tuple or any(type(q) is not tuple for q in crossings):
+            crossings = tuple(map(tuple, crossings))
+        for quad in crossings:
             if len(quad) != 4:
                 raise LinkError(f"crossing {quad} is not a quadruple")
-        edges = [e for quad in self.crossings for e in quad]
+        edges = [e for quad in crossings for e in quad]
         # Arcs are named by their least edge, free loops by -1, -2, ...
         _exact_ints(edges, "edge", 0, error=LinkError)
         counts: dict[int, int] = {}
@@ -91,7 +96,8 @@ class LinkDiagram:
         bad = sorted(e for e, c in counts.items() if c != 2)
         if bad:
             raise LinkError(f"edge {bad[0]} appears {counts[bad[0]]} times, expected 2")
-        _exact_int(self.free_loops, "free_loops", 0, error=LinkError)
+        _exact_int(free_loops, "free_loops", 0, error=LinkError)
+        self.__dict__.update(crossings=crossings, free_loops=free_loops)
         self._strands  # orientation consistency is part of validity
 
     # -- the strand walk -----------------------------------------------
@@ -231,7 +237,7 @@ class LinkDiagram:
 # "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)" with optional "U" tokens, each adding
 # one crossingless unknot component.
 
-_PD_TOKEN = re.compile(r"X\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)|U|\S+")
+_PD_TOKEN = re.compile(r"X\(\s*([0-9]+)\s*,\s*([0-9]+)\s*,\s*([0-9]+)\s*,\s*([0-9]+)\s*\)|U|\S+")
 
 
 def parse_pd(text: str) -> LinkDiagram:
@@ -323,23 +329,19 @@ def color_name(p: Permutation) -> Optional[str]:
     return None
 
 
-@dataclasses.dataclass(frozen=True)
-class SimpleColoring:
+class SimpleColoring(_Value):
     """Arc -> meridian image; permutation flavor carries transpositions,
     braid flavor certified conjugates of generators or their inverses."""
 
-    degree: int
-    flavor: str
-    assignment: dict
-
-    def __post_init__(self):
-        if not isinstance(self.assignment, dict):
-            raise LinkError(f"assignment must be a dict from arcs to colors, got {self.assignment!r}")
-        _exact_ints(tuple(self.assignment), "arc", error=LinkError)
+    def __init__(self, degree: int, flavor: str, assignment: dict):
+        if not isinstance(assignment, dict):
+            raise LinkError(f"assignment must be a dict from arcs to colors, got {assignment!r}")
+        _exact_ints(tuple(assignment), "arc", error=LinkError)
         try:
-            check_elements(self.flavor, self.degree, self.assignment.items(), "arc {}")
+            check_elements(flavor, degree, assignment.items(), "arc {}")
         except ValueError as exc:
             raise LinkError(str(exc)) from None
+        self.__dict__.update(degree=degree, flavor=flavor, assignment=assignment)
 
     def __hash__(self):
         return hash((self.degree, self.flavor, frozenset(self.assignment.items())))
@@ -482,21 +484,21 @@ def enumerate_simple_colorings(dg: LinkDiagram, d: int) -> list[SimpleColoring]:
 # -- link surgery: one splice, tangle replacement (Montesinos moves) --------
 
 
-@dataclasses.dataclass(frozen=True)
-class Tangle:
+class Tangle(_Value):
     """A partial diagram: crossings over local edge names plus direct wires.
 
     Boundary edges appear exactly once among crossings and wires; a wire
     joins two boundary points with no crossing between them.
     """
 
-    crossings: tuple[tuple[int, int, int, int], ...]
-    wires: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "crossings", tuple(map(tuple, self.crossings)))
-        object.__setattr__(self, "wires", tuple(map(tuple, self.wires)))
-        _exact_ints([e for part in (*self.crossings, *self.wires) for e in part], "edge", 0, error=LinkError)
+    def __init__(
+        self,
+        crossings: tuple[tuple[int, int, int, int], ...],
+        wires: tuple[tuple[int, int], ...] = (),
+    ):
+        crossings, wires = tuple(map(tuple, crossings)), tuple(map(tuple, wires))
+        _exact_ints([e for part in (*crossings, *wires) for e in part], "edge", 0, error=LinkError)
+        self.__dict__.update(crossings=crossings, wires=wires)
 
     def edge_uses(self) -> dict[int, int]:
         return collections.Counter(e for part in (*self.crossings, *self.wires) for e in part)
@@ -734,11 +736,14 @@ def r2_remove(
 # -- simple lifts -----------------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
-class LiftSearchResult:
-    lift: Optional[SimpleColoring]
-    exhausted: bool = False  # budget hit without a verdict
-    checks: int = 0
+class LiftSearchResult(_Value):
+    def __init__(
+        self,
+        lift: Optional[SimpleColoring],
+        exhausted: bool = False,  # budget hit without a verdict
+        checks: int = 0,
+    ):
+        self.__dict__.update(lift=lift, exhausted=exhausted, checks=checks)
 
 
 def _simple_conjugates(d: int, conjugator_bound: int) -> list[tuple[BraidWord, tuple[int, int]]]:
@@ -855,11 +860,8 @@ def coloring_to_json(coloring: SimpleColoring) -> dict:
 def _arc_number(key: str) -> int:
     """The arc a coloring file's key names: an integer written as ``str``
     writes it, so that "01" cannot name arc 1 beside "1", nor "4_0" arc 40."""
-    try:
-        arc = int(key)
-    except (TypeError, ValueError):
-        arc = None
-    if arc is None or str(arc) != key:
+    arc = _plain_int(key)
+    if arc is None:
         raise LinkError(f"assignment key {key!r} is not an arc number written plainly")
     return arc
 

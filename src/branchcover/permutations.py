@@ -17,14 +17,19 @@ without re-checking them.
 ``_exact_int`` is the one gate for every integer argument of the package:
 each image, count, point, position, index, sign, budget, edge and letter
 goes through it, its sequence form ``_exact_ints`` or, for a flag,
-``_exact_bool``, and each module passes its own error class.
+``_exact_bool``, and each module passes its own error class.  A whole token
+of text read as an integer (a quandle file token, a coloring file key, a CLI
+option) goes through ``_plain_int``; the text parsers match ASCII digits.
+
+``_Value`` is the base of the package's value classes, this module's
+``Permutation`` among them.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
+import operator
 import re
 from typing import Iterable, Sequence
 
@@ -87,24 +92,84 @@ def _check_degree(d: int, least: int = 1, error=ValueError) -> int:
     return d
 
 
-@dataclasses.dataclass(frozen=True)
-class Permutation:
+def _plain_int(text) -> int | None:
+    """The int that ``text`` writes the way ``str`` writes it, else None.
+
+    So "12" and "-3" name integers, while "012", "+1", "1_2", " 1" and
+    non-ASCII digits such as "١" name none, although ``int`` reads them all.
+    """
+    try:
+        value = int(text)
+    except (TypeError, ValueError):
+        return None
+    return value if str(value) == text else None
+
+
+class _Value:
+    """Base of the package's value classes: immutable, compared and hashed
+    by their fields.
+
+    The fields are the parameters of the subclass's ``__init__``, in order;
+    ``__init__`` checks its arguments and stores them in ``__dict__``, where
+    ``functools.cached_property`` and the ``_unchecked`` functions write too.
+    Assigning or deleting an attribute raises AttributeError.  ``==`` holds
+    between instances of one class with equal field tuples, and the hash is
+    the hash of the field tuple; repr reads ``Name(field=value, ...)``.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1 : code.co_argcount]
+        # attrgetter of two names or more returns their tuple.  Permutation,
+        # the one class with a single field, has its own __eq__ and __hash__.
+        cls._field_tuple = staticmethod(operator.attrgetter(*cls._fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._field_tuple(self) == other._field_tuple(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._field_tuple(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Permutation(_Value):
     """A bijection of {1, ..., d}, immutable and hashable.
 
     >>> Permutation((2, 1, 3)) * Permutation((1, 3, 2))
     Permutation('(1 3 2)', degree=3)
     """
 
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        if type(self.images) is not tuple:
-            object.__setattr__(self, "images", tuple(self.images))
-        d = len(self.images)
+    def __init__(self, images: tuple[int, ...]):
+        if type(images) is not tuple:
+            images = tuple(images)
+        d = len(images)
         _check_degree(d)
-        _exact_ints(self.images, "images are not integers: {} is not one")
-        if sorted(self.images) != list(range(1, d + 1)):
-            raise ValueError(f"images {self.images} are not a bijection of 1..{d}")
+        _exact_ints(images, "images are not integers: {} is not one")
+        if sorted(images) != list(range(1, d + 1)):
+            raise ValueError(f"images {images} are not a bijection of 1..{d}")
+        object.__setattr__(self, "images", images)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.images == other.images
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.images,))
 
     @property
     def degree(self) -> int:
@@ -318,7 +383,7 @@ def is_transitive(perms: Sequence[Permutation], degree: int) -> bool:
 # omitted, "()" is the identity) and one-line image arrays "[2, 1, 3]"
 # or "2 1 3". Parsers annotate errors with the character position.
 
-_TOKEN_RE = re.compile(r"\s*(\(|\)|\[|\]|,|\d+)")
+_TOKEN_RE = re.compile(r"\s*(\(|\)|\[|\]|,|[0-9]+)")
 
 
 class ParseError(ValueError):

@@ -16,7 +16,6 @@ negative one the inverse translation.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 from typing import Optional, Sequence
 
@@ -29,39 +28,35 @@ from .links import (
     _solve_colorings,
     find_simple_lift,
 )
-from .permutations import _check_degree, _exact_int, _exact_ints
+from .permutations import _Value, _check_degree, _exact_int, _exact_ints, _plain_int
 
 
 class QuandleError(ValueError):
     pass
 
 
-@dataclasses.dataclass(frozen=True)
-class QuandleReport:
-    valid: bool
-    error: Optional[str] = None
+class QuandleReport(_Value):
+    def __init__(self, valid: bool, error: Optional[str] = None):
+        self.__dict__.update(valid=valid, error=error)
 
 
-@dataclasses.dataclass(frozen=True)
-class FiniteQuandle:
+class FiniteQuandle(_Value):
     """Elements 0..n-1 with op[x][y] = x |> y; optional display names.
 
     The table is stored as a tuple of tuples of exact ints, which the
     coloring search indexes directly."""
 
-    op: tuple[tuple[int, ...], ...]
-    names: Optional[tuple[str, ...]] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "op", tuple(map(tuple, self.op)))
-        if self.names is not None:
-            object.__setattr__(self, "names", tuple(self.names))
-        n = len(self.op)
-        if any(len(row) != n for row in self.op):
+    def __init__(self, op: tuple[tuple[int, ...], ...], names: Optional[tuple[str, ...]] = None):
+        op = tuple(map(tuple, op))
+        if names is not None:
+            names = tuple(names)
+        n = len(op)
+        if any(len(row) != n for row in op):
             raise QuandleError("operation table is not square")
-        _exact_ints([v for row in self.op for v in row], "table entry", 0, n - 1, QuandleError)
-        if self.names is not None and len(self.names) != n:
+        _exact_ints([v for row in op for v in row], "table entry", 0, n - 1, QuandleError)
+        if names is not None and len(names) != n:
             raise QuandleError("names must match the element count")
+        self.__dict__.update(op=op, names=names)
 
     def __len__(self) -> int:
         return len(self.op)
@@ -278,15 +273,20 @@ def quandle_to_text(q: FiniteQuandle) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _plain_ints(tokens: list[str], what: str) -> list[int]:
+    """The tokens as integers, each written as ``str`` writes it (so "0_1",
+    "+2" and "00" are refused, although ``int`` reads them)."""
+    values = [_plain_int(t) for t in tokens]
+    if None in values:
+        raise QuandleError(f"bad token in {what}: {tokens[values.index(None)]!r} is not an integer")
+    return values
+
+
 def quandle_from_text(text: str) -> FiniteQuandle:
     tokens = text.split()
     if not tokens:
         raise QuandleError("empty quandle file")
-    try:
-        n = int(tokens[0])
-        values = [int(t) for t in tokens[1:]]
-    except ValueError as exc:
-        raise QuandleError(f"bad token in quandle file: {exc}") from exc
+    n, *values = _plain_ints(tokens, "quandle file")
     if n < 0:
         raise QuandleError(f"negative element count {n}")
     if len(values) != n * n:
@@ -296,7 +296,4 @@ def quandle_from_text(text: str) -> FiniteQuandle:
 
 
 def surjection_from_text(text: str) -> list[int]:
-    try:
-        return [int(t) for t in text.split()]
-    except ValueError as exc:
-        raise QuandleError(f"bad token in surjection file: {exc}") from exc
+    return _plain_ints(text.split(), "surjection file")

@@ -318,3 +318,8 @@ class TestText:
     def test_bad_token(self):
         with pytest.raises(ParseError, match="bad braid token"):
             parse_braid("s1 q2", 4)
+
+    def test_non_ascii_digits_are_refused(self):
+        # "s\u0661" matched \d and parsed as s1.
+        with pytest.raises(ParseError, match="bad braid token"):
+            parse_braid("s\u0661", 3)

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import itertools
 import operator
@@ -157,9 +156,10 @@ class TestValidation:
             t = rng.randrange(len(c.events))
             ev = c.events[t]
             if k % 3 == 0:
-                ev = dataclasses.replace(ev, position=rng.randrange(8))
+                ev = ChartEvent(ev.kind, rng.randrange(8), ev.labels, ev.insert, ev.sign)
             else:
-                ev = dataclasses.replace(ev, labels=tuple(rng.randrange(1, d + 1) for _ in ev.labels))
+                labels = tuple(rng.randrange(1, d + 1) for _ in ev.labels)
+                ev = ChartEvent(ev.kind, ev.position, labels, ev.insert, ev.sign)
             bad = Chart(d, c.oriented, c.events[:t] + (ev,) + c.events[t + 1:])
             for chart in (c, bad):
                 report = validate_chart(chart)
@@ -508,7 +508,7 @@ def _applicable_move_sites(c):
 
 
 def _without_deletion_signs(c):
-    events = tuple(dataclasses.replace(e, sign=None) if e.kind == "black" and not e.insert else e
+    events = tuple(ChartEvent(e.kind, e.position, e.labels, e.insert) if e.kind == "black" and not e.insert else e
                    for e in c.events)
     return Chart(c.degree, c.oriented, events)
 

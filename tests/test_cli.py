@@ -261,6 +261,20 @@ class TestChartVerbs:
         assert result.exit_code == 1
         assert "no event pair" in json.loads(result.stderr)["error"]
 
+    # int() read "0_1" and "+1" as 1 and "\u0669" as 9, and a repeated key
+    # silently kept its last value.
+    @pytest.mark.parametrize("move, site, error", [
+        ("cup-cap-cancel", "at=0_1", "site values must be integers, got '0_1'"),
+        ("cup-cap-cancel", "at=+1", "site values must be integers, got '+1'"),
+        ("cup-cap-insert", "at=0,position=\u0669,label=1",
+         "site values must be integers, got '\u0669'"),
+        ("cup-cap-cancel", "at=0,at=1", "site key 'at' is given twice"),
+    ], ids=["underscore", "plus", "non-ascii", "repeated-key"])
+    def test_move_site_values_are_plain_integers(self, runner, chart_file, move, site, error):
+        result = runner.invoke(main, ["chart-move", chart_file, "--move", move, "--site", site])
+        assert result.exit_code == 2
+        assert json.loads(result.stderr)["error"] == error
+
     def test_render_svg_and_dot(self, runner, chart_file, tmp_path):
         out = tmp_path / "chart.svg"
         result = runner.invoke(main, ["render", chart_file, "-o", str(out)])
@@ -489,6 +503,18 @@ def test_negative_bound_is_usage_error(runner, name, option):
     assert f"argument {option}: expected a non-negative integer, got '-1'" in result.stderr
 
 
+# int() read "1_0" as 10, and "+1", "01" and "\u0661" as 1.
+@pytest.mark.parametrize("value", ["1_0", "+1", "01", "\u0661"])
+@pytest.mark.parametrize("name, option", [
+    ("equiv", "--budget"), ("lift", "--budget"), ("lift", "--conjugator-bound"),
+    ("quandle-lift", "--budget"), ("quandle-lift", "--conjugator-bound"), ("color", "--degree"),
+])
+def test_integer_options_are_written_plainly(runner, name, option, value):
+    result = runner.invoke(main, [name, *_MINIMAL_CALLS[name], option, value])
+    assert result.exit_code == 2
+    assert f"argument {option}" in result.stderr and f"got {value!r}" in result.stderr
+
+
 class TestRoundTrips:
     def test_written_files_reparse(self, runner, torus_system_file, tmp_path):
         # normalize output is a system file readable by equiv
@@ -549,6 +575,14 @@ def _python(args, tmp_path):
                           capture_output=True, text=True, timeout=120)
 
 
+@pytest.fixture(scope="module")
+def bare_modules(tmp_path_factory):
+    """The modules of an interpreter that has imported what _RUN_CLI imports."""
+    proc = _python(["-c", "import json, runpy, sys; print(json.dumps(sorted(sys.modules)))"],
+                   tmp_path_factory.mktemp("bare"))
+    return set(json.loads(proc.stdout))
+
+
 @pytest.fixture
 def cli_files(tmp_path, torus_system_file, trefoil_file):
     from branchcover.quandles import quandle_colorings
@@ -596,8 +630,8 @@ def cli_files(tmp_path, torus_system_file, trefoil_file):
                   "--target-table", "{table}", "--surjection", "{map}"], 0, _QUANDLES,
                  id="quandle-lift-finite"),
 ])
-def test_subcommand_process_loads_only_its_modules(runner, cli_files, tmp_path, command,
-                                                   exit_code, loaded):
+def test_subcommand_process_loads_only_its_modules(runner, cli_files, bare_modules, tmp_path,
+                                                   request, command, exit_code, loaded):
     args = [a.format(**cli_files) for a in command]
     modules_out = tmp_path / "modules.json"
     proc = _python(["-c", _RUN_CLI, str(modules_out), *args], tmp_path)
@@ -606,8 +640,12 @@ def test_subcommand_process_loads_only_its_modules(runner, cli_files, tmp_path, 
     assert (proc.stdout, proc.stderr) == (in_process.stdout, in_process.stderr)
     if command[0] != "render":
         json.loads(proc.stdout or proc.stderr)
-    assert {m for m in json.loads(modules_out.read_text())
-            if m.startswith("branchcover.")} == loaded
+    modules = set(json.loads(modules_out.read_text()))
+    assert {m for m in modules if m.startswith("branchcover.")} == loaded
+    # No call imports dataclasses; only a --site whose keys do not fit the
+    # move imports inspect, to name the keys the move takes.
+    added = {"dataclasses", "inspect"} & (modules - bare_modules)
+    assert added == ({"inspect"} if request.node.callspec.id == "chart-move-site-error" else set())
 
 
 # The interpreter's own start-up (site, .pth files) may import third-party

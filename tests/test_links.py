@@ -74,6 +74,11 @@ class TestParsePd:
         with pytest.raises(ParseError, match="bad PD token"):
             parse_pd("X(1,2,3,4) Y(1,2)")
 
+    def test_non_ascii_digits_are_refused(self):
+        # "X(\u0661,4,2,5)" matched \d and read arc 1: a valid trefoil.
+        with pytest.raises(ParseError, match="bad PD token"):
+            parse_pd("X(\u0661,4,2,5) X(3,6,4,1) X(5,2,6,3)")
+
     def test_roundtrip(self):
         for name, text in CORPUS.items():
             dg = parse_pd(text)

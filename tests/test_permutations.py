@@ -185,6 +185,12 @@ class TestText:
         with pytest.raises(ParseError):
             parse_permutation("(1 x)", 3)
 
+    # Arabic-Indic digits matched \d and parsed as (1 2).
+    @pytest.mark.parametrize("text", ["(\u0661 \u0662)", "\u0662 \u0661 3"])
+    def test_non_ascii_digits_are_refused(self, text):
+        with pytest.raises(ParseError, match="unexpected character"):
+            parse_permutation(text, 3)
+
     def test_not_bijection(self):
         with pytest.raises(ParseError):
             parse_permutation("[1, 1, 3]", 3)

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -365,3 +366,14 @@ class TestTextFormats:
         assert surjection_from_text("0 1 2 0 1 2") == [0, 1, 2, 0, 1, 2]
         with pytest.raises(QuandleError):
             surjection_from_text("a b")
+
+    # int() read "0_1" as 1, so a table holding it passed quandle-check;
+    # "+2", "00" and non-ASCII digits were read too.
+    @pytest.mark.parametrize("token", ["0_1", "+1", "01", "\u0661", "1.0"])
+    def test_tokens_are_integers_written_plainly(self, token):
+        table = quandle_to_text(make_Td(3)).replace("1", token, 1)  # the element count stays 3
+        assert table.startswith("3\n")
+        with pytest.raises(QuandleError, match=re.escape(f"bad token in quandle file: {token!r}")):
+            quandle_from_text(table)
+        with pytest.raises(QuandleError, match=re.escape(f"bad token in surjection file: {token!r}")):
+            surjection_from_text(f"0 {token} 2")
