@@ -30,27 +30,33 @@ event indices are 0-based.
 There is one sweep, ``_sweep``, over the live word: validation, monodromy
 and moves read it as it goes.  ``sweep_record`` snapshots its words and
 segment ids for orientability, rendering and the test oracles.
+
+Only ``chart_hurwitz_system`` needs the ``hurwitz`` module, and braids only
+for an oriented chart; it imports them itself, so that validating, moving,
+orienting or rendering a chart loads neither.
 """
 
 from __future__ import annotations
 
-import random
-from typing import Callable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
-from . import hurwitz
 from ._unionfind import ParityUnionFind, UnionFind
-from .braids import BraidWord
-from .hurwitz import BRAID, PERMUTATION, HurwitzSystem
 from .permutations import (
+    BRAID,
+    PERMUTATION,
     Permutation,
     _Value,
     _check_degree,
+    _check_json_object,
     _exact_bool,
     _exact_int,
     _exact_ints,
     _exact_sign,
     _transposition,
 )
+
+if TYPE_CHECKING:
+    from .hurwitz import HurwitzSystem
 
 EVENT_KINDS = ("black", "white", "crossing", "cup", "cap")
 
@@ -296,6 +302,10 @@ def validate_chart(chart: Chart) -> ChartReport:
 
 def chart_hurwitz_system(chart: Chart) -> HurwitzSystem:
     """Meridian images of the black vertices, in sweep order."""
+    from . import hurwitz
+
+    if chart.oriented:
+        from .braids import BraidWord
     d = chart.degree
     entries: list = []
     transpositions: dict[tuple[int, int], Permutation] = {}
@@ -697,70 +707,6 @@ def _orient_with(chart: Chart, record: SweepRecord, signs: dict[int, int]) -> Ch
     return Chart(chart.degree, True, tuple(events))
 
 
-# -- random charts -------------------------------------------------------
-
-
-def random_chart(
-    degree: int,
-    size: int,
-    rng: random.Random,
-    oriented: bool = False,
-) -> Chart:
-    """A random valid closed chart with roughly ``size`` events."""
-    _check_degree(degree, 2, ChartError)
-    _exact_int(size, "size", 0, error=ChartError)
-    _exact_bool(oriented, "oriented", ChartError)
-    events: list[ChartEvent] = []
-    word: list[tuple[int, int]] = []  # (label, sign)
-
-    def fits(ev: ChartEvent) -> bool:
-        try:
-            _produced(ev, word, degree, oriented)
-        except ChartError:
-            return False
-        return True
-
-    while len(events) < size or word:
-        growing = len(events) < size - len(word) - 1
-        choices = []
-        if growing:
-            choices += ["black-insert"] * 3 + ["cup"] * 2
-        # Offer only events the sweep accepts: _produced judges them.
-        pairs = [(p, word[p][0], word[p + 1][0]) for p in range(len(word) - 1)]
-        offers = {
-            "white": [ev for p, i, j in pairs if fits(ev := white(i, j, p))],
-            "crossing": [ev for p, i, j in pairs if fits(ev := crossing(i, j, p))],
-            "cap": [ev for p, i, _ in pairs if fits(ev := cap(i, p))],
-        }
-        if word:
-            choices += ["black-delete"] * (1 if growing else 4)
-        if offers["cap"]:
-            choices += ["cap"] * (1 if growing else 4)
-        if offers["white"] and len(events) < size:
-            choices += ["white"] * 2
-        if offers["crossing"] and len(events) < size:
-            choices += ["crossing"] * 2
-        if not choices:
-            choices = ["black-insert", "cup"]
-        kind = rng.choice(choices)
-        if kind == "black-insert":
-            ev = black(rng.randrange(1, degree), rng.randrange(len(word) + 1), True,
-                       rng.choice([1, -1]) if oriented else None)
-        elif kind == "black-delete":
-            p = rng.randrange(len(word))
-            lab, sign = word[p]
-            ev = black(lab, p, False, sign if oriented else None)
-        elif kind == "cup":
-            ev = cup(rng.randrange(1, degree), rng.randrange(len(word) + 1),
-                     rng.choice([1, -1]) if oriented else None)
-        else:
-            ev = rng.choice(offers[kind])
-        events.append(ev)
-        consumed, produced = _produced(ev, word, degree, oriented)
-        word[ev.position : ev.position + len(consumed)] = produced
-    return Chart(degree, oriented, tuple(events))
-
-
 # -- serialization and rendering ------------------------------------------
 
 
@@ -777,11 +723,12 @@ def chart_to_json(chart: Chart) -> dict:
 
 
 def chart_from_json(data: dict) -> Chart:
+    _check_json_object(data, "chart", ChartError)
     try:
         degree = data["degree"]
         oriented = data["oriented"]
         raw = data["events"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ChartError(f"chart file needs degree/oriented/events: {exc}") from exc
     if type(raw) is not list:
         raise ChartError(f"chart events must be a list, got {raw!r}")

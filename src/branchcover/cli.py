@@ -14,12 +14,27 @@ written as ``str`` writes an int: "1_0", "+1", "01" and non-ASCII digits are
 refused, and so is a ``--site`` key given twice.
 
 The command needs only the standard library.  Each call is a fresh process,
-so each subcommand imports only the library modules it calls: ``hurwitz`` at
-the top (``charts``, ``covering``, ``links`` and ``quandles`` all import it),
-the others inside the subcommand.  The value classes are plain classes on
-one small base, so no call imports the standard library's dataclass module,
-nor ``inspect`` except for a ``--site`` whose keys do not fit the move, which
-``charts.apply_chart_move`` diagnoses with it.
+so it builds the parser of its own subcommand only (help, a missing command
+and an unknown one build them all) and imports only the library modules that
+subcommand runs, besides ``permutations`` and ``_unionfind``, which every one
+needs:
+
+  normalize, equiv                hurwitz (``equiv --mode covering``: and covering)
+  cover                           hurwitz, covering
+  chart-validate, chart-orient,   charts
+  chart-move, render
+  chart-monodromy                 charts, hurwitz
+  color                           links
+  lift                            links, braids
+  quandle-check                   quandles
+  quandle-lift                    links, quandles with the three table options;
+                                  without them it runs ``lift``
+
+A braid-flavored system or coloring file adds braids wherever it is read.
+The value classes are plain classes on one small base, so no call imports
+the standard library's dataclass module, nor ``inspect`` except for a
+``--site`` whose keys do not fit the move, which ``charts.apply_chart_move``
+diagnoses with it.
 """
 
 from __future__ import annotations
@@ -29,16 +44,17 @@ import json
 import sys
 from typing import Callable
 
-from . import hurwitz
-from .permutations import _exact_ints, _plain_int
+from .permutations import _check_json_object, _exact_ints, _plain_int
 
 EXIT_DOMAIN = 1
 EXIT_INPUT = 2
 
 # Option values the parser needs before any subcommand runs.  They copy
-# links.DEFAULT_CONJUGATOR_BOUND, links.DEFAULT_LIFT_BUDGET and
-# sorted(charts.MOVES), so that building the parser imports neither module;
-# tests/test_cli.py pins them to the library.
+# hurwitz.DEFAULT_EQUIV_BUDGET, links.DEFAULT_CONJUGATOR_BOUND,
+# links.DEFAULT_LIFT_BUDGET and sorted(charts.MOVES), so that building the
+# parser imports none of those modules; tests/test_cli.py pins them to the
+# library.
+EQUIV_BUDGET = 100_000
 CONJUGATOR_BOUND = 3
 LIFT_BUDGET = 1_000_000
 MOVE_NAMES = [
@@ -79,6 +95,8 @@ def _print(data) -> None:
 
 def normalize(args):
     """Normal form of a simple transitive closing permutation system."""
+    from . import hurwitz
+
     s = _load(args.system_file, hurwitz.system_from_json)
     nf, trace = hurwitz.hc_normal_form(s)
     payload = hurwitz.system_to_json(nf)
@@ -96,6 +114,8 @@ def _trace_step_json(step):
 
 def equiv(args):
     """Decide HC-equivalence, or covering equivalence with --mode covering."""
+    from . import hurwitz
+
     s = _load(args.system_a, hurwitz.system_from_json)
     t = _load(args.system_b, hurwitz.system_from_json)
     if args.mode == "hc":
@@ -109,7 +129,7 @@ def equiv(args):
 
 def cover(args):
     """Reconstruct the covering surface of a closing permutation system."""
-    from . import covering
+    from . import covering, hurwitz
 
     s = _load(args.system_file, hurwitz.system_from_json)
     _print(covering.build_covering(s).to_json())
@@ -127,7 +147,7 @@ def chart_validate(args):
 
 def chart_monodromy(args):
     """Hurwitz system induced by a chart."""
-    from . import charts
+    from . import charts, hurwitz
 
     c = _load(args.chart_file, charts.chart_from_json)
     _print(hurwitz.system_to_json(charts.chart_hurwitz_system(c)))
@@ -219,7 +239,8 @@ def _element_coloring(data) -> dict:
     """A finite-lift coloring file: {"assignment": {arc: element number}}."""
     from .links import _arc_number
 
-    raw = data.get("assignment") if isinstance(data, dict) else None
+    _check_json_object(data, "coloring")
+    raw = data.get("assignment")
     if not isinstance(raw, dict):
         raise ValueError(f"assignment must map arcs to element numbers, got {raw!r}")
     _exact_ints(tuple(raw.values()), "assignment value")
@@ -279,58 +300,80 @@ def _integer(text: str) -> int:
     return value
 
 
-def _parser() -> argparse.ArgumentParser:
+_DEFAULT = "(default: %(default)s)"
+_LIFT_OPTIONS = (
+    ("--conjugator-bound", dict(type=_bound, default=CONJUGATOR_BOUND, help=_DEFAULT)),
+    ("--budget", dict(type=_bound, default=LIFT_BUDGET, help=_DEFAULT)),
+)
+
+# Each subcommand, in help order: its function, its positionals, and its
+# options as the flags and keyword arguments of add_argument.
+_COMMANDS = {
+    "normalize": (normalize, ("system_file",), (
+        ("--trace-out", dict(help="Write the move trace as JSON.")),
+    )),
+    "equiv": (equiv, ("system_a", "system_b"), (
+        ("--mode", dict(choices=["hc", "covering"], default="hc")),
+        ("--budget", dict(type=_bound, default=EQUIV_BUDGET, help=_DEFAULT)),
+    )),
+    "cover": (cover, ("system_file",), ()),
+    "chart-validate": (chart_validate, ("chart_file",), ()),
+    "chart-monodromy": (chart_monodromy, ("chart_file",), ()),
+    "chart-orient": (chart_orient, ("chart_file",), (
+        ("--witness-out", dict(help="Write the oriented chart.")),
+    )),
+    "chart-move": (chart_move, ("chart_file",), (
+        ("--move", dict(dest="move_name", required=True, choices=MOVE_NAMES)),
+        ("--site", dict(default="", help="Comma-separated key=value arguments.")),
+        ("--out", dict(help="Write the moved chart.")),
+    )),
+    "color": (color, ("pd_file",), (
+        ("--degree", "-d", dict(type=_integer, required=True)),
+        ("--show-colors", dict(action="store_true", help="Name degree-3 colors.")),
+    )),
+    "lift": (lift, ("pd_file", "coloring_file"), _LIFT_OPTIONS),
+    "quandle-lift": (quandle_lift, ("pd_file", "coloring_file"), _LIFT_OPTIONS + (
+        ("--source-table", dict(help="Lift through a finite surjection instead of A_d.")),
+        ("--target-table", dict()),
+        ("--surjection", dict()),
+    )),
+    "quandle-check": (quandle_check, ("table_file",), ()),
+    "render": (render, ("chart_file",), (
+        ("--format", dict(dest="fmt", choices=["svg", "dot"], default="svg", help=_DEFAULT)),
+        ("--out", "-o", dict(help="Output file (stdout otherwise).")),
+    )),
+}
+
+
+def _parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser of ``argv``: only its subcommand's when ``argv[0]`` names
+    one, else every subcommand's, which help, a missing command and an
+    unknown one need.  A subcommand's help and usage errors read the same
+    from either, so only building the others is saved."""
     parser = argparse.ArgumentParser(
         prog="branchcover", allow_abbrev=False,
         description="Calculus of simple branched coverings: Hurwitz systems, charts, "
                     "link colorings and quandle lifts.")
     commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
-
-    def command(run, *positionals):
-        sub = commands.add_parser(run.__name__.replace("_", "-"), help=run.__doc__,
-                                  description=run.__doc__, allow_abbrev=False)
+    only = argv[0] if argv and argv[0] in _COMMANDS else None
+    for name, (run, positionals, options) in _COMMANDS.items():
+        if only not in (None, name):
+            continue
+        sub = commands.add_parser(name, help=run.__doc__, description=run.__doc__,
+                                  allow_abbrev=False)
         sub.set_defaults(run=run)
-        for name in positionals:
-            sub.add_argument(name)
-        return sub
-
-    default = "(default: %(default)s)"
-    sub = command(normalize, "system_file")
-    sub.add_argument("--trace-out", help="Write the move trace as JSON.")
-    sub = command(equiv, "system_a", "system_b")
-    sub.add_argument("--mode", choices=["hc", "covering"], default="hc")
-    sub.add_argument("--budget", type=_bound, default=hurwitz.DEFAULT_EQUIV_BUDGET, help=default)
-    command(cover, "system_file")
-    command(chart_validate, "chart_file")
-    command(chart_monodromy, "chart_file")
-    sub = command(chart_orient, "chart_file")
-    sub.add_argument("--witness-out", help="Write the oriented chart.")
-    sub = command(chart_move, "chart_file")
-    sub.add_argument("--move", dest="move_name", required=True, choices=MOVE_NAMES)
-    sub.add_argument("--site", default="", help="Comma-separated key=value arguments.")
-    sub.add_argument("--out", help="Write the moved chart.")
-    sub = command(color, "pd_file")
-    sub.add_argument("--degree", "-d", type=_integer, required=True)
-    sub.add_argument("--show-colors", action="store_true", help="Name degree-3 colors.")
-    for run in (lift, quandle_lift):
-        sub = command(run, "pd_file", "coloring_file")
-        sub.add_argument("--conjugator-bound", type=_bound, default=CONJUGATOR_BOUND,
-                         help=default)
-        sub.add_argument("--budget", type=_bound, default=LIFT_BUDGET, help=default)
-    # quandle-lift only:
-    sub.add_argument("--source-table", help="Lift through a finite surjection instead of A_d.")
-    sub.add_argument("--target-table")
-    sub.add_argument("--surjection")
-    command(quandle_check, "table_file")
-    sub = command(render, "chart_file")
-    sub.add_argument("--format", dest="fmt", choices=["svg", "dot"], default="svg", help=default)
-    sub.add_argument("--out", "-o", help="Output file (stdout otherwise).")
+        for positional in positionals:
+            sub.add_argument(positional)
+        for *flags, kwargs in options:
+            sub.add_argument(*flags, **kwargs)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand and return its exit code."""
-    args = _parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parser(argv).parse_args(argv)
     try:
         return args.run(args) or 0
     except (InputExit, ValueError) as exc:

@@ -27,77 +27,39 @@ every such system of a given degree and length has this one normal form
 (the classification theorem of Hurwitz 1891 and Berstein-Edmonds 1984),
 ``hc_equivalent`` decides those systems by comparing lengths, without
 computing normal forms.
+
+The braids module is imported only on braid-flavored paths, once per call,
+so a permutation system never loads it.
 """
 
 from __future__ import annotations
 
 import enum
 from collections import deque
-from typing import Callable, Iterable, NamedTuple, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
-from . import braids, permutations
-from .braids import BraidWord, parse_braid
+from . import permutations
 from .permutations import (
+    BRAID,
+    PERMUTATION,
     Permutation,
     _Value,
     _check_degree,
+    _check_json_object,
     _exact_bool,
     _exact_int,
     _relabel,
-    parse_permutation,
+    as_permutations,
+    check_elements,
+    flavor_spec,
 )
 
-Entry = Union[Permutation, BraidWord]
+if TYPE_CHECKING:
+    from .braids import BraidWord
 
-PERMUTATION = "permutation"
-BRAID = "braid"
+Entry = Union[Permutation, "BraidWord"]
 
 DEFAULT_EQUIV_BUDGET = 100_000
-
-
-class Flavor(NamedTuple):
-    """What a flavor means: its element type, the parser of its entry text
-    (``str(e)`` writes it), and the least degree of its groups."""
-
-    element: type
-    parse: Callable[[str, int], Entry]
-    least_degree: int
-
-
-FLAVORS = {
-    PERMUTATION: Flavor(Permutation, parse_permutation, 1),
-    BRAID: Flavor(BraidWord, parse_braid, 2),
-}
-
-
-def flavor_spec(flavor) -> Flavor:
-    """The table row of a flavor; an unknown flavor is refused here only."""
-    if not isinstance(flavor, str) or flavor not in FLAVORS:
-        raise ValueError(f"unknown flavor {flavor!r}")
-    return FLAVORS[flavor]
-
-
-def check_elements(flavor, degree, elements: Iterable[tuple], where: str = "entry {}") -> None:
-    """Refuse an unknown flavor, a degree outside its range, or an element of
-    another type or degree among the (label, element) pairs.  ``where``
-    formats a label into the error; it is formatted only when a check fails.
-    """
-    element, _, least = flavor_spec(flavor)
-    _check_degree(degree, least)
-    for label, e in elements:
-        if not isinstance(e, element):
-            raise ValueError(
-                f"{where.format(label)}: a {type(e).__name__} is not of flavor {flavor}"
-            )
-        if e.degree != degree:
-            raise ValueError(f"{where.format(label)}: degree {e.degree} is not {degree}")
-
-
-def as_permutations(flavor: str, elements: Iterable[Entry]) -> list[Permutation]:
-    """The images in S_d of elements of a flavor: braids project, permutations stay."""
-    if flavor == PERMUTATION:
-        return list(elements)
-    return [braids.project(e) for e in elements]
 
 
 class HurwitzError(ValueError):
@@ -198,7 +160,7 @@ def conjugate_system(s: HurwitzSystem, g: Entry) -> HurwitzSystem:
 
 def total_monodromy(s: HurwitzSystem) -> Entry:
     """Ordered product a_1 a_2 ... a_n (identity for the empty system)."""
-    acc = FLAVORS[s.flavor].element.identity(s.degree)
+    acc = flavor_spec(s.flavor).element.identity(s.degree)
     for e in s.entries:
         acc = acc * e
     return acc
@@ -225,6 +187,14 @@ def braid_simplicity(w: BraidWord) -> Simplicity:
     summit search stops as soon as it reaches (0, 1), and its conjugator is
     the certificate.
     """
+    from . import braids
+
+    return _braid_simplicity(braids, w)
+
+
+def _braid_simplicity(braids, w: BraidWord) -> Simplicity:
+    """``braid_simplicity`` with the braids module handed in, so that a
+    system's entries are decided after one import."""
     e = braids.exponent_sum(w)
     if e not in (1, -1):
         return Simplicity.NOT_SIMPLE
@@ -243,7 +213,9 @@ def entry_simplicity_verdicts(s: HurwitzSystem) -> list[Simplicity]:
             Simplicity.SIMPLE if permutations.is_transposition(e) else Simplicity.NOT_SIMPLE
             for e in s.entries
         ]
-    return [braid_simplicity(e) for e in s.entries]
+    from . import braids
+
+    return [_braid_simplicity(braids, e) for e in s.entries]
 
 
 def is_simple_system(s: HurwitzSystem) -> bool:
@@ -468,30 +440,34 @@ def normal_form_template(degree: int, n: int) -> HurwitzSystem:
 # -- HC-equivalence ------------------------------------------------------
 
 
-def _entry_class_invariant(e: Entry):
-    if isinstance(e, Permutation):
-        return e.cycle_type()
-    return (braids.exponent_sum(e), braids.project(e).cycle_type())
-
-
 def _screen_distinct(s: HurwitzSystem, t: HurwitzSystem) -> bool:
-    """Cheap HC-invariants that certify two systems are inequivalent."""
+    """Cheap HC-invariants that certify two systems are inequivalent.
+
+    An element's class invariant is its cycle type, for a braid the
+    exponent sum and the cycle type of its projection.
+    """
     if len(s) != len(t):
         return True
-    if sorted(_entry_class_invariant(e) for e in s.entries) != sorted(
-        _entry_class_invariant(e) for e in t.entries
-    ):
+    if s.flavor == PERMUTATION:
+        invariant = Permutation.cycle_type
+    else:
+        from . import braids
+
+        def invariant(w):
+            return braids.exponent_sum(w), braids.project(w).cycle_type()
+
+    if sorted(map(invariant, s.entries)) != sorted(map(invariant, t.entries)):
         return True
     total_s, total_t = total_monodromy(s), total_monodromy(t)
-    if _entry_class_invariant(total_s) != _entry_class_invariant(total_t):
+    if invariant(total_s) != invariant(total_t):
         return True
     if sorted(map(len, orbit_partition(s))) != sorted(map(len, orbit_partition(t))):
         return True
-    if s.flavor == BRAID and s.degree >= 3:
-        # The total monodromy changes only by conjugation, so its super
-        # summit invariants (inf_s, sup_s) are HC-invariants.
-        return braids.summit(total_s)[:2] != braids.summit(total_t)[:2]
-    return False
+    if s.flavor == PERMUTATION or s.degree < 3:
+        return False
+    # The total monodromy changes only by conjugation, so its super summit
+    # invariants (inf_s, sup_s) are HC-invariants.
+    return braids.summit(total_s)[:2] != braids.summit(total_t)[:2]
 
 
 def _neighbors(s: HurwitzSystem, generators: list[Entry]) -> Iterable[HurwitzSystem]:
@@ -512,6 +488,8 @@ def _bidirectional_search(
     if s.flavor == PERMUTATION:
         generators = [Permutation.adjacent(d, i) for i in range(1, d)]
     else:
+        from .braids import BraidWord
+
         generators = [BraidWord(d, (x,)) for i in range(1, d) for x in (i, -i)]
     sides = [{s}, {t}]
     frontiers = [deque([s]), deque([t])]
@@ -661,11 +639,12 @@ def system_to_json(s: HurwitzSystem) -> dict:
 
 
 def system_from_json(data: dict) -> HurwitzSystem:
+    _check_json_object(data, "system")
     try:
         degree = data["degree"]
         flavor = data["flavor"]
         raw = data["entries"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ValueError(f"system file needs degree/flavor/entries: {exc}") from exc
     if not isinstance(raw, list) or not all(isinstance(text, str) for text in raw):
         raise ValueError(f"system entries must be a list of strings, got {raw!r}")

@@ -21,24 +21,30 @@ from __future__ import annotations
 
 import collections
 import functools
-import itertools
 import math
 import re
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
 from . import permutations
-from .braids import BraidWord, canonical_key
-from .hurwitz import BRAID, PERMUTATION, as_permutations, check_elements, flavor_spec
 from .permutations import (
+    BRAID,
+    PERMUTATION,
     ParseError,
     Permutation,
     _Value,
     _check_degree,
+    _check_json_object,
     _exact_int,
     _exact_ints,
     _exact_sign,
     _plain_int,
+    as_permutations,
+    check_elements,
+    flavor_spec,
 )
+
+if TYPE_CHECKING:
+    from .braids import BraidWord
 
 DEFAULT_CONJUGATOR_BOUND = 3
 DEFAULT_LIFT_BUDGET = 1_000_000
@@ -618,25 +624,12 @@ def twist_boundary_colors(a: Permutation, b: Permutation, n: int = 3) -> dict:
     return colors
 
 
-def montesinos_pair_check(d: int = 3) -> bool:
-    """Registration check: on distinct intersecting transpositions the
-    3-half-twist tangle reproduces its bottom boundary colors at the top,
-    matching the flat tangle's boundary monodromy."""
-    _check_degree(d, 2, LinkError)
-    for a, b in itertools.permutations(permutations.all_transpositions(d), 2):
-        if len(a.support() & b.support()) != 1:
-            continue
-        colors = twist_boundary_colors(a, b, 3)
-        if colors[103] != a or colors[203] != b:
-            return False
-    return True
-
-
 def montesinos_flat_colors(a: Permutation, b: Permutation) -> dict:
     """Colors of the registered flat replacement for bottom colors (a, b).
 
-    The boundary identity behind the registration is montesinos_pair_check,
-    which the test suite checks for d = 3 to 8.
+    The boundary identity behind the registration, that the 3-half-twist
+    tangle gives back its bottom colors at the top, is checked for d = 3 to
+    8 by ``montesinos_pair_check`` in tests/oracles.py.
     """
     if a == b or len(a.support() & b.support()) != 1:
         raise LinkError("the registered pair needs distinct intersecting transpositions")
@@ -756,8 +749,11 @@ def _simple_conjugates(d: int, conjugator_bound: int) -> list[tuple[BraidWord, t
     sorted by ``canonical_key``: the order decides which lift is found, and
     perfbench's tracer counts braid keys only through this sort.  Discovery
     order would need fewer checks; it waits until the tracer counts braid
-    equality some other way.
+    equality some other way.  The braids module is imported here, once per
+    lift: no other link function needs it.
     """
+    from .braids import BraidWord, canonical_key
+
     generators = [(BraidWord(d, (i * s,)), (i, i + 1)) for i in range(1, d) for s in (1, -1)]
     seen, frontier = dict(generators), generators
     for _ in range(conjugator_bound):
@@ -867,11 +863,12 @@ def _arc_number(key: str) -> int:
 
 
 def coloring_from_json(data: dict) -> SimpleColoring:
+    _check_json_object(data, "coloring", LinkError)
     try:
         degree = data["degree"]
         flavor = data["flavor"]
         raw = data["assignment"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise LinkError(f"coloring file needs degree/flavor/assignment: {exc}") from exc
     if not isinstance(raw, dict) or not all(isinstance(text, str) for text in raw.values()):
         raise LinkError(f"coloring assignment must map arcs to strings, got {raw!r}")

@@ -22,7 +22,10 @@ of text read as an integer (a quandle file token, a coloring file key, a CLI
 option) goes through ``_plain_int``; the text parsers match ASCII digits.
 
 ``_Value`` is the base of the package's value classes, this module's
-``Permutation`` among them.
+``Permutation`` among them.  The flavor table (``flavor_spec``) says what
+the elements of a Hurwitz system or a coloring are; it lives here, in the
+module every other one imports, so that no module needs ``hurwitz`` or
+``braids`` only to read it.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import functools
 import itertools
 import operator
 import re
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from ._unionfind import UnionFind
 
@@ -103,6 +106,18 @@ def _plain_int(text) -> int | None:
     except (TypeError, ValueError):
         return None
     return value if str(value) == text else None
+
+
+_JSON_TYPES = {list: "an array", str: "a string", int: "a number", float: "a number",
+               bool: "a boolean", type(None): "null"}
+
+
+def _check_json_object(data, kind: str, error=ValueError) -> None:
+    """Refuse the top level of a JSON file unless it is an object; the
+    ``error`` names the kind of file and the JSON type it holds."""
+    if not isinstance(data, dict):
+        got = _JSON_TYPES.get(type(data), type(data).__name__)
+        raise error(f"{kind} file must hold a JSON object, got {got}")
 
 
 class _Value:
@@ -303,22 +318,6 @@ def compose(a: Permutation, b: Permutation) -> Permutation:
     return _unchecked(tuple([bi[image - 1] for image in a.images]))
 
 
-def product(perms: Iterable[Permutation], degree: int | None = None) -> Permutation:
-    """Ordered left-to-right product; identity for an empty sequence (degree required)."""
-    if degree is not None:
-        _check_degree(degree)
-    acc: Permutation | None = None
-    for p in perms:
-        acc = p if acc is None else compose(acc, p)
-    if acc is None:
-        if degree is None:
-            raise ValueError("empty product needs an explicit degree")
-        return Permutation.identity(degree)
-    if degree is not None and acc.degree != degree:
-        raise ValueError(f"degree mismatch: {acc.degree} vs {degree}")
-    return acc
-
-
 def is_transposition(a: Permutation) -> bool:
     """True iff a moves exactly two points."""
     return len(a.support()) == 2
@@ -485,3 +484,62 @@ def _parse_images(toks, degree: int) -> Permutation:
         return Permutation(tuple(images))
     except ValueError as exc:
         raise ParseError(str(exc), 0) from exc
+
+
+# -- flavors -------------------------------------------------------------
+#
+# The elements of a Hurwitz system or a coloring are of one flavor:
+# permutations in S_d or braids in B_d.  The braid row is built from the
+# braids module the first time the braid flavor is asked for, so a
+# permutation-flavored call never loads that module.
+
+PERMUTATION = "permutation"
+BRAID = "braid"
+
+
+class Flavor(NamedTuple):
+    """What a flavor means: its element type, the parser of its entry text
+    (``str(e)`` writes it), the least degree of its groups, and the map of
+    its elements to S_d (None when they are permutations)."""
+
+    element: type
+    parse: Callable[[str, int], object]
+    least_degree: int
+    project: Optional[Callable[[object], Permutation]]
+
+
+FLAVORS = {PERMUTATION: Flavor(Permutation, parse_permutation, 1, None)}
+
+
+def flavor_spec(flavor) -> Flavor:
+    """The table row of a flavor; an unknown flavor is refused here only."""
+    row = FLAVORS.get(flavor) if isinstance(flavor, str) else None
+    if row is None:
+        if flavor != BRAID:
+            raise ValueError(f"unknown flavor {flavor!r}")
+        from . import braids
+
+        row = FLAVORS[BRAID] = Flavor(braids.BraidWord, braids.parse_braid, 2, braids.project)
+    return row
+
+
+def check_elements(flavor, degree, elements: Iterable[tuple], where: str = "entry {}") -> None:
+    """Refuse an unknown flavor, a degree outside its range, or an element of
+    another type or degree among the (label, element) pairs.  ``where``
+    formats a label into the error; it is formatted only when a check fails.
+    """
+    element, _, least, _ = flavor_spec(flavor)
+    _check_degree(degree, least)
+    for label, e in elements:
+        if not isinstance(e, element):
+            raise ValueError(
+                f"{where.format(label)}: a {type(e).__name__} is not of flavor {flavor}"
+            )
+        if e.degree != degree:
+            raise ValueError(f"{where.format(label)}: degree {e.degree} is not {degree}")
+
+
+def as_permutations(flavor: str, elements: Iterable) -> list[Permutation]:
+    """The images in S_d of elements of a flavor: braids project, permutations stay."""
+    project = flavor_spec(flavor).project
+    return list(elements) if project is None else [project(e) for e in elements]

@@ -11,24 +11,27 @@ with words compared by normal form so equality stays exact.
 
 Diagram colorings by a quandle follow the same crossing rule as the link
 module: at a positive crossing the outgoing under-arc is u |> o, at a
-negative one the inverse translation.
+negative one the inverse translation.  The coloring and lift functions run
+the link module's search and import it themselves, so reading and checking
+a quandle table loads no link code.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from . import links, permutations
-from .hurwitz import PERMUTATION
-from .links import (
-    LinkDiagram,
-    LiftSearchResult,
-    SimpleColoring,
-    _solve_colorings,
-    find_simple_lift,
-)
+from . import permutations
 from .permutations import _Value, _check_degree, _exact_int, _exact_ints, _plain_int
+
+if TYPE_CHECKING:
+    from .links import LiftSearchResult, LinkDiagram, SimpleColoring
+
+# links.DEFAULT_CONJUGATOR_BOUND and links.DEFAULT_LIFT_BUDGET, copied so
+# that importing this module does not load links; tests/test_quandles.py
+# pins them to the library.
+CONJUGATOR_BOUND = 3
+LIFT_BUDGET = 1_000_000
 
 
 class QuandleError(ValueError):
@@ -175,18 +178,10 @@ def quandle_colorings(dg: LinkDiagram, q: FiniteQuandle) -> list[dict]:
     Plain dicts (arc -> element index), in lexicographic order of the
     elements along the arcs.
     """
+    from .links import _solve_colorings
+
     candidates = dict.fromkeys(dg.arcs(), range(len(q)))
     return _solve_colorings(dg, candidates, q._table)[0]
-
-
-def td_coloring_to_simple(dg: LinkDiagram, d: int, coloring: dict) -> SimpleColoring:
-    """Dictionary between T_d colorings and simple permutation colorings."""
-    _check_degree(d, 2, QuandleError)
-    elements = permutations.all_transpositions(d)
-    _exact_ints(tuple(coloring.values()), "color", 0, len(elements) - 1, QuandleError)
-    return SimpleColoring(
-        d, PERMUTATION, {arc: elements[v] for arc, v in coloring.items()}
-    )
 
 
 # -- lifting -----------------------------------------------------------------
@@ -227,6 +222,8 @@ def lift_through_surjection(
     solution the search finds for it fails to project to it: so the first
     solution is checked once, at the end.
     """
+    from .links import _solve_colorings
+
     if not is_quandle_homomorphism(p, source, target):
         raise QuandleError("p is not a quandle homomorphism")
     if set(p) != set(range(len(target))):
@@ -249,14 +246,16 @@ def lift_through_surjection(
 def lift_to_Ad(
     dg: LinkDiagram,
     coloring: SimpleColoring,
-    conjugator_bound: int = links.DEFAULT_CONJUGATOR_BOUND,
-    budget: int = links.DEFAULT_LIFT_BUDGET,
+    conjugator_bound: int = CONJUGATOR_BOUND,
+    budget: int = LIFT_BUDGET,
 ) -> LiftSearchResult:
     """Lift a T_d coloring through the projection A_d -> T_d.
 
     A_d colorings of a diagram are exactly simple braid colorings, so this
     delegates to the link module's search; results agree by construction.
     """
+    from .links import find_simple_lift
+
     return find_simple_lift(dg, coloring, conjugator_bound, budget)
 
 

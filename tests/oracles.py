@@ -4,15 +4,34 @@ These deliberately avoid the library's Riemann-Hurwitz style counting: the
 covering surface is assembled as an explicit cell complex (cut copies of the
 base sphere, glue the slit copies crosswise) and its cells are counted
 directly, so agreement with the library is a two-route check.
+
+The last section holds helpers only the tests call, which build on the
+library's own rules: a random chart generator, the ordered product of
+permutations, the Montesinos registration check and the T_d dictionary.
+They check their arguments as the package's functions do.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import random
+from typing import Iterable
 
+from branchcover.charts import Chart, ChartError, ChartEvent, _produced, black, cap, crossing, cup, white
 from branchcover.hurwitz import HurwitzSystem
-from branchcover.permutations import all_transpositions
+from branchcover.links import LinkError, SimpleColoring, twist_boundary_colors
+from branchcover.permutations import (
+    PERMUTATION,
+    Permutation,
+    _check_degree,
+    _exact_bool,
+    _exact_int,
+    _exact_ints,
+    all_transpositions,
+    compose,
+)
+from branchcover.quandles import QuandleError
 
 
 class _UnionFind:
@@ -338,9 +357,6 @@ def chart_entries_by_products(chart) -> list:
     positions, that every event finds the labels it names, and that the
     sweep closes.
     """
-    from branchcover import permutations
-    from branchcover.permutations import Permutation
-
     d = chart.degree
     word: list[int] = []
     entries = []
@@ -348,9 +364,7 @@ def chart_entries_by_products(chart) -> list:
         p, labels = ev.position, ev.labels
         assert 0 <= p <= len(word) and all(1 <= l < d for l in labels), ev
         if ev.kind == "black":
-            pw = permutations.product(
-                (Permutation.adjacent(d, l) for l in word[:p]), degree=d
-            )
+            pw = product((Permutation.adjacent(d, l) for l in word[:p]), degree=d)
             entries.append(pw * Permutation.adjacent(d, labels[0]) * pw.inverse())
             if ev.insert:
                 word.insert(p, labels[0])
@@ -531,3 +545,108 @@ def quandle_rule(q):
     """The crossing rule of a finite quandle read forward only: u |> o = out
     at a positive crossing, out |> o = u at a negative one."""
     return lambda u, o, out, sign: q.apply(u, o) == out if sign == 1 else q.apply(out, o) == u
+
+
+# -- helpers only the tests call ---------------------------------------------
+
+
+def product(perms: Iterable[Permutation], degree: int | None = None) -> Permutation:
+    """Ordered left-to-right product; identity for an empty sequence (degree required)."""
+    if degree is not None:
+        _check_degree(degree)
+    acc: Permutation | None = None
+    for p in perms:
+        acc = p if acc is None else compose(acc, p)
+    if acc is None:
+        if degree is None:
+            raise ValueError("empty product needs an explicit degree")
+        return Permutation.identity(degree)
+    if degree is not None and acc.degree != degree:
+        raise ValueError(f"degree mismatch: {acc.degree} vs {degree}")
+    return acc
+
+
+def random_chart(
+    degree: int,
+    size: int,
+    rng: random.Random,
+    oriented: bool = False,
+) -> Chart:
+    """A random valid closed chart with roughly ``size`` events; each event
+    is one that ``charts._produced`` accepts on the word so far."""
+    _check_degree(degree, 2, ChartError)
+    _exact_int(size, "size", 0, error=ChartError)
+    _exact_bool(oriented, "oriented", ChartError)
+    events: list[ChartEvent] = []
+    word: list[tuple[int, int]] = []  # (label, sign)
+
+    def fits(ev: ChartEvent) -> bool:
+        try:
+            _produced(ev, word, degree, oriented)
+        except ChartError:
+            return False
+        return True
+
+    while len(events) < size or word:
+        growing = len(events) < size - len(word) - 1
+        choices = []
+        if growing:
+            choices += ["black-insert"] * 3 + ["cup"] * 2
+        # Offer only events the sweep accepts: _produced judges them.
+        pairs = [(p, word[p][0], word[p + 1][0]) for p in range(len(word) - 1)]
+        offers = {
+            "white": [ev for p, i, j in pairs if fits(ev := white(i, j, p))],
+            "crossing": [ev for p, i, j in pairs if fits(ev := crossing(i, j, p))],
+            "cap": [ev for p, i, _ in pairs if fits(ev := cap(i, p))],
+        }
+        if word:
+            choices += ["black-delete"] * (1 if growing else 4)
+        if offers["cap"]:
+            choices += ["cap"] * (1 if growing else 4)
+        if offers["white"] and len(events) < size:
+            choices += ["white"] * 2
+        if offers["crossing"] and len(events) < size:
+            choices += ["crossing"] * 2
+        if not choices:
+            choices = ["black-insert", "cup"]
+        kind = rng.choice(choices)
+        if kind == "black-insert":
+            ev = black(rng.randrange(1, degree), rng.randrange(len(word) + 1), True,
+                       rng.choice([1, -1]) if oriented else None)
+        elif kind == "black-delete":
+            p = rng.randrange(len(word))
+            lab, sign = word[p]
+            ev = black(lab, p, False, sign if oriented else None)
+        elif kind == "cup":
+            ev = cup(rng.randrange(1, degree), rng.randrange(len(word) + 1),
+                     rng.choice([1, -1]) if oriented else None)
+        else:
+            ev = rng.choice(offers[kind])
+        events.append(ev)
+        consumed, produced = _produced(ev, word, degree, oriented)
+        word[ev.position : ev.position + len(consumed)] = produced
+    return Chart(degree, oriented, tuple(events))
+
+
+def montesinos_pair_check(d: int = 3) -> bool:
+    """The registration behind ``links.montesinos_flat_colors``: on distinct
+    intersecting transpositions the 3-half-twist tangle reproduces its
+    bottom boundary colors at the top, matching the flat tangle's boundary
+    monodromy."""
+    _check_degree(d, 2, LinkError)
+    for a, b in itertools.permutations(all_transpositions(d), 2):
+        if len(a.support() & b.support()) != 1:
+            continue
+        colors = twist_boundary_colors(a, b, 3)
+        if colors[103] != a or colors[203] != b:
+            return False
+    return True
+
+
+def td_coloring_to_simple(dg, d: int, coloring: dict) -> SimpleColoring:
+    """Dictionary between T_d colorings and simple permutation colorings:
+    element k of ``make_Td(d)`` is ``all_transpositions(d)[k]``."""
+    _check_degree(d, 2, QuandleError)
+    elements = all_transpositions(d)
+    _exact_ints(tuple(coloring.values()), "color", 0, len(elements) - 1, QuandleError)
+    return SimpleColoring(d, PERMUTATION, {arc: elements[v] for arc, v in coloring.items()})

@@ -18,7 +18,6 @@ from branchcover.charts import (
     chart_hurwitz_system,
     chart_orientable,
     forget_orientation,
-    random_chart,
     validate_chart,
     MoveError,
 )
@@ -42,7 +41,7 @@ from branchcover.links import (
     r1_add,
     r2_add,
 )
-from branchcover.permutations import Permutation, product
+from branchcover.permutations import Permutation
 from branchcover.quandles import (
     dihedral_quandle,
     is_quandle_homomorphism,
@@ -54,7 +53,7 @@ from branchcover.quandles import (
     quandle_validate,
     trivial_quandle,
 )
-from oracles import chart_cell_euler_data, fox_three_colorings, polygon_euler_data
+from oracles import chart_cell_euler_data, fox_three_colorings, polygon_euler_data, product, random_chart
 
 
 def report(number: int, detail: str) -> None:

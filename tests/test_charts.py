@@ -33,7 +33,6 @@ from branchcover.charts import (
     event_swap,
     forget_orientation,
     patch_rewrite,
-    random_chart,
     sweep_record,
     validate_chart,
     white,
@@ -45,7 +44,7 @@ from branchcover.hurwitz import (
     total_monodromy,
 )
 from branchcover.permutations import Permutation
-from oracles import chart_entries_by_products, white_sign_patterns
+from oracles import chart_entries_by_products, random_chart, white_sign_patterns
 
 
 def two_vertex_chart(d=2):

@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 
 import branchcover
-from branchcover.charts import Chart, black, chart_to_json, cup, cap, validate_chart
-from branchcover.cli import MOVE_NAMES, _parser, main
+from branchcover.charts import Chart, black, chart_orientable, chart_to_json, cup, cap, validate_chart
+from branchcover.cli import _COMMANDS, MOVE_NAMES, _parser, main
 from branchcover.hurwitz import HurwitzSystem, system_to_json
 from branchcover.links import CORPUS, coloring_to_json, corpus_diagram, enumerate_simple_colorings
 from branchcover.permutations import Permutation
@@ -160,6 +160,27 @@ def test_non_integer_degree_is_input_error(runner, tmp_path, verb, degree, flavo
     assert result.exit_code == 2, result.output
     error = json.loads(result.stderr)["error"]
     assert error.startswith(f"{path}:") and "degree" in error
+
+
+# A file whose top level is not a JSON object failed with a TypeError's text,
+# "system file needs degree/flavor/entries: list indices must be integers
+# or slices, not str", or "string indices must be integers".
+@pytest.mark.parametrize("text, got", [("[1, 2]", "an array"), ('"x"', "a string")], ids=["array", "string"])
+@pytest.mark.parametrize("command, kind", [
+    (["normalize", "{file}"], "system"), (["chart-validate", "{file}"], "chart"),
+    (["lift", "{pd}", "{file}"], "coloring"),
+    (["quandle-lift", "{pd}", "{file}", "--source-table", "{table}", "--target-table", "{table}",
+      "--surjection", "{map}"], "coloring"),
+], ids=["system", "chart", "coloring", "element-coloring"])
+def test_json_file_must_hold_an_object(runner, trefoil_file, tmp_path, command, kind, text, got):
+    path, table, surjection = tmp_path / "input.json", tmp_path / "t3.quandle", tmp_path / "id.map"
+    path.write_text(text)
+    table.write_text(quandle_to_text(make_Td(3)))
+    surjection.write_text("0 1 2")
+    args = [a.format(file=path, pd=trefoil_file, table=table, map=surjection) for a in command]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert json.loads(result.stderr) == {"error": f"{path}: {kind} file must hold a JSON object, got {got}"}
 
 
 class TestChartVerbs:
@@ -492,6 +513,53 @@ def test_help(runner, name):
     assert result.stdout.startswith(f"usage: branchcover {name}")
 
 
+def _subcommands(parser):
+    return list(next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices)
+
+
+def _parse(parser, argv):
+    """The exit code, stdout and stderr of ``parser.parse_args(argv)``, which exits."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            pytest.raises(SystemExit) as exit_info:
+        parser.parse_args(argv)
+    return exit_info.value.code, out.getvalue(), err.getvalue()
+
+
+# A call naming a subcommand builds that subcommand's parser only; its help
+# and its usage errors must read as the full parser's do.
+@pytest.mark.parametrize("name", sorted(_MINIMAL_CALLS))
+@pytest.mark.parametrize("extra, exit_code", [(["--help"], 0), ([], 2)], ids=["help", "missing-positional"])
+def test_one_subcommand_parser_reads_as_the_full_parser(runner, name, extra, exit_code):
+    argv = [name, *extra]
+    one = _parser(argv)
+    assert _subcommands(one) == [name]
+    got = _parse(one, argv)
+    assert got == _parse(_parser(), argv)
+    assert got[0] == exit_code
+    if exit_code:
+        assert "the following arguments are required" in got[2]
+    else:
+        assert got[1].startswith(f"usage: branchcover {name}")
+    result = runner.invoke(main, argv)
+    assert (result.exit_code, result.stdout, result.stderr) == got
+
+
+# Help, a missing command and an unknown one need every subcommand.
+@pytest.mark.parametrize("argv, exit_code, text", [
+    (["--help"], 0, "quandle-check"), (["-h", "normalize"], 0, "quandle-check"),
+    ([], 2, "the following arguments are required: COMMAND"),
+    (["foo"], 2, "argument COMMAND: invalid choice: 'foo' (choose from 'normalize'"),
+], ids=["help", "help-before-command", "no-command", "unknown-command"])
+def test_calls_without_a_known_command_build_the_full_parser(runner, argv, exit_code, text):
+    parser = _parser(argv)
+    assert _subcommands(parser) == list(_COMMANDS) and set(_COMMANDS) == set(_MINIMAL_CALLS)
+    got = _parse(parser, argv)
+    assert got[0] == exit_code and text in got[1] + got[2]
+    result = runner.invoke(main, argv)
+    assert (result.exit_code, result.stdout, result.stderr) == got
+
+
 # A negative budget answered unknown or exhausted instead of refusing the call.
 @pytest.mark.parametrize("name, option", [
     ("equiv", "--budget"), ("lift", "--budget"), ("lift", "--conjugator-bound"),
@@ -529,7 +597,7 @@ class TestRoundTrips:
 
 
 # Values cli.py writes as literals, so that building the parser imports
-# neither links nor charts.
+# none of hurwitz, links and charts.
 def _defaults(command):
     return _parser().parse_args([command, *_MINIMAL_CALLS[command]])
 
@@ -561,11 +629,12 @@ finally:
 
 _SRC = str(Path(branchcover.__file__).resolve().parents[1])
 
-_CORE = {"branchcover._unionfind", "branchcover.permutations", "branchcover.braids",
-         "branchcover.hurwitz"}
-_CHARTS = _CORE | {"branchcover.charts"}
-_LINKS = _CORE | {"branchcover.links"}
-_QUANDLES = _LINKS | {"branchcover.quandles"}
+_BASE = {"branchcover._unionfind", "branchcover.permutations"}
+_HURWITZ = _BASE | {"branchcover.hurwitz"}
+_CHARTS = _BASE | {"branchcover.charts"}
+_LINKS = _BASE | {"branchcover.links"}
+_QUANDLES = _BASE | {"branchcover.quandles"}
+_BRAIDS = "branchcover.braids"
 
 
 def _python(args, tmp_path):
@@ -592,6 +661,10 @@ def cli_files(tmp_path, torus_system_file, trefoil_file):
     t3 = make_Td(3)
     contents = {
         "chart": json.dumps(chart_to_json(chart)),
+        "oriented": json.dumps(chart_to_json(chart_orientable(chart).witness)),
+        # One forward move apart.
+        "braids_a": json.dumps({"degree": 3, "flavor": "braid", "entries": ["s1", "s2"]}),
+        "braids_b": json.dumps({"degree": 3, "flavor": "braid", "entries": ["s2", "s2^-1 s1 s2"]}),
         "coloring": json.dumps(coloring_to_json(enumerate_simple_colorings(dg, 2)[0])),
         "table": quandle_to_text(t3),
         "map": "0 1 2",
@@ -607,13 +680,17 @@ def cli_files(tmp_path, torus_system_file, trefoil_file):
 
 
 @pytest.mark.parametrize("command, exit_code, loaded", [
-    pytest.param(["normalize", "{system}"], 0, _CORE, id="normalize"),
-    pytest.param(["equiv", "{system}", "{system}"], 0, _CORE, id="equiv-hc"),
+    pytest.param(["normalize", "{system}"], 0, _HURWITZ, id="normalize"),
+    pytest.param(["equiv", "{system}", "{system}"], 0, _HURWITZ, id="equiv-hc"),
+    pytest.param(["equiv", "{braids_a}", "{braids_b}"], 0, _HURWITZ | {_BRAIDS}, id="equiv-braid"),
     pytest.param(["equiv", "{system}", "{system}", "--mode", "covering"], 0,
-                 _CORE | {"branchcover.covering"}, id="equiv-covering"),
-    pytest.param(["cover", "{system}"], 0, _CORE | {"branchcover.covering"}, id="cover"),
+                 _HURWITZ | {"branchcover.covering"}, id="equiv-covering"),
+    pytest.param(["cover", "{system}"], 0, _HURWITZ | {"branchcover.covering"}, id="cover"),
     pytest.param(["chart-validate", "{chart}"], 0, _CHARTS, id="chart-validate"),
-    pytest.param(["chart-monodromy", "{chart}"], 0, _CHARTS, id="chart-monodromy"),
+    pytest.param(["chart-monodromy", "{chart}"], 0, _CHARTS | {"branchcover.hurwitz"},
+                 id="chart-monodromy"),
+    pytest.param(["chart-monodromy", "{oriented}"], 0, _CHARTS | {"branchcover.hurwitz", _BRAIDS},
+                 id="chart-monodromy-oriented"),
     pytest.param(["chart-orient", "{chart}"], 0, _CHARTS, id="chart-orient"),
     pytest.param(["chart-move", "{chart}", "--move", "cup-cap-cancel", "--site", "at=1"], 0,
                  _CHARTS, id="chart-move"),
@@ -623,11 +700,11 @@ def cli_files(tmp_path, torus_system_file, trefoil_file):
                  _CHARTS, id="chart-move-site-error"),
     pytest.param(["render", "{chart}", "--format", "dot"], 0, _CHARTS, id="render"),
     pytest.param(["color", "{pd}", "--degree", "3"], 0, _LINKS, id="color"),
-    pytest.param(["lift", "{pd}", "{coloring}"], 0, _LINKS, id="lift"),
+    pytest.param(["lift", "{pd}", "{coloring}"], 0, _LINKS | {_BRAIDS}, id="lift"),
     pytest.param(["quandle-check", "{table}"], 0, _QUANDLES, id="quandle-check"),
-    pytest.param(["quandle-lift", "{pd}", "{coloring}"], 0, _LINKS, id="quandle-lift-Ad"),
+    pytest.param(["quandle-lift", "{pd}", "{coloring}"], 0, _LINKS | {_BRAIDS}, id="quandle-lift-Ad"),
     pytest.param(["quandle-lift", "{pd}", "{elements}", "--source-table", "{table}",
-                  "--target-table", "{table}", "--surjection", "{map}"], 0, _QUANDLES,
+                  "--target-table", "{table}", "--surjection", "{map}"], 0, _LINKS | _QUANDLES,
                  id="quandle-lift-finite"),
 ])
 def test_subcommand_process_loads_only_its_modules(runner, cli_files, bare_modules, tmp_path,

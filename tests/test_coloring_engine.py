@@ -33,10 +33,14 @@ from branchcover.quandles import (
     product_quandle,
     quandle_colorings,
     quandle_validate,
-    td_coloring_to_simple,
     trivial_quandle,
 )
-from oracles import colorings_by_product, quandle_rule, simple_colorings_by_permutations
+from oracles import (
+    colorings_by_product,
+    quandle_rule,
+    simple_colorings_by_permutations,
+    td_coloring_to_simple,
+)
 
 
 def closures(d, count, seed, max_arcs=5):

@@ -21,7 +21,6 @@ from branchcover.links import (
     find_simple_lift,
     flat_tangle,
     montesinos_flat_colors,
-    montesinos_pair_check,
     montesinos_replace,
     parse_pd,
     pd_string,
@@ -34,7 +33,7 @@ from branchcover.links import (
     _simple_conjugates,
 )
 from branchcover.permutations import ParseError, Permutation
-from oracles import fox_three_colorings, pd_orientation, simple_braid_candidates
+from oracles import fox_three_colorings, montesinos_pair_check, pd_orientation, simple_braid_candidates
 
 
 def tr(d, i, j):

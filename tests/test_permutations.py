@@ -18,8 +18,9 @@ from branchcover.permutations import (
     is_transposition,
     orbits,
     parse_permutation,
-    product,
 )
+
+from oracles import product
 
 
 def tau(d, i):

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import re
 
@@ -20,9 +21,9 @@ from branchcover.quandles import (
     quandle_to_text,
     quandle_validate,
     surjection_from_text,
-    td_coloring_to_simple,
     trivial_quandle,
 )
+from oracles import td_coloring_to_simple
 
 
 def tr(d, i, j):
@@ -346,6 +347,14 @@ class TestLiftToAd:
         )
         res = lift_to_Ad(dg, col)
         assert res.lift is not None
+
+    def test_defaults_are_the_link_search_defaults(self):
+        # quandles copies them so that importing it does not load links.
+        from branchcover import links
+
+        parameters = inspect.signature(lift_to_Ad).parameters
+        assert parameters["conjugator_bound"].default == links.DEFAULT_CONJUGATOR_BOUND
+        assert parameters["budget"].default == links.DEFAULT_LIFT_BUDGET
 
 
 class TestTextFormats:

@@ -49,7 +49,6 @@ from branchcover.charts import (
     cup_cap_insert,
     event_swap,
     patch_rewrite,
-    random_chart,
     white,
     white_pair_cancel,
     white_pair_insert,
@@ -57,7 +56,6 @@ from branchcover.charts import (
 from branchcover.covering import CoveringSurface, SurfaceComponent
 from branchcover.hurwitz import (
     HurwitzSystem,
-    check_elements,
     hc_equivalent,
     hurwitz_move,
     iter_simple_closing_systems,
@@ -74,7 +72,6 @@ from branchcover.links import (
     extract_tangle,
     find_simple_lift,
     flat_tangle,
-    montesinos_pair_check,
     montesinos_replace,
     r1_add,
     r1_remove,
@@ -85,10 +82,10 @@ from branchcover.links import (
 from branchcover.permutations import (
     Permutation,
     all_transpositions,
+    check_elements,
     is_transitive,
     orbits,
     parse_permutation,
-    product,
 )
 from branchcover.quandles import (
     FiniteQuandle,
@@ -97,9 +94,9 @@ from branchcover.quandles import (
     lift_through_surjection,
     lift_to_Ad,
     make_Td,
-    td_coloring_to_simple,
     trivial_quandle,
 )
+from oracles import montesinos_pair_check, product, random_chart, td_coloring_to_simple
 
 # -- fixtures ------------------------------------------------------------------
 
@@ -173,11 +170,12 @@ TABLE = {
         {"d": DEGREE, "cycles": Int(5, lambda v: ((1, v),))}),
     "permutations.Permutation.__call__": Row(P3, {"point": 1}, {"point": Int(4)}),
     "permutations.Permutation.cycles": Row(P3.cycles, {"include_fixed": False}, flags=("include_fixed",)),
-    "permutations.product": Row(product, {"perms": (P3,), "degree": 3}, {"degree": DEGREE}),
     "permutations.all_transpositions": Row(all_transpositions, {"d": 3}, {"d": DEGREE}),
     "permutations.orbits": Row(orbits, {"perms": (), "degree": 3}, {"degree": DEGREE}),
     "permutations.is_transitive": Row(is_transitive, {"perms": (), "degree": 3}, {"degree": DEGREE}),
     "permutations.parse_permutation": Row(parse_permutation, {"text": "(1 2)", "degree": 3}, {"degree": DEGREE}),
+    "permutations.check_elements": Row(
+        check_elements, {"flavor": "permutation", "degree": 3, "elements": ((0, T12),)}, {"degree": DEGREE}),
     # braids
     "braids.BraidWord": Row(
         BraidWord, {"degree": 3, "letters": (1, -2)},
@@ -193,8 +191,6 @@ TABLE = {
         HurwitzSystem.of_permutations, {"entries": (T12,), "degree": 3}, {"degree": DEGREE}),
     "hurwitz.HurwitzSystem.of_braids": Row(
         HurwitzSystem.of_braids, {"entries": (BraidWord(3, (1,)),), "degree": 3}, {"degree": DEGREE}),
-    "hurwitz.check_elements": Row(
-        check_elements, {"flavor": "permutation", "degree": 3, "elements": ((0, T12),)}, {"degree": DEGREE}),
     "hurwitz.hurwitz_move": Row(hurwitz_move, {"s": SYSTEM, "k": 0}, {"k": Int(3)}),
     "hurwitz.replay_trace": Row(
         replay_trace, {"s": SYSTEM, "trace": (("H", 0, "forward"),)},
@@ -247,9 +243,6 @@ TABLE = {
     "charts.patch_rewrite": Row(
         patch_rewrite, {"chart": CIRCLE, "start": 1, "end": 3, "replacement": ()},
         {"start": Int(5), "end": Int(5)}),
-    "charts.random_chart": Row(
-        seeded_chart, {"degree": 3, "size": 6, "oriented": True}, {"degree": DEGREE, "size": Int(-1)},
-        flags=("oriented",)),
     # links
     "links.LinkDiagram": Row(
         LinkDiagram, {"crossings": TREFOIL.crossings, "free_loops": 1},
@@ -277,7 +270,6 @@ TABLE = {
         {"sites": Int(3, lambda v: (v,))}),
     "links.flat_tangle": Row(flat_tangle, {"n": 3}, {"n": Int(0)}),
     "links.twist_boundary_colors": Row(twist_boundary_colors, {"a": T12, "b": T23, "n": 3}, {"n": Int(0)}),
-    "links.montesinos_pair_check": Row(montesinos_pair_check, {"d": 3}, {"d": DEGREE}),
     "links.r1_add": Row(
         r1_add, {"dg": TREFOIL, "coloring": COLORING, "edge": 1, "sign": -1}, {"edge": Int(99), "sign": SIGN}),
     "links.r1_remove": Row(r1_remove, {"dg": KINKED[0], "coloring": KINKED[1], "site": 3}, {"site": Int(4)}),
@@ -300,9 +292,6 @@ TABLE = {
     "quandles.trivial_quandle": Row(trivial_quandle, {"n": 2}, {"n": Int(-1)}),
     "quandles.dihedral_quandle": Row(dihedral_quandle, {"n": 3}, {"n": Int(-1)}),
     "quandles.make_Td": Row(make_Td, {"d": 3}, {"d": DEGREE}),
-    "quandles.td_coloring_to_simple": Row(
-        td_coloring_to_simple, {"dg": TREFOIL, "d": 3, "coloring": {1: 0, 2: 0, 4: 0}},
-        {"d": DEGREE, "coloring": Int(3, lambda v: {1: v, 2: 0, 4: 0})}),
     "quandles.is_quandle_homomorphism": Row(
         is_quandle_homomorphism, {"p": (0, 1, 2), "source": D3, "target": D3}, {"p": Int(3, lambda v: (0, 1, v))}),
     "quandles.lift_through_surjection": Row(
@@ -312,6 +301,16 @@ TABLE = {
     "quandles.lift_to_Ad": Row(
         lift_to_Ad, {"dg": TREFOIL, "coloring": COLORING, "conjugator_bound": 1, "budget": 1000},
         {"conjugator_bound": Int(-1), "budget": Int(-1)}),
+    # the helpers only the tests call (tests/oracles.py), which check their
+    # arguments as the package's functions do
+    "oracles.product": Row(product, {"perms": (P3,), "degree": 3}, {"degree": DEGREE}),
+    "oracles.random_chart": Row(
+        seeded_chart, {"degree": 3, "size": 6, "oriented": True}, {"degree": DEGREE, "size": Int(-1)},
+        flags=("oriented",)),
+    "oracles.montesinos_pair_check": Row(montesinos_pair_check, {"d": 3}, {"d": DEGREE}),
+    "oracles.td_coloring_to_simple": Row(
+        td_coloring_to_simple, {"dg": TREFOIL, "d": 3, "coloring": {1: 0, 2: 0, 4: 0}},
+        {"d": DEGREE, "coloring": Int(3, lambda v: {1: v, 2: 0, 4: 0})}),
 }
 
 # Out-of-range values that raise another error on purpose, pinned elsewhere.
@@ -323,9 +322,9 @@ PINNED = {
 # Public callables with typed parameters that take no argument from outside.
 EXEMPT = {
     "permutations.ParseError": "an error class; the parsers give it the position they reached",
+    "permutations.Flavor": "a row of the FLAVORS table, built once per process",
     "braids.free_reduce": "a word operation on letters the package has checked: products, "
                           "inverses and parse_braid tokens; a BraidWord built from any other checks them",
-    "hurwitz.Flavor": "a row of the FLAVORS table, built once at import",
     "charts.ChartError": "an error class; the chart sweep gives it the index of the event it stopped at",
     "charts.MoveError": "an error class (a ChartError)",
     "charts.SiteError": "an error class (a MoveError)",
