@@ -19,8 +19,8 @@ and an unknown one build them all) and imports only the library modules that
 subcommand runs, besides ``permutations`` and ``_unionfind``, which every one
 needs:
 
-  normalize, equiv                hurwitz (``equiv --mode covering``: and covering)
-  cover                           hurwitz, covering
+  normalize, equiv                hurwitz
+  equiv --mode covering, cover    hurwitz, covering
   chart-validate, chart-orient,   charts
   chart-move, render
   chart-monodromy                 charts, hurwitz
