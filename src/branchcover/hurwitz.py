@@ -18,11 +18,12 @@ The normal form for simple transitive closing permutation systems is
 positive even number of (12) entries.  ``hc_normal_form`` produces it together
 with a replayable move trace, reducing one letter d, d-1, ..., 3 at a time
 with a terminating forward-move rule (``_reduce_letter``).  It checks its
-input in one pass that reads each entry as a sorted point pair and tests
-simplicity, closing and transitivity on those pairs
-(``_check_normal_preconditions``); the worker (``_Worker``) takes the same
-pairs, so a move relabels two points, and ``Permutation``s are built only
-for the trace's conjugators and for the returned system.  Since
+input in one pass that reads each distinct entry once as a sorted point
+pair and tests simplicity, closing and transitivity on those pairs
+(``_check_normal_preconditions``).  The move loop runs inline on a local
+list of the same pairs, so a move relabels one or two points, and
+``Permutation``s are built only for the trace's conjugators and for the
+returned system.  Since
 every such system of a given degree and length has this one normal form
 (the classification theorem of Hurwitz 1891 and Berstein-Edmonds 1984),
 ``hc_equivalent`` decides those systems by comparing lengths, without
@@ -253,76 +254,24 @@ def replay_trace(s: HurwitzSystem, trace: Iterable[tuple]) -> HurwitzSystem:
     return s
 
 
-class _Worker:
-    """A simple system being normalized, plus its accumulating move trace.
-
-    Every entry and every conjugator is a transposition, so the worker holds
-    each entry as its sorted point pair (a, b), a < b, as the precondition
-    check hands them over; it never reads a ``Permutation``.  A forward move
-    (x, y) -> (y, x^y) relabels the two points of x through y, and a
-    conjugation relabels the points of every pair.  ``Permutation``s are
-    built only for the trace's conjugators and, once per distinct pair, for
-    the returned system.
-    """
-
-    def __init__(self, degree: int, pairs: list[tuple[int, int]]):
-        self.degree = degree
-        self.entries = pairs
-        self.trace: Trace = []
-
-    def system(self) -> HurwitzSystem:
-        built: dict[tuple[int, int], Permutation] = {}
-        for a, b in self.entries:
-            if (a, b) not in built:
-                built[a, b] = permutations._transposition(self.degree, a, b)
-        return _unchecked(self.degree, tuple([built[e] for e in self.entries]), PERMUTATION)
-
-    def fwd(self, k: int) -> None:
-        entries = self.entries
-        x, y = entries[k], entries[k + 1]
-        entries[k], entries[k + 1] = y, _relabel(x, y[0], y[1])
-        self.trace.append(("H", k, "forward"))
-
-    def conj(self, u: int, v: int) -> None:
-        """Conjugate every entry by the transposition (u v)."""
-        self.entries[:] = [_relabel(e, u, v) for e in self.entries]
-        self.trace.append(("C", permutations._transposition(self.degree, u, v)))
-
-    def push_right(self, j: int, target: int) -> None:
-        """Move the entry at j to position target > j; it is conjugated en route."""
-        for k in range(j, target):
-            self.fwd(k)
-
-
-def _gather_letter(w: _Worker, ell: int, end: int) -> int:
-    """Push every entry moving ell to the tail of entries[:end]; returns the count."""
-    entries = w.entries
-    target = end - 1
-    while target >= 0:
-        for j in range(target, -1, -1):
-            if ell in entries[j]:
-                break
-        else:
-            break
-        w.push_right(j, target)
-        target -= 1
-    return end - 1 - target
-
-
-def _reduce_letter(w: _Worker, ell: int, end: int) -> None:
+def _reduce_letter(entries: list[tuple[int, int]], trace: Trace, ell: int, end: int) -> None:
     """Leave exactly two entries moving ell, equal and at the tail of entries[:end].
 
-    The entries are point pairs (see ``_Worker``), and every entry of the
+    The entries are sorted point pairs (a, b), a < b, and every entry of the
     block moves only points of {1..ell}, so an entry moving ell is (x, ell)
-    with x < ell.  Each round gathers the entries (x ell) at the tail
-    entries[start:end], c = end - start of them, and stops at c <= 2.
-    Otherwise it either forward-moves the leftmost differing tail pair,
-    (a ell)(b ell) -> (b ell)(a b), so that c drops by one, or, when all c
-    tail entries equal (x ell), borrows: it slides the rightmost prefix entry
-    (x y) to start-1 and forward-moves at start-1 and at start, which turns
-    (x y)(x ell)^c into (x ell)(x ell)(x y)(x ell)^(c-2); the next gather
-    makes that (y ell)(y ell)(x ell)^(c-2), whose first differing pair the
-    following round merges.
+    with x < ell.  Every move is a forward move (x, y) -> (y, x^y), which
+    relabels the two points of x through y and is appended to ``trace``; a
+    push carries one entry right over several positions this way.  Each
+    round gathers the entries (x ell) at the tail entries[start:end], c =
+    end - start of them, by pushing them there right to left, and stops at
+    c <= 2.  Otherwise it either forward-moves the leftmost differing tail
+    pair, (a ell)(b ell) -> (b ell)(a b), so that c drops by one, or, when
+    all c tail entries equal (x ell), borrows: it pushes the rightmost
+    prefix entry (x y) to start+1, which turns (x y)(x ell)^c into
+    (x ell)(x ell)(x y)(x ell)^(c-2); the next gather makes that
+    (y ell)(y ell)(x ell)^(c-2), whose first differing pair the following
+    round merges.  Neither step moves an entry (x ell) below start-1, so
+    the next gather starts no lower.
 
     Termination.  On entry the block entries[:end] moves only points of
     {1..ell}, is closing, and is transitive on {1..ell}; Hurwitz moves keep
@@ -341,53 +290,86 @@ def _reduce_letter(w: _Worker, ell: int, end: int) -> None:
     entries[:end-2] again meets the entry conditions on {1..ell-1} once x is
     relabelled to ell-1, which is how hc_normal_form proceeds.
     """
-    entries = w.entries
+    low = 0  # entries[:low] move no ell
     while True:
-        count = _gather_letter(w, ell, end)
-        if count <= 2:
+        target = end - 1
+        for j in range(end - 1, low - 1, -1):
+            if entries[j][1] == ell:
+                if j < target:  # push (a ell) over entries that fix ell: only a is relabelled
+                    a = entries[j][0]
+                    for k in range(j, target):
+                        u, v = entries[k] = entries[k + 1]
+                        if a == u:
+                            a = v
+                        elif a == v:
+                            a = u
+                        trace.append(("H", k, "forward"))
+                    entries[target] = (a, ell)
+                target -= 1
+        start = target + 1
+        if end - start <= 2:
             return
-        start = end - count
-        k = next((k for k in range(start, end - 1) if entries[k] != entries[k + 1]), None)
-        if k is not None:
-            w.fwd(k)
-            continue
-        x = entries[start][0]
-        j = next(k for k in range(start - 1, -1, -1) if x in entries[k])
-        w.push_right(j, start - 1)
-        w.fwd(start - 1)
-        w.fwd(start)
+        for k in range(start, end - 1):
+            a, b = entries[k][0], entries[k + 1][0]
+            if a != b:  # (a ell)(b ell) -> (b ell)(a b)
+                entries[k], entries[k + 1] = entries[k + 1], (a, b) if a < b else (b, a)
+                trace.append(("H", k, "forward"))
+                low = start
+                break
+        else:
+            # Borrow the rightmost prefix entry moving x, (x y): the entries it
+            # crosses before the tail fix x and ell, so only y is relabelled,
+            # and crossing two (x ell) then leaves (x ell)(x ell)(x y).
+            x = entries[start][0]
+            j = next(k for k in range(start - 1, -1, -1) if x in entries[k])
+            y = sum(entries[j]) - x
+            for k in range(j, start - 1):
+                u, v = entries[k] = entries[k + 1]
+                y = v if y == u else u if y == v else y
+            entries[start - 1 : start + 2] = (x, ell), (x, ell), (x, y) if x < y else (y, x)
+            trace.extend([("H", k, "forward") for k in range(j, start + 1)])
+            low = start - 1
 
 
 def _check_normal_preconditions(s: HurwitzSystem) -> list[tuple[int, int]]:
     """The entries of a simple, closing, transitive permutation system as
     sorted point pairs; refuses any other system.
 
-    One pass reads each entry's moved points: a count other than two raises
-    NonSimpleSystemError for the first such entry.  Swapping two slots of an
-    image list per pair, right to left, builds the left-to-right total
-    monodromy, which must be the identity (NonClosingSystemError).  The pairs
-    must join all points into one orbit (IntransitiveSystemError).  The
-    checks run in this order, and an error's text is built only when its
-    check fails.
+    One pass reads the moved points of each distinct entry once: a count
+    other than two raises NonSimpleSystemError for the first such entry.
+    Swapping two slots of an image list per pair, right to left, builds the
+    left-to-right total monodromy, which must be the identity
+    (NonClosingSystemError).  The orbit of point 1, grown over the distinct
+    pairs until it stops growing, must hold every point
+    (IntransitiveSystemError).  The checks run in this order, and an
+    error's text is built only when its check fails.
     """
     if s.flavor != PERMUTATION:
         raise HurwitzError("normal form is defined for permutation systems")
     pairs = []
+    read: dict[tuple[int, ...], tuple[int, int]] = {}  # images -> point pair
     for i, e in enumerate(s.entries):
-        moved = [k for k, image in enumerate(e.images, 1) if image != k]
-        if len(moved) != 2:
-            raise NonSimpleSystemError(f"entry {i} is not a transposition")
-        pairs.append((moved[0], moved[1]))
+        pair = read.get(e.images)
+        if pair is None:
+            moved = [k for k, image in enumerate(e.images, 1) if image != k]
+            if len(moved) != 2:
+                raise NonSimpleSystemError(f"entry {i} is not a transposition")
+            pair = read[e.images] = (moved[0], moved[1])
+        pairs.append(pair)
     identity = list(range(1, s.degree + 1))
     images = identity.copy()
     for a, b in reversed(pairs):
         images[a - 1], images[b - 1] = images[b - 1], images[a - 1]
     if images != identity:
-        raise NonClosingSystemError(
-            f"total monodromy {total_monodromy(s)} is not the identity"
-        )
-    orbits = permutations._pair_orbits(pairs, s.degree)
-    if len(orbits) != 1:
+        raise NonClosingSystemError(f"total monodromy {total_monodromy(s)} is not the identity")
+    orbit, size = {1}, 0
+    while size < len(orbit) < s.degree:
+        size = len(orbit)
+        for pair in read.values():
+            if pair[0] in orbit or pair[1] in orbit:
+                orbit.update(pair)
+    if len(orbit) < s.degree:
+        orbits = permutations._pair_orbits(pairs, s.degree)
         raise IntransitiveSystemError(
             f"monodromy group is intransitive: orbits {[sorted(o) for o in orbits]}"
         )
@@ -402,28 +384,31 @@ def hc_normal_form(s: HurwitzSystem) -> tuple[HurwitzSystem, Trace]:
     NonSimpleSystemError / NonClosingSystemError / IntransitiveSystemError
     when the preconditions fail.
     """
-    pairs = _check_normal_preconditions(s)
-    d, n = s.degree, len(pairs)
+    entries = _check_normal_preconditions(s)
+    d, n = s.degree, len(entries)
     if d == 1:
         return s, []
 
-    w = _Worker(d, pairs)
+    trace: Trace = []
     end = n
     for ell in range(d, 2, -1):
-        _reduce_letter(w, ell, end)
-        a, b = w.entries[end - 2 : end]
+        _reduce_letter(entries, trace, ell, end)
+        a, b = entries[end - 2 : end]
         if a != b or a[1] != ell:
             raise HurwitzError("letter reduction failed to produce an equal tail pair")
         if a[0] != ell - 1:
-            w.conj(a[0], ell - 1)
+            u, v = a[0], ell - 1
+            entries = [_relabel(e, u, v) if u in e or v in e else e for e in entries]
+            trace.append(("C", permutations._transposition(d, u, v)))
         end -= 2
 
-    if any(e != (1, 2) for e in w.entries[:end]):
+    if any(e != (1, 2) for e in entries[:end]):
         raise HurwitzError("leading block failed to reduce to (1 2) entries")
-    m = end
-    if m < 2 or m % 2 != 0 or m != n - 2 * (d - 2):
-        raise HurwitzError(f"normal form has malformed (1 2) block of size {m}")
-    return w.system(), w.trace
+    if end < 2 or end % 2 != 0 or end != n - 2 * (d - 2):
+        raise HurwitzError(f"normal form has malformed (1 2) block of size {end}")
+    # The normal form's distinct pairs are the adjacent ones, (a a+1).
+    adjacent = [permutations._transposition(d, a, a + 1) for a in range(1, d)]
+    return _unchecked(d, tuple([adjacent[a - 1] for a, _ in entries]), PERMUTATION), trace
 
 
 def normal_form_template(degree: int, n: int) -> HurwitzSystem:

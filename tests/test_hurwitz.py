@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -387,6 +388,12 @@ PRECONDITION_FAILURES = [
         id="intransitive-fixed-point",
     ),
     pytest.param(
+        perm_system(4, (2, 3), (3, 4), (3, 4), (2, 3)),
+        IntransitiveSystemError,
+        "monodromy group is intransitive: orbits [[1], [2, 3, 4]]",
+        id="intransitive-point-1-alone",
+    ),
+    pytest.param(
         perm_system(4, (1, 2), (3, 4)),
         NonClosingSystemError, "total monodromy (1 2)(3 4) is not the identity",
         id="non-closing-and-intransitive",
@@ -410,6 +417,57 @@ class TestPreconditions:
                 covering_equivalent(*args)
             assert type(info.value) is error
             assert str(info.value) == prefix + message
+
+    def test_point_1_alone_is_distinct_from_the_template(self):
+        s = perm_system(4, (2, 3), (3, 4), (3, 4), (2, 3))
+        scrambled = perm_system(4, (1, 2), (2, 3), (3, 4), (3, 4), (2, 3), (1, 2))
+        for t in (normal_form_template(4, 6), scrambled):
+            assert hc_equivalent(s, t) is Equivalence.DISTINCT
+            assert hc_equivalent(t, s) is Equivalence.DISTINCT
+
+    def test_orbit_of_point_1_grows_on_a_later_pass(self):
+        # Point 1 meets the distinct pairs (3 4), (2 3), (1 2) last, so its
+        # orbit takes one more pass over them for each further point.
+        s = perm_system(4, (3, 4), (3, 4), (2, 3), (2, 3), (1, 2), (1, 2))
+        assert _check_normal_preconditions(s) == [(3, 4), (3, 4), (2, 3), (2, 3), (1, 2), (1, 2)]
+        nf, trace = hc_normal_form(s)
+        assert nf == normal_form_template(4, 6)
+        assert replay_trace(s, trace) == nf
+        assert hc_equivalent(s, nf) is Equivalence.EQUIVALENT
+        assert covering_equivalent(s, nf) is True
+
+    def test_degree_1_without_entries(self):
+        s = HurwitzSystem(1, ())
+        assert _check_normal_preconditions(s) == []
+        assert hc_normal_form(s) == (s, [])
+        assert hc_equivalent(s, s) is Equivalence.EQUIVALENT
+        assert covering_equivalent(s, s) is True
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_degree_2(self, n):
+        s = perm_system(2, *[(1, 2)] * n)
+        assert _check_normal_preconditions(s) == [(1, 2)] * n
+        assert hc_normal_form(s) == (normal_form_template(2, n), [])
+        assert hc_equivalent(s, normal_form_template(2, n)) is Equivalence.EQUIVALENT
+
+    @pytest.mark.parametrize("build", [
+        lambda: scrambled_template(1, 4, 8),
+        lambda: perm_system(4, (1, 2), (1, 2), (3, 4), (3, 4)),
+        lambda: HurwitzSystem.of_permutations([tr(3, 1, 2)] * 4),
+        lambda: HurwitzSystem.of_permutations([tr(2, 1, 2)] * 4),
+    ], ids=["transitive", "intransitive", "one-object-intransitive", "one-object"])
+    def test_shared_entry_objects_read_like_distinct_ones(self, build):
+        """Entries that are one object give what equal, distinct objects give."""
+        s, pool = build(), {}
+        shared = HurwitzSystem(s.degree, tuple(pool.setdefault(e, e) for e in s.entries))
+        distinct = HurwitzSystem(s.degree, tuple(Permutation(e.images) for e in s.entries))
+        results = []
+        for t in (shared, distinct):
+            try:
+                results.append(hc_normal_form(t))
+            except HurwitzError as exc:
+                results.append((type(exc), str(exc)))
+        assert results[0] == results[1]
 
     def test_equivalence_verdicts_on_mixed_pairs(self):
         template = normal_form_template(4, 6)
@@ -475,10 +533,11 @@ def scrambled_template(seed, d, n):
     return s
 
 
-# Traces of hc_normal_form recorded from the worker that held Permutation
-# entries, which the point-pair worker must reproduce step for step.  An int
-# k is the forward move at k, a pair (a, b) the conjugation by (a b).  Keys:
-# a test_six_entry_example system, or (seed, d, n) of scrambled_template.
+# Traces of hc_normal_form recorded when its move loop held Permutation
+# entries, which the inline loop on point pairs must reproduce step for
+# step.  An int k is the forward move at k, a pair (a, b) the conjugation by
+# (a b).  Keys: a test_six_entry_example system, or (seed, d, n) of
+# scrambled_template.
 GOLDEN_TRACES = {
     "six-entry": [2, 3, 4, 1, 2, 3, (1, 2)],
     "six-entry-borrow": [4, 3, 2, 1, 1, 2, 2, 1, 3, 3, 2, 3, 3],
@@ -522,6 +581,46 @@ def test_normal_form_trace_is_golden(key):
     ]
     assert nf == normal_form_template(d, len(s))
     assert replay_trace(s, trace) == nf
+
+
+def normal_form_digest(systems, replay=False):
+    """sha256 over the repr of each normal form's entry images and its trace,
+    a conjugation written by its images; with ``replay``, each trace must
+    also take its system to ``normal_form_template``."""
+    h = hashlib.sha256()
+    for s in systems:
+        nf, trace = hc_normal_form(s)
+        plain = [("C", step[1].images) if step[0] == "C" else step for step in trace]
+        h.update(repr(([e.images for e in nf.entries], plain)).encode())
+        if replay:
+            assert replay_trace(s, trace) == normal_form_template(s.degree, len(s))
+    return h.hexdigest()
+
+
+# Digests of hc_normal_form output recorded before its move loop ran inline on
+# point pairs: every transitive closing system of degree 2 and 3 and length
+# <= 8, and seeded scrambled_template samples (seeds 0, 1, ...; count per
+# (d, n)) at larger sizes.
+NORMAL_FORM_DIGESTS = {
+    "d2": "d30176e7f95730bf1c57b89ff87130f8cea6a796dcaad15d3e6814246f639d77",
+    "d3": "13a6bcc6bb4027a4ac7b5f9a7c6169d7761192c9cbe68aa37c48bfbb2b8a6a03",
+    (4, 8, 200): "4b14869c7d724c49786cda83e1c46907a483913ee721f5fc84a239e76b1d19c7",
+    (6, 16, 50): "5be452bac176edd86328209ec98a4328e6c94a9f5e3fda0541ce1c83247a2a26",
+    (8, 40, 20): "2bf93837454fc10d9678e04f6a2dfe9e93dab6999c352fd4c26e4cc7a75d541c",
+    (16, 76, 8): "9383ede7c6d9f8cf33e1dd338ba8d49b144383dc248c756b145e214836b8d242",
+}
+
+
+@pytest.mark.parametrize("key", NORMAL_FORM_DIGESTS, ids=str)
+def test_normal_form_output_is_pinned_at_scale(key):
+    if key in ("d2", "d3"):
+        d = int(key[1])
+        systems = [s for n in range(2, 9) for s in iter_simple_closing_systems(d, n)]
+        assert len(systems) == {"d2": 4, "d3": 2448}[key]
+    else:
+        d, n, count = key
+        systems = [scrambled_template(seed, d, n) for seed in range(count)]
+    assert normal_form_digest(systems, replay=key not in ("d2", "d3")) == NORMAL_FORM_DIGESTS[key]
 
 
 @pytest.mark.parametrize("step", [("H", 0), ("C",), ("H", 0, "forward", "x"), "H", None])
