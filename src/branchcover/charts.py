@@ -27,9 +27,15 @@ an insertion carries the opposite sign in the word, which is exactly what
 makes the entries of a closed sweep multiply to the identity.  Positions and
 event indices are 0-based.
 
-There is one sweep, ``_sweep``, over the live word: validation, monodromy
-and moves read it as it goes.  ``sweep_record`` snapshots its words and
-segment ids for orientability, rendering and the test oracles.
+There is one sweep, ``_sweep``, and it holds the one event rule: it checks
+each event against the live word and splices the event's strands in place.
+Per event it yields the event, the live word before it, the consumed
+strands, the produced (label, sign) strands and the first segment id of
+the produced ones.  Validation, monodromy (which reads each black event's
+prefix in the live word), moves and orientability read these as the sweep
+goes; a move also runs its new events through it, from the word before its
+window.  ``sweep_record`` keeps a copy of every word, with the segment ids
+and labels, for rendering and the test oracles.
 
 Only ``chart_hurwitz_system`` needs the ``hurwitz`` module, and braids only
 for an oriented chart; it imports them itself, so that validating, moving,
@@ -38,6 +44,7 @@ orienting or rendering a chart loads neither.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 from ._unionfind import ParityUnionFind, UnionFind
@@ -117,6 +124,16 @@ class ChartEvent(_Value):
 _EVENT = frozenset({ChartEvent})
 
 
+def _unchecked(
+    kind: str, position: int, labels: tuple[int, ...], insert: Optional[bool], sign: Optional[int]
+) -> ChartEvent:
+    """A ChartEvent whose fields come from a checked event, with a sign of
+    1 or -1; nothing is re-checked."""
+    ev = object.__new__(ChartEvent)
+    ev.__dict__.update(kind=kind, position=position, labels=labels, insert=insert, sign=sign)
+    return ev
+
+
 def black(label: int, position: int, insert: bool, sign: Optional[int] = None) -> ChartEvent:
     return ChartEvent("black", position, (label,), insert, sign)
 
@@ -155,103 +172,119 @@ class Chart(_Value):
 Strand = tuple[int, int, int]  # (label, sign, segment id)
 
 
-def _produced(
-    ev: ChartEvent, word: Sequence[Sequence[int]], degree: int, oriented: bool
-) -> tuple[Sequence[Sequence[int]], tuple[tuple[int, int], ...]]:
-    """The one event rule: apply ``ev`` to ``word``, return (consumed, produced).
+def _sweep(
+    events: Sequence[ChartEvent], degree: int, oriented: bool, word: Optional[list[Strand]] = None
+) -> Iterator[tuple[ChartEvent, list[Strand], tuple[Strand, ...], tuple, int]]:
+    """The one event rule, run over the live word event by event.
 
-    ``word`` holds strands read as (label, sign, ...); ``consumed`` is the
-    slice under the event's window, ``produced`` the (label, sign) strands
-    replacing it.  Raises ChartError, without an event index, when the
-    labels, the window or the strands do not fit.  Unoriented sweeps carry
-    sign 1 except on cups, which keep a declared sign.
+    Yields (event, live word before it, consumed, produced, first segment id
+    of produced) per event, then splices the produced strands, numbered from
+    that id, into the word in place of the consumed ones.  ``consumed`` holds
+    the strands under the event's window and ``produced`` the (label, sign)
+    strands replacing them.  Unoriented sweeps carry sign 1 except on cups,
+    which keep a declared sign.
+
+    Raises ChartError with the index of the event whose labels, window or
+    strands do not fit.  A sweep from the empty word must end empty; one
+    started from ``word`` leaves its end to the caller.
     """
-    kind = ev.kind
-    for lab in ev.labels:
-        if not 1 <= lab < degree:
-            raise ChartError(f"label {lab} out of range 1..{degree - 1}")
-    if kind == "black":
-        n_in = 0 if ev.insert else 1
-    else:
-        n_in = _ARITY[kind][0]
-        if kind == "crossing" and abs(ev.labels[0] - ev.labels[1]) <= 1:
-            raise ChartError(f"crossing labels {ev.labels} must differ by more than 1")
-        if kind == "white" and abs(ev.labels[0] - ev.labels[1]) != 1:
-            raise ChartError(f"white labels {ev.labels} must be adjacent")
-    p = ev.position
-    if not 0 <= p <= len(word) - n_in:
-        raise ChartError(f"position {p} out of range for word length {len(word)}")
-    consumed = word[p : p + n_in]
-    if kind == "black":
-        lab = ev.labels[0]
-        if ev.insert:
-            if not oriented:
-                return consumed, ((lab, 1),)
-            if ev.sign is None:
-                raise ChartError("oriented black insert needs a sign")
-            # The event sign is the meridian exponent; the strand it births
-            # crosses slices with the opposite sign (that is what makes the
-            # total monodromy of a closed sweep trivial).
-            return consumed, ((lab, -ev.sign),)
-        got = consumed[0]
-        if got[0] != lab:
-            raise ChartError(f"strand at {p} has label {got[0]}, expected {lab}")
-        if oriented and ev.sign is not None and ev.sign != got[1]:
-            raise ChartError(f"strand at {p} has sign {got[1]}, expected {ev.sign}")
-        return consumed, ()
-    if kind == "cup":
-        lab = ev.labels[0]
-        sign = 1 if ev.sign is None else ev.sign
-        return consumed, ((lab, sign), (lab, -sign if oriented else sign))
-    if kind == "cap":
-        lab = ev.labels[0]
-        a, b = consumed
-        if a[0] != lab or b[0] != lab:
-            raise ChartError(f"cap labels ({a[0]}, {b[0]}) do not match {lab}")
-        if oriented and a[1] != -b[1]:
-            raise ChartError("cap needs opposite strand signs")
-        return consumed, ()
-    i, j = ev.labels
-    if kind == "crossing":
-        a, b = consumed
-        if a[0] != i or b[0] != j:
-            raise ChartError(f"strands at {p} are ({a[0]}, {b[0]}), expected ({i}, {j})")
-        return consumed, ((j, b[1]), (i, a[1]))
-    a, b, c = consumed
-    labs = (a[0], b[0], c[0])
-    if labs != (i, j, i):
-        raise ChartError(f"strands at {p} are {labs}, expected ({i}, {j}, {i})")
-    if not oriented:
-        return consumed, ((j, 1), (i, 1), (j, 1))
-    if a[1] == c[1] == -b[1]:
-        raise ChartError(f"sign pattern {(a[1], b[1], c[1])} not admissible at a white vertex")
-    return consumed, ((j, c[1]), (i, b[1]), (j, a[1]))
-
-
-def _sweep(chart: Chart) -> Iterator[tuple[ChartEvent, list[Strand], list[Strand], tuple, int]]:
-    """Yield (event, live word before it, consumed, produced, first segment
-    id of produced) per event, then splice; raises ChartError on violation."""
-    word: list[Strand] = []
-    degree, oriented = chart.degree, chart.oriented
+    closed = word is None
+    if closed:
+        word = []
     first = 0
-    for idx, ev in enumerate(chart.events):
-        try:
-            consumed, produced = _produced(ev, word, degree, oriented)
-        except ChartError as exc:
-            raise ChartError(str(exc), idx) from None
-        yield ev, word, consumed, produced, first
-        strands = [(lab, sign, seg) for seg, (lab, sign) in enumerate(produced, first)]
-        word[ev.position : ev.position + len(consumed)] = strands
-        first += len(produced)
-    if word:
-        raise ChartError(
-            f"sweep ends with nonempty word {tuple((l, s) for l, s, _ in word)}",
-            len(chart.events),
-        )
+    for idx, ev in enumerate(events):
+        kind, labels, p = ev.kind, ev.labels, ev.position
+        for lab in labels:
+            if not 0 < lab < degree:
+                raise ChartError(f"label {lab} out of range 1..{degree - 1}", idx)
+        n = len(word)
+        if kind == "black":
+            lab = labels[0]
+            if ev.insert:
+                if p > n:
+                    raise _window_error(p, n, idx)
+                if not oriented:
+                    sign = 1
+                elif ev.sign is None:
+                    raise ChartError("oriented black insert needs a sign", idx)
+                else:
+                    # The event sign is the meridian exponent; the strand it
+                    # births crosses slices with the opposite sign (that is
+                    # what makes the total monodromy of a closed sweep trivial).
+                    sign = -ev.sign
+                yield ev, word, (), ((lab, sign),), first
+                word.insert(p, (lab, sign, first))
+                first += 1
+                continue
+            if p >= n:
+                raise _window_error(p, n, idx)
+            got = word[p]
+            if got[0] != lab:
+                raise ChartError(f"strand at {p} has label {got[0]}, expected {lab}", idx)
+            if oriented and ev.sign is not None and ev.sign != got[1]:
+                raise ChartError(f"strand at {p} has sign {got[1]}, expected {ev.sign}", idx)
+            yield ev, word, (got,), (), first
+            del word[p]
+        elif kind == "cup":
+            if p > n:
+                raise _window_error(p, n, idx)
+            lab = labels[0]
+            sign = 1 if ev.sign is None else ev.sign
+            twin = -sign if oriented else sign
+            yield ev, word, (), ((lab, sign), (lab, twin)), first
+            word[p:p] = ((lab, sign, first), (lab, twin, first + 1))
+            first += 2
+        elif kind == "cap":
+            if p > n - 2:
+                raise _window_error(p, n, idx)
+            lab = labels[0]
+            a, b = word[p], word[p + 1]
+            if a[0] != lab or b[0] != lab:
+                raise ChartError(f"cap labels ({a[0]}, {b[0]}) do not match {lab}", idx)
+            if oriented and a[1] != -b[1]:
+                raise ChartError("cap needs opposite strand signs", idx)
+            yield ev, word, (a, b), (), first
+            del word[p : p + 2]
+        elif kind == "crossing":
+            i, j = labels
+            if abs(i - j) <= 1:
+                raise ChartError(f"crossing labels {labels} must differ by more than 1", idx)
+            if p > n - 2:
+                raise _window_error(p, n, idx)
+            a, b = word[p], word[p + 1]
+            if a[0] != i or b[0] != j:
+                raise ChartError(f"strands at {p} are ({a[0]}, {b[0]}), expected ({i}, {j})", idx)
+            yield ev, word, (a, b), ((j, b[1]), (i, a[1])), first
+            word[p : p + 2] = ((j, b[1], first), (i, a[1], first + 1))
+            first += 2
+        else:  # white
+            i, j = labels
+            if abs(i - j) != 1:
+                raise ChartError(f"white labels {labels} must be adjacent", idx)
+            if p > n - 3:
+                raise _window_error(p, n, idx)
+            a, b, c = word[p], word[p + 1], word[p + 2]
+            if a[0] != i or b[0] != j or c[0] != i:
+                raise ChartError(f"strands at {p} are {(a[0], b[0], c[0])}, expected ({i}, {j}, {i})", idx)
+            if not oriented:
+                sa = sb = sc = 1
+            elif a[1] == c[1] == -b[1]:
+                raise ChartError(f"sign pattern {(a[1], b[1], c[1])} not admissible at a white vertex", idx)
+            else:
+                sa, sb, sc = a[1], b[1], c[1]
+            yield ev, word, (a, b, c), ((j, sc), (i, sb), (j, sa)), first
+            word[p : p + 3] = ((j, sc, first), (i, sb, first + 1), (j, sa, first + 2))
+            first += 3
+    if closed and word:
+        raise ChartError(f"sweep ends with nonempty word {tuple((l, s) for l, s, _ in word)}", len(events))
+
+
+def _window_error(p: int, n: int, idx: int) -> ChartError:
+    return ChartError(f"position {p} out of range for word length {n}", idx)
 
 
 class SweepRecord(_Value):
-    """Snapshots of one sweep, for orientability, rendering and test oracles;
+    """Snapshots of one sweep, for rendering and test oracles;
     ``sweep_record`` fills its lists and dict in place."""
 
     def __init__(
@@ -266,7 +299,7 @@ class SweepRecord(_Value):
 def sweep_record(chart: Chart) -> SweepRecord:
     """Run the sweep, validating every event; raises ChartError on violation."""
     record = SweepRecord([], [], {})
-    for _, word, consumed, produced, first in _sweep(chart):
+    for _, word, consumed, produced, first in _sweep(chart.events, chart.degree, chart.oriented):
         record.words.append(tuple(word))
         for seg, (lab, _) in enumerate(produced, first):
             record.segment_label[seg] = lab
@@ -293,7 +326,7 @@ def validate_chart(chart: Chart) -> ChartReport:
     Never raises; the report carries the first violation and its event index.
     """
     try:
-        for _ in _sweep(chart):
+        for _ in _sweep(chart.events, chart.degree, chart.oriented):
             pass
     except ChartError as exc:
         return ChartReport(False, str(exc), exc.event_index, 0)
@@ -304,30 +337,31 @@ def chart_hurwitz_system(chart: Chart) -> HurwitzSystem:
     """Meridian images of the black vertices, in sweep order."""
     from . import hurwitz
 
-    if chart.oriented:
+    d, oriented = chart.degree, chart.oriented
+    if oriented:
         from .braids import BraidWord
-    d = chart.degree
     entries: list = []
     transpositions: dict[tuple[int, int], Permutation] = {}
-    for ev, word, consumed, _, _ in _sweep(chart):
+    # The prefix P of a black event is the live word left of its position,
+    # read in place.
+    for ev, word, consumed, _, _ in _sweep(chart.events, d, oriented):
         if ev.kind != "black":
             continue
-        prefix = word[: ev.position]
         lab = ev.labels[0]
-        if chart.oriented:
+        if oriented:
             # Meridian exponent: the declared sign for an insertion, the
             # strand's own sign for a deletion (they agree when declared).
             if ev.insert:
                 sign = ev.sign if ev.sign is not None else 1
             else:
                 sign = consumed[0][1]
-            pw = BraidWord(d, tuple(l * s for l, s, _ in prefix))
+            pw = BraidWord(d, tuple([l * s for l, s, _ in islice(word, ev.position)]))
             entries.append(pw * BraidWord(d, (lab * sign,)) * pw.inverse())
         else:
             # pw (lab lab+1) pw^-1 swaps the points pw sends to lab and lab+1;
             # at[k] is the point pw sends to k + 1.
             at = list(range(1, d + 1))
-            for l, _, _ in prefix:
+            for l, _, _ in islice(word, ev.position):
                 at[l - 1], at[l] = at[l], at[l - 1]
             a, b = at[lab - 1], at[lab]
             pair = (a, b) if a < b else (b, a)
@@ -335,7 +369,7 @@ def chart_hurwitz_system(chart: Chart) -> HurwitzSystem:
                 transpositions[pair] = _transposition(d, *pair)
             entries.append(transpositions[pair])
     # The sweep checked every label, so the entries need no second check.
-    return hurwitz._unchecked(d, tuple(entries), BRAID if chart.oriented else PERMUTATION)
+    return hurwitz._unchecked(d, tuple(entries), BRAID if oriented else PERMUTATION)
 
 
 def forget_orientation(chart: Chart) -> Chart:
@@ -363,34 +397,34 @@ def _rewrite(chart: Chart, start: int, end: int, new_events: Sequence[ChartEvent
     """Replace events start:end by ``new_events``, keeping the word after them.
 
     The input is swept once, copying only the words before ``start`` and
-    before ``end``; ``new_events`` run through ``_produced`` from the first
-    and must end in the second.  Events outside the window then see the same
-    word, so the output is valid without a second sweep.
+    before ``end``; ``new_events`` are swept from the first and must end in
+    the second.  Events outside the window then see the same word, so the
+    output is valid without a second sweep.
     """
     n = len(chart.events)
     start, end = _event_index(start), _event_index(end)
     if not (0 <= start <= end <= n):
         raise MoveError(f"event slice {start}:{end} out of range for {n} events")
+    degree, oriented = chart.degree, chart.oriented
     word, after = [], []  # two lists: new events splice into word; a closed sweep ends empty
     try:
-        for t, (_, live, _, _, _) in enumerate(_sweep(chart)):
+        for t, (_, live, _, _, _) in enumerate(_sweep(chart.events, degree, oriented)):
             if t == start:
                 word = list(live)
             if t == end:
                 after = list(live)
     except ChartError as exc:
         raise MoveError(f"move needs a valid chart: {exc}") from None
-    for k, ev in enumerate(new_events):
-        try:
-            consumed, produced = _produced(ev, word, chart.degree, chart.oriented)
-        except ChartError as exc:
-            raise MoveError(f"move produces an invalid chart: new event {k}: {exc}") from None
-        word[ev.position : ev.position + len(consumed)] = produced
-    width = 2 if chart.oriented else 1  # signs mean nothing on unoriented charts
+    try:
+        for _ in _sweep(new_events, degree, oriented, word):
+            pass
+    except ChartError as exc:  # "event k: ...", k counted in new_events
+        raise MoveError(f"move produces an invalid chart: new {exc}") from None
+    width = 2 if oriented else 1  # signs mean nothing on unoriented charts
     if [s[:width] for s in word] != [s[:width] for s in after]:
         raise MoveError("move changes the word after its window")
     events = chart.events[:start] + tuple(new_events) + chart.events[end:]
-    return Chart(chart.degree, chart.oriented, events)
+    return Chart(degree, oriented, events)
 
 
 def _pair(chart: Chart, at: int) -> tuple[ChartEvent, ChartEvent]:
@@ -585,11 +619,17 @@ def chart_orientable(chart: Chart) -> OrientationResult:
     """
     if chart.oriented:
         raise ChartError("chart is already oriented")
-    record = sweep_record(chart)
+    # The segment ids each event consumes and produces; the sweep numbers
+    # the segments 0, 1, ... as it produces them.
+    event_io = []
+    segment_count = 0
+    for _, _, consumed, produced, first in _sweep(chart.events, chart.degree, False):
+        segment_count = first + len(produced)
+        event_io.append((tuple([s[2] for s in consumed]), tuple(range(first, segment_count))))
 
     # Sign classes: parity 1 between two segments means opposite signs.
     classes = ParityUnionFind()
-    for ev, (cons, prod) in zip(chart.events, record.event_io):
+    for ev, (cons, prod) in zip(chart.events, event_io):
         if ev.kind in ("cup", "cap"):
             twins = cons if ev.kind == "cap" else prod
             if not classes.union(twins[0], twins[1], 1):
@@ -598,25 +638,25 @@ def chart_orientable(chart: Chart) -> OrientationResult:
             if not all(classes.union(a, b, 0) for a, b in zip(cons, reversed(prod))):
                 return OrientationResult(False)
 
+    roots = [classes.find(seg) for seg in range(segment_count)]  # (root, parity) per segment
+
     # Each clause reads its consumed segments as (class root, literal flip);
     # the middle flip is negated, so the literals must not all be equal.
     touching: dict[int, list[list[tuple[int, int]]]] = {}
     links = UnionFind()
-    for ev, (cons, _) in zip(chart.events, record.event_io):
+    for ev, (cons, _) in zip(chart.events, event_io):
         if ev.kind == "white":
             clause = []
             for seg, negate in zip(cons, (1, -1, 1)):
-                root, par = classes.find(seg)
+                root, par = roots[seg]
                 clause.append((root, -negate if par else negate))
             for root in dict.fromkeys(root for root, _ in clause):
                 touching.setdefault(root, []).append(clause)
                 links.union(clause[0][0], root)
 
     # The sign of each root that gives the least segment of its class +1.
-    segments = sorted(record.segment_label)
     first: dict[int, int] = {}
-    for seg in segments:
-        root, par = classes.find(seg)
+    for root, par in roots:
         first.setdefault(root, -1 if par else 1)
 
     sign: dict[int, int] = {}
@@ -684,24 +724,22 @@ def chart_orientable(chart: Chart) -> OrientationResult:
     if not all(solve(order) for order in components.values()):
         return OrientationResult(False)
 
-    signs = {}
-    for seg in segments:
-        root, par = classes.find(seg)
-        signs[seg] = -sign[root] if par else sign[root]
-    witness = _orient_with(chart, record, signs)
+    signs = {seg: -sign[root] if par else sign[root] for seg, (root, par) in enumerate(roots)}
+    witness = _orient_with(chart, event_io, signs)
     return OrientationResult(True, witness, signs)
 
 
-def _orient_with(chart: Chart, record: SweepRecord, signs: dict[int, int]) -> Chart:
+def _orient_with(chart: Chart, event_io: list, signs: dict[int, int]) -> Chart:
+    """``chart`` with the signs of its segments: each black event takes the
+    meridian exponent its strand's sign gives, and each cup its upper twin's."""
     events = []
-    for ev, (cons, prod) in zip(chart.events, record.event_io):
-        if ev.kind == "black":
-            if ev.insert:
-                events.append(black(ev.labels[0], ev.position, True, -signs[prod[0]]))
-            else:
-                events.append(black(ev.labels[0], ev.position, False, signs[cons[0]]))
-        elif ev.kind == "cup":
-            events.append(cup(ev.labels[0], ev.position, signs[prod[0]]))
+    for ev, (cons, prod) in zip(chart.events, event_io):
+        kind = ev.kind
+        if kind == "black":
+            sign = -signs[prod[0]] if ev.insert else signs[cons[0]]
+            events.append(_unchecked(kind, ev.position, ev.labels, ev.insert, sign))
+        elif kind == "cup":
+            events.append(_unchecked(kind, ev.position, ev.labels, None, signs[prod[0]]))
         else:
             events.append(ev)
     return Chart(chart.degree, True, tuple(events))

@@ -139,18 +139,23 @@ def hurwitz_move(s: HurwitzSystem, k: int, direction: str = "forward") -> Hurwit
     each other.  A position that is not an int is refused (ValueError); one
     past the entries raises IndexError.
     """
-    n = len(s.entries)
-    if not (0 <= _exact_int(k, "move position") <= n - 2):
-        raise IndexError(f"move position {k} out of range for {n} entries")
+    forward = _is_forward(k, direction, len(s.entries))
     a, b = s.entries[k], s.entries[k + 1]
-    if direction == "forward":
-        pair = (b, a ** b)
-    elif direction == "inverse":
-        pair = (b ** a.inverse(), a)
-    else:
-        raise ValueError(f"direction must be 'forward' or 'inverse', not {direction!r}")
+    pair = (b, a ** b) if forward else (b ** a.inverse(), a)
     entries = s.entries[:k] + pair + s.entries[k + 2 :]
     return _unchecked(s.degree, entries, s.flavor)
+
+
+def _is_forward(k: int, direction: str, n: int) -> bool:
+    """Check a move's position among n entries, then its direction; True
+    for a forward move.  Raises as ``hurwitz_move`` documents."""
+    if not (0 <= _exact_int(k, "move position") <= n - 2):
+        raise IndexError(f"move position {k} out of range for {n} entries")
+    if direction == "forward":
+        return True
+    if direction == "inverse":
+        return False
+    raise ValueError(f"direction must be 'forward' or 'inverse', not {direction!r}")
 
 
 def conjugate_system(s: HurwitzSystem, g: Entry) -> HurwitzSystem:
@@ -242,16 +247,38 @@ def replay_trace(s: HurwitzSystem, trace: Iterable[tuple]) -> HurwitzSystem:
     """Apply a recorded move sequence to a system.
 
     A step is ("H", k, direction) or ("C", g); any other shape is refused.
+    Each step is checked as ``hurwitz_move`` and ``conjugate_system`` check
+    it.  A braid system takes the steps one by one; a permutation system's
+    steps act on one list of image tuples, and the system is built once.
     """
+    if s.flavor != PERMUTATION:
+        for step in trace:
+            match step:
+                case ("H", k, direction):
+                    s = hurwitz_move(s, k, direction)
+                case ("C", g):
+                    s = conjugate_system(s, g)
+                case _:
+                    raise ValueError(f"unknown trace step {step!r}")
+        return s
+    conjugated = permutations._conjugated
+    images = [e.images for e in s.entries]
     for step in trace:
         match step:
             case ("H", k, direction):
-                s = hurwitz_move(s, k, direction)
+                forward = _is_forward(k, direction, len(images))
+                a, b = images[k], images[k + 1]
+                if forward:
+                    images[k], images[k + 1] = b, conjugated(a, b)
+                else:
+                    a_inverse = permutations._unchecked(a).inverse().images
+                    images[k], images[k + 1] = conjugated(b, a_inverse), a
             case ("C", g):
-                s = conjugate_system(s, g)
+                check_elements(PERMUTATION, s.degree, [(None, g)], "conjugator")
+                images = [conjugated(e, g.images) for e in images]
             case _:
                 raise ValueError(f"unknown trace step {step!r}")
-    return s
+    return _unchecked(s.degree, tuple([permutations._unchecked(e) for e in images]), PERMUTATION)
 
 
 def _reduce_letter(entries: list[tuple[int, int]], trace: Trace, ell: int, end: int) -> None:

@@ -242,11 +242,7 @@ class Permutation(_Value):
             return NotImplemented
         if g.degree != self.degree:
             raise ValueError(f"degree mismatch: {g.degree} vs {self.degree}")
-        gi = g.images
-        out = [0] * len(gi)
-        for k, image in enumerate(self.images):
-            out[gi[k] - 1] = gi[image - 1]
-        return _unchecked(tuple(out))
+        return _unchecked(_conjugated(self.images, g.images))
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.degree
@@ -301,6 +297,14 @@ def _unchecked(images: tuple[int, ...]) -> Permutation:
     p = object.__new__(Permutation)
     p.__dict__["images"] = images
     return p
+
+
+def _conjugated(images: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
+    """The images of g^-1 a g from those of a and g, of one degree."""
+    out = [0] * len(g)
+    for k, image in enumerate(images):
+        out[g[k] - 1] = g[image - 1]
+    return tuple(out)
 
 
 def _transposition(d: int, i: int, j: int) -> Permutation:

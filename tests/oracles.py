@@ -18,7 +18,7 @@ import itertools
 import random
 from typing import Iterable
 
-from branchcover.charts import Chart, ChartError, ChartEvent, _produced, black, cap, crossing, cup, white
+from branchcover.charts import Chart, ChartError, ChartEvent, _sweep, black, cap, crossing, cup, white
 from branchcover.hurwitz import HurwitzSystem
 from branchcover.links import LinkError, SimpleColoring, twist_boundary_colors
 from branchcover.permutations import (
@@ -573,16 +573,17 @@ def random_chart(
     oriented: bool = False,
 ) -> Chart:
     """A random valid closed chart with roughly ``size`` events; each event
-    is one that ``charts._produced`` accepts on the word so far."""
+    is one that ``charts._sweep`` accepts on the word so far."""
     _check_degree(degree, 2, ChartError)
     _exact_int(size, "size", 0, error=ChartError)
     _exact_bool(oriented, "oriented", ChartError)
     events: list[ChartEvent] = []
-    word: list[tuple[int, int]] = []  # (label, sign)
+    word: list[tuple[int, int, int]] = []  # (label, sign, segment id)
 
     def fits(ev: ChartEvent) -> bool:
+        # The sweep checks an event before it yields it and splices after.
         try:
-            _produced(ev, word, degree, oriented)
+            next(_sweep((ev,), degree, oriented, word))
         except ChartError:
             return False
         return True
@@ -592,7 +593,7 @@ def random_chart(
         choices = []
         if growing:
             choices += ["black-insert"] * 3 + ["cup"] * 2
-        # Offer only events the sweep accepts: _produced judges them.
+        # Offer only events the sweep accepts.
         pairs = [(p, word[p][0], word[p + 1][0]) for p in range(len(word) - 1)]
         offers = {
             "white": [ev for p, i, j in pairs if fits(ev := white(i, j, p))],
@@ -615,7 +616,7 @@ def random_chart(
                        rng.choice([1, -1]) if oriented else None)
         elif kind == "black-delete":
             p = rng.randrange(len(word))
-            lab, sign = word[p]
+            lab, sign, _ = word[p]
             ev = black(lab, p, False, sign if oriented else None)
         elif kind == "cup":
             ev = cup(rng.randrange(1, degree), rng.randrange(len(word) + 1),
@@ -623,8 +624,8 @@ def random_chart(
         else:
             ev = rng.choice(offers[kind])
         events.append(ev)
-        consumed, produced = _produced(ev, word, degree, oriented)
-        word[ev.position : ev.position + len(consumed)] = produced
+        for _ in _sweep((ev,), degree, oriented, word):
+            pass
     return Chart(degree, oriented, tuple(events))
 
 

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import operator
 import random
@@ -38,6 +39,7 @@ from branchcover.charts import (
     white,
     white_pair_cancel,
 )
+from branchcover.charts import _rewrite
 from branchcover.hurwitz import (
     Equivalence,
     hc_equivalent,
@@ -815,3 +817,161 @@ class TestSerialization:
         assert svg.count("<circle") == 10
         assert svg.count('fill="white" stroke="black"') == 2
         assert svg.count("<line") == 18
+
+
+# -- the sweep pinned on a seeded corpus ----------------------------------------
+
+
+def _mutations(ev):
+    """One-field changes of an event: label +-1, position +-1, insert and
+    sign flipped, and the kind swapped for one of the same label count;
+    a change that ChartEvent itself refuses is left out."""
+    fields = []
+    for k in range(len(ev.labels)):
+        for step in (1, -1):
+            labels = ev.labels[:k] + (ev.labels[k] + step,) + ev.labels[k + 1:]
+            fields.append((ev.kind, ev.position, labels, ev.insert, ev.sign))
+    for step in (1, -1):
+        fields.append((ev.kind, ev.position + step, ev.labels, ev.insert, ev.sign))
+    if ev.insert is not None:
+        fields.append((ev.kind, ev.position, ev.labels, not ev.insert, ev.sign))
+    if ev.sign is not None:
+        fields.append((ev.kind, ev.position, ev.labels, ev.insert, -ev.sign))
+    swapped = {"white": ("crossing", None), "crossing": ("white", None), "cup": ("black", True),
+               "cap": ("black", False), "black": ("cup" if ev.insert else "cap", None)}[ev.kind]
+    fields.append((swapped[0], ev.position, ev.labels, swapped[1], ev.sign))
+    out = []
+    for kind, position, labels, insert, sign in fields:
+        try:
+            out.append(ChartEvent(kind, position, labels, insert, sign))
+        except ChartError:
+            pass
+    return out
+
+
+def _sweep_corpus():
+    """Seeded random charts, oriented and not, and the non-orientable chart,
+    each followed by every chart that one mutation of one of its events makes."""
+    bases = []
+    for seed in range(60):
+        rng = random.Random(3200 + seed)
+        bases.append(random_chart(rng.choice([3, 4, 5]), rng.randrange(4, 32), rng, oriented=seed % 2 == 1))
+    bases.append(Chart(3, False, TestOrientability.NONORIENTABLE))
+    charts = []
+    for c in bases:
+        charts.append(c)
+        for t, ev in enumerate(c.events):
+            for new in _mutations(ev):
+                charts.append(Chart(c.degree, c.oriented, c.events[:t] + (new,) + c.events[t + 1:]))
+    return charts
+
+
+def _raised(exc):
+    return (type(exc).__name__, str(exc), exc.event_index)
+
+
+def _record_view(c):
+    try:
+        rec = sweep_record(c)
+    except ChartError as exc:
+        return _raised(exc)
+    return rec.words, rec.event_io, sorted(rec.segment_label.items())
+
+
+def _report_view(c):
+    report = validate_chart(c)
+    return report.valid, report.error, report.event_index, report.black_count
+
+
+def _system_view(c):
+    try:
+        return [repr(e) for e in chart_hurwitz_system(c).entries]
+    except ChartError as exc:
+        return _raised(exc)
+
+
+def _orientation_view(c):
+    if c.oriented:
+        return None
+    try:
+        res = chart_orientable(c)
+    except ChartError as exc:
+        return _raised(exc)
+    if not res.orientable:
+        return res.witness, res.segment_signs
+    events = [(e.kind, e.position, e.labels, e.insert, e.sign) for e in res.witness.events]
+    return events, sorted(res.segment_signs.items())
+
+
+SWEEP_VIEWS = {
+    "sweep_record": _record_view,
+    "validate_chart": _report_view,
+    "chart_hurwitz_system": _system_view,
+    "chart_orientable": _orientation_view,
+}
+
+# sha256 over the repr of each view of every chart of _sweep_corpus, recorded
+# before the event rule ran inline in the sweep.
+SWEEP_DIGESTS = {
+    "sweep_record": "acc9f10879c8d2156675061ee927d484ba71b85797d82abb1d0e020dc965239c",
+    "validate_chart": "64c9add185942365b308856c1b3b2c599ca51d04ed3155b5a11862ae5febc0dd",
+    "chart_hurwitz_system": "d16ecda2d437752fd4e1c20800028dfda5e8b9dc91c250bd6fc8dbce434157a6",
+    "chart_orientable": "3dfc16f764eebf1175ad8ae7399f65fc3a3bc0debfc8f53c0ba6b40f4af39809",
+}
+
+
+def test_sweep_corpus_mixes_valid_and_invalid_charts():
+    charts = _sweep_corpus()
+    valid = [c for c in charts if validate_chart(c).valid]
+    assert (len(charts), len(valid)) == (5769, 357)
+    assert any(c.oriented for c in valid) and any(not c.oriented for c in valid)
+    assert any(not chart_orientable(c).orientable for c in valid if not c.oriented)
+
+
+@pytest.mark.parametrize("view", SWEEP_DIGESTS)
+def test_sweep_outputs_are_pinned(view):
+    h = hashlib.sha256()
+    for c in _sweep_corpus():
+        h.update(repr(SWEEP_VIEWS[view](c)).encode())
+    assert h.hexdigest() == SWEEP_DIGESTS[view]
+
+
+def _four_strand_chart(oriented):
+    """Events 0-3 give birth to four strands (1, 2, 1, 4) and events 4-7
+    delete them; on the oriented chart they carry the signs (1, -1, 1, -1)."""
+    strands = ((1, 1), (2, -1), (1, 1), (4, -1))
+    births = tuple(black(lab, t, True, -sign if oriented else None) for t, (lab, sign) in enumerate(strands))
+    deaths = (black(4, 3, False), black(1, 2, False), black(2, 1, False), black(1, 0, False))
+    return Chart(5, oriented, births + deaths)
+
+
+@pytest.mark.parametrize(
+    "oriented, new_events, message",
+    [
+        (False, [black(5, 0, True)], "new event 0: label 5 out of range 1..4"),
+        (False, [cup(2, 0), crossing(1, 2, 0)], "new event 1: crossing labels (1, 2) must differ by more than 1"),
+        (False, [white(1, 3, 0)], "new event 0: white labels (1, 3) must be adjacent"),
+        (False, [cap(1, 7)], "new event 0: position 7 out of range for word length 4"),
+        (False, [black(2, 0, False)], "new event 0: strand at 0 has label 1, expected 2"),
+        (False, [cap(1, 0)], "new event 0: cap labels (1, 2) do not match 1"),
+        (False, [crossing(1, 4, 0)], "new event 0: strands at 0 are (1, 2), expected (1, 4)"),
+        (False, [white(2, 1, 0)], "new event 0: strands at 0 are (1, 2, 1), expected (2, 1, 2)"),
+        (False, [white(1, 2, 0), white(1, 2, 0)], "new event 1: strands at 0 are (2, 1, 2), expected (1, 2, 1)"),
+        (True, [black(1, 0, True)], "new event 0: oriented black insert needs a sign"),
+        (True, [black(1, 0, False, -1)], "new event 0: strand at 0 has sign 1, expected -1"),
+        (True, [black(3, 4, True, 1), black(3, 5, True, 1), cap(3, 4)],
+         "new event 2: cap needs opposite strand signs"),
+        (True, [white(1, 2, 0)], "new event 0: sign pattern (1, -1, 1) not admissible at a white vertex"),
+    ],
+    ids=["label-range", "crossing-gap", "white-gap", "position", "black-label", "cap-labels",
+         "crossing-strands", "white-strands", "second-event", "unsigned-insert", "black-sign",
+         "cap-signs", "white-signs"],
+)
+def test_rewrite_errors_name_the_new_event(oriented, new_events, message):
+    chart = _four_strand_chart(oriented)
+    assert validate_chart(chart).valid
+    with pytest.raises(MoveError) as info:
+        _rewrite(chart, 4, 4, new_events)
+    assert type(info.value) is MoveError
+    assert str(info.value) == "move produces an invalid chart: " + message
+    assert info.value.event_index is None

@@ -630,6 +630,77 @@ def test_replay_refuses_a_malformed_step(step):
         replay_trace(s, [step])
 
 
+def _replay_step_by_step(s, trace):
+    """The reference replay: one hurwitz_move or conjugate_system per step."""
+    for step in trace:
+        match step:
+            case ("H", k, direction):
+                s = hurwitz_move(s, k, direction)
+            case ("C", g):
+                s = conjugate_system(s, g)
+            case _:
+                raise ValueError(f"unknown trace step {step!r}")
+    return s
+
+
+def test_replay_matches_the_step_by_step_replay():
+    # Random permutation systems (not only transpositions) and random traces
+    # of forward and inverse moves and conjugations.
+    rng = random.Random(32)
+    for _ in range(200):
+        d, n = rng.randrange(2, 7), rng.randrange(2, 9)
+        entries = []
+        for _ in range(n):
+            images = list(range(1, d + 1))
+            rng.shuffle(images)
+            entries.append(Permutation(tuple(images)))
+        s = HurwitzSystem.of_permutations(entries, d)
+        trace = []
+        for _ in range(rng.randrange(12)):
+            if rng.random() < 0.2:
+                images = list(range(1, d + 1))
+                rng.shuffle(images)
+                trace.append(("C", Permutation(tuple(images))))
+            else:
+                trace.append(("H", rng.randrange(n - 1), rng.choice(["forward", "inverse"])))
+        assert replay_trace(s, trace) == _replay_step_by_step(s, trace)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [("H", 4, "forward"), ("H", -1, "inverse"), ("H", True, "forward"), ("H", 1.0, "forward"),
+     ("H", "1", "forward"), ("H", 0, "sideways"), ("H", 9, "sideways"), ("C", tr(4, 1, 2)),
+     ("C", BraidWord(3, (1,))), ("C", (2, 1, 3)), ("C", None), ("X", 0), ("H", 0), "H", None],
+    ids=repr,
+)
+@pytest.mark.parametrize("flavor", ["permutation", "braid"])
+def test_replay_raises_at_the_step_the_step_by_step_replay_does(bad, flavor):
+    # Two good steps, the bad one, then one more: both replays raise the
+    # same class and text after reading the same steps.
+    if flavor == "permutation":
+        s = perm_system(3, (1, 2), (2, 3), (1, 3), (1, 2), (2, 3))
+        good = [("H", 0, "forward"), ("C", tr(3, 2, 3))]
+    else:
+        s = braid_system(3, (1,), (2,), (-1, 2, 1), (1,), (2,))
+        good = [("H", 0, "forward"), ("C", BraidWord(3, (2,)))]
+        if bad == ("C", BraidWord(3, (1,))):  # a good braid conjugator
+            bad = ("C", BraidWord(4, (1,)))
+    outcomes = []
+    for replay in (replay_trace, _replay_step_by_step):
+        read = []
+
+        def steps():
+            for step in good + [bad, ("H", 1, "forward")]:
+                read.append(step)
+                yield step
+
+        with pytest.raises((ValueError, IndexError)) as info:
+            replay(s, steps())
+        outcomes.append((type(info.value), str(info.value), len(read)))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][2] == 3
+
+
 class TestEquivalence:
     def test_permutation_example(self):
         s = perm_system(4, (1, 2), (3, 4), (3, 4), (1, 2))
