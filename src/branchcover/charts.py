@@ -793,35 +793,38 @@ def chart_from_json(data: dict) -> Chart:
 
 def chart_to_dot(chart: Chart) -> str:
     """The chart graph: vertices (black/white/crossing) and its labeled edges."""
-    record = sweep_record(chart)
     lines = ["graph chart {", "  node [fontsize=10];"]
-    vertex_names: dict[int, str] = {}
     counter = {"black": 0, "white": 0, "crossing": 0}
-    seg_ends: dict[int, list[str]] = {seg: [] for seg in record.segment_label}
-    for idx, (ev, (cons, prod)) in enumerate(zip(chart.events, record.event_io)):
-        if ev.kind in ("black", "white", "crossing"):
-            counter[ev.kind] += 1
-            name = f"{ev.kind[0]}{counter[ev.kind]}"
-            vertex_names[idx] = name
-            shape = {"black": "point", "white": "circle", "crossing": "diamond"}[ev.kind]
-            label = "" if ev.kind == "black" else ev.kind[0].upper()
-            lines.append(f'  {name} [shape={shape}, label="{label}"];')
-            for seg in cons + prod:
-                seg_ends[seg].append(name)
+    segment_label: dict[int, int] = {}
+    seg_ends: dict[int, list[str]] = {}
     # An edge is a chain of segments joined at cups and caps; it is named by
     # the root its unions leave, in sweep order.
     twins = UnionFind()
-    for ev, (cons, prod) in zip(chart.events, record.event_io):
+    for ev, _, consumed, produced, first in _sweep(chart.events, chart.degree, chart.oriented):
+        prod = range(first, first + len(produced))
+        for seg, (lab, _) in zip(prod, produced):
+            segment_label[seg] = lab
+            seg_ends[seg] = []
         if ev.kind == "cup":
             twins.union(*prod)
         elif ev.kind == "cap":
-            twins.union(*cons)
+            twins.union(consumed[0][2], consumed[1][2])
+        else:
+            counter[ev.kind] += 1
+            name = f"{ev.kind[0]}{counter[ev.kind]}"
+            shape = {"black": "point", "white": "circle", "crossing": "diamond"}[ev.kind]
+            label = "" if ev.kind == "black" else ev.kind[0].upper()
+            lines.append(f'  {name} [shape={shape}, label="{label}"];')
+            for _, _, seg in consumed:
+                seg_ends[seg].append(name)
+            for seg in prod:
+                seg_ends[seg].append(name)
     by_edge: dict[int, list[int]] = {}
-    for seg in sorted(record.segment_label):
+    for seg in sorted(segment_label):
         by_edge.setdefault(twins.find(seg), []).append(seg)
     for edge_id, segs in sorted(by_edge.items()):
         ends = [v for seg in segs for v in seg_ends[seg]]
-        lab = record.segment_label[segs[0]]
+        lab = segment_label[segs[0]]
         if len(ends) == 2:
             lines.append(f'  {ends[0]} -- {ends[1]} [label="{lab}"];')
         elif len(ends) == 1:

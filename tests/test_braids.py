@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import time
@@ -198,6 +199,37 @@ def word_pairs(draw):
     return d, u, v
 
 
+def assert_left_normal_form(w):
+    """garside_normal_form(w) is Delta^p A_1 ... A_r with every A_k simple
+    and neither 1 nor Delta, every pair (A_k, A_k+1) left-weighted, and it
+    spells w (same canonical_key)."""
+    d = w.degree
+    p, factors = garside_normal_form(w)
+    identity, delta = tuple(range(d)), tuple(range(d - 1, -1, -1))
+
+    def starting(a):  # generators left-dividing a: strands j, j+1 cross
+        pos = {s: k for k, s in enumerate(a)}
+        return {j for j in range(d - 1) if pos[j] > pos[j + 1]}
+
+    def finishing(a):  # generators right-dividing a
+        return {j for j in range(d - 1) if a[j] > a[j + 1]}
+
+    def letters(a):
+        a, out = list(a), []
+        while finishing(a):
+            j = min(finishing(a))
+            a[j], a[j + 1] = a[j + 1], a[j]
+            out.append(j + 1)
+        return out[::-1]
+
+    assert all(sorted(a) == list(identity) and a not in (identity, delta) for a in factors)
+    assert all(starting(b) <= finishing(a) for a, b in zip(factors, factors[1:]))
+    word = letters(delta) * p if p >= 0 else [-x for x in letters(delta)[::-1]] * -p
+    for a in factors:
+        word += letters(a)
+    assert canonical_key(bw(d, *word)) == canonical_key(w)
+
+
 class TestGarside:
     @given(word_pairs())
     @settings(max_examples=300, deadline=None)
@@ -229,31 +261,7 @@ class TestGarside:
     def test_form_is_left_weighted_and_spells_the_element(self, data):
         d = data.draw(st.integers(3, 5))
         gens = [i for i in range(1, d)] + [-i for i in range(1, d)]
-        w = bw(d, *data.draw(st.lists(st.sampled_from(gens), max_size=14)))
-        p, factors = garside_normal_form(w)
-        identity, delta = tuple(range(d)), tuple(range(d - 1, -1, -1))
-
-        def starting(a):  # generators left-dividing a: strands j, j+1 cross
-            pos = {s: k for k, s in enumerate(a)}
-            return {j for j in range(d - 1) if pos[j] > pos[j + 1]}
-
-        def finishing(a):  # generators right-dividing a
-            return {j for j in range(d - 1) if a[j] > a[j + 1]}
-
-        def letters(a):
-            a, out = list(a), []
-            while finishing(a):
-                j = min(finishing(a))
-                a[j], a[j + 1] = a[j + 1], a[j]
-                out.append(j + 1)
-            return out[::-1]
-
-        assert all(sorted(a) == list(identity) and a not in (identity, delta) for a in factors)
-        assert all(starting(b) <= finishing(a) for a, b in zip(factors, factors[1:]))
-        word = letters(delta) * p if p >= 0 else [-x for x in letters(delta)[::-1]] * -p
-        for a in factors:
-            word += letters(a)
-        assert canonical_key(bw(d, *word)) == canonical_key(w)
+        assert_left_normal_form(bw(d, *data.draw(st.lists(st.sampled_from(gens), max_size=14))))
 
     def test_long_word_is_fast(self):
         rng = random.Random(512)
@@ -262,6 +270,49 @@ class TestGarside:
         p, factors = garside_normal_form(w)
         assert time.perf_counter() - start < 5
         assert garside_normal_form(w * w.inverse()) == (0, ())
+
+    # Words that take each route of the pending simple factor P (_NormalForm).
+    @pytest.mark.parametrize(
+        "d, letters, form",
+        [
+            # P is pushed twice, then s1^-1 comes off the last P, leaving 1.
+            pytest.param(3, (1, 1, 1, -1), (0, ((1, 0, 2), (1, 0, 2))), id="pending-cancels-to-1"),
+            pytest.param(4, (2, 1, 3, -3, -1, -2), (0, ()), id="pending-cancels-whole-word"),
+            # Pushing P empties it into the last factor; s^-1 then cancels there.
+            pytest.param(4, (1, -2, 3, -1), (-1, ((1, 3, 2, 0), (0, 2, 3, 1))), id="cancel-after-push"),
+            pytest.param(3, (1, 1, -2, 2, -1, -1), (0, ()), id="cancel-after-push-to-1"),
+            pytest.param(4, (1, 1, 2, -2, -1, 3), (0, ((1, 0, 3, 2),)), id="pushed-factor-absorbed"),
+            # A pushed P completes a Delta at the front.
+            pytest.param(3, (1, 1, 2, 1, -2), (1, ()), id="delta-at-front"),
+            pytest.param(3, (1, 1, 2, 1, 2), (1, ((0, 2, 1), (0, 2, 1))), id="delta-at-front-then-factors"),
+            pytest.param(4, (1, 2, 1, 3, 2, 1, 1), (1, ((1, 0, 2, 3),)), id="delta-from-one-pending"),
+            # Letters read after a Delta^-1 flip.
+            pytest.param(3, (1, -2, 2), (0, ((1, 0, 2),)), id="flip-then-delta"),
+            pytest.param(4, (-1, -1, 2, -3), (-2, ((3, 2, 0, 1), (2, 0, 3, 1), (0, 3, 1, 2))), id="flips-in-a-row"),
+            pytest.param(
+                4, (1, -2, -2, 1, -3), (-2, ((3, 1, 0, 2), (2, 0, 3, 1), (3, 0, 1, 2), (1, 0, 2, 3))),
+                id="flip-push-flip",
+            ),
+            pytest.param(
+                5, (-2, 1, 3, -4, 4, 2, 1, -1, 3), (-1, ((4, 2, 3, 1, 0), (1, 3, 2, 0, 4))), id="mixed-routes-degree-5"
+            ),
+        ],
+    )
+    def test_pending_factor_routes(self, d, letters, form):
+        w = bw(d, *letters)
+        assert garside_normal_form(w) == form
+        assert_left_normal_form(w)
+        reduced = bw(d, *free_reduce(letters))
+        assert w == reduced
+        assert canonical_key(w) == canonical_key(reduced)
+
+    def test_degree_two_is_the_exponent_sum(self):
+        for letters, e in [((), 0), ((1, -1, 1, 1), 2), ((-1, 1, -1, -1), -2)]:
+            w = bw(2, *letters)
+            power = bw(2, *[1 if e > 0 else -1] * abs(e))
+            assert garside_normal_form(w) == (e, ())
+            assert summit(w) == (e, e, bw(2))
+            assert w == power and canonical_key(w) == canonical_key(power)
 
 
 class TestSummit:
@@ -298,6 +349,68 @@ class TestSummit:
         assert summit(w ** g)[:2] == (inf, sup)
         assert garside_normal_form(w ** c)[0] == inf
         assert garside_normal_form(w ** c)[0] + len(garside_normal_form(w ** c)[1]) == sup
+
+
+# -- the normal form pinned on a seeded corpus ----------------------------------
+
+
+def _normal_form_corpus():
+    """Three words for every d = 2..9 and length 0..80: mixed-sign, biased
+    to one sign, and half of it respelled with adjacent x x^-1 pairs (the
+    BraidWord constructor does not free-reduce)."""
+    rng = random.Random(80)
+    words = []
+    for d in range(2, 10):
+        gens = range(1, d)
+        for length in range(81):
+            words.append(bw(d, *[rng.choice(gens) * rng.choice((1, -1)) for _ in range(length)]))
+            bias = rng.choice((0.85, 0.15))
+            words.append(bw(d, *[rng.choice(gens) * (1 if rng.random() < bias else -1) for _ in range(length)]))
+            letters = [rng.choice(gens) * rng.choice((1, -1)) for _ in range(length // 2)]
+            while len(letters) < length - 1:
+                x = rng.choice(gens) * rng.choice((1, -1))
+                at = rng.randint(0, len(letters))
+                letters[at:at] = (x, -x)
+            words.append(bw(d, *letters))
+    return words
+
+
+def _summit_corpus():
+    """600 conjugates g^-1 v g at d = 2..7, v of up to 24 letters mixed or
+    biased to one sign, g of up to 6."""
+    rng = random.Random(81)
+    words = []
+    for _ in range(600):
+        d = rng.randint(2, 7)
+        gens = range(1, d)
+        bias = rng.choice((0.5, 0.85, 0.15))
+        v = bw(d, *[rng.choice(gens) * (1 if rng.random() < bias else -1) for _ in range(rng.randint(0, 24))])
+        g = bw(d, *[rng.choice(gens) * rng.choice((1, -1)) for _ in range(rng.randint(0, 6))])
+        words.append(v ** g)
+    return words
+
+
+# sha256 over the repr of each output, recorded while the normal form was
+# still re-left-weighted after every letter.
+NORMAL_FORM_DIGEST = "13227994ec13848fe74b917882f2c282b3e906b256fc2339f6ec3410ad1ff114"
+SUMMIT_DIGEST = "5b5e229031cc40e8bbc14d5350abfa694971d3f66f89ee6a2a6f56872ea2263a"
+
+
+def test_normal_form_output_is_pinned():
+    words = _normal_form_corpus()
+    assert len(words) == 1944
+    h = hashlib.sha256()
+    for w in words:
+        h.update(repr(garside_normal_form(w)).encode())
+    assert h.hexdigest() == NORMAL_FORM_DIGEST
+
+
+def test_summit_output_is_pinned():
+    h = hashlib.sha256()
+    for w in _summit_corpus():
+        inf, sup, c = summit(w)
+        h.update(repr((inf, sup, c.letters)).encode())
+    assert h.hexdigest() == SUMMIT_DIGEST
 
 
 class TestText:
