@@ -13,18 +13,24 @@ ch. 9): two words are equal in B_d, and as BraidWords, iff their normal forms
 coincide; the form costs polynomial time in the word length.  Its super
 summit invariants (``summit``; Birman, Ko and Lee) are conjugacy invariants.
 
-``canonical_key`` gives the images of (x_1, ..., x_d) under the faithful
-action on the free group F_d (x_i -> x_i x_{i+1} x_i^-1, x_{i+1} -> x_i),
-freely reduced, as tuples of nonzero ints.  Their length can grow
-exponentially with the word, so they serve two purposes only: the order of
-the lift candidates (``links._simple_conjugates``) and the tests'
-independent oracle for the normal form.
+``canonical_key`` gives the images of (x_1, ..., x_d) under Artin's faithful
+action on the free group F_d (s_i: x_i -> x_i x_{i+1} x_i^-1, x_{i+1} ->
+x_i), freely reduced, as tuples of nonzero ints.  It composes the action
+right to left, psi <- psi o s_x from the last letter x to the first, so a
+letter rewrites only two images, each a join of two or three freely reduced
+images that can cancel only at the seams: two tuple concatenations plus a
+Python step per cancelled pair, where substituting every image letter by
+letter costs a Python step per letter of every image.  The images can
+still grow exponentially with the word, so they serve two purposes only:
+the order of the lift candidates (``links._simple_conjugates``) and the
+tests' independent oracle for the normal form.
 """
 
 from __future__ import annotations
 
 import functools
 import re
+from operator import neg
 from typing import Iterable, Sequence
 
 from . import permutations
@@ -80,10 +86,13 @@ class BraidWord(_Value):
         return _unchecked(self.degree, tuple([-x for x in reversed(self.letters)]))
 
     def __pow__(self, g: "BraidWord") -> "BraidWord":
-        """Conjugate: self ** g == g^-1 self g."""
+        """Conjugate: self ** g == g^-1 self g, freely reduced in one pass."""
         if not isinstance(g, BraidWord):
             return NotImplemented
-        return g.inverse() * self * g
+        if g.degree != self.degree:
+            raise ValueError(f"degree mismatch: {g.degree} vs {self.degree}")
+        inverse = tuple(map(neg, reversed(g.letters)))
+        return _unchecked(self.degree, free_reduce(inverse + self.letters + g.letters))
 
     @functools.cached_property
     def _normal_form(self):
@@ -118,35 +127,42 @@ def _unchecked(degree: int, letters: tuple[Letter, ...]) -> BraidWord:
     return w
 
 
-def _apply_letter(images: tuple[tuple[int, ...], ...], letter: int) -> tuple[tuple[int, ...], ...]:
-    """One step of ``canonical_key``: a letter's automorphism on each image."""
-    i = abs(letter)
-    if letter > 0:
-        # x_i -> x_i x_{i+1} x_i^-1,  x_{i+1} -> x_i
-        table = {i: (i, i + 1, -i), -i: (i, -(i + 1), -i), i + 1: (i,), -(i + 1): (-i,)}
-    else:
-        # inverse: x_i -> x_{i+1},  x_{i+1} -> x_{i+1}^-1 x_i x_{i+1}
-        table = {i: (i + 1,), -i: (-(i + 1),), i + 1: (-(i + 1), i, i + 1), -(i + 1): (-(i + 1), -i, i + 1)}
-    out = []
-    for word in images:
-        stack: list[int] = []
-        for x in word:
-            for y in table.get(x, (x,)):
-                if stack and stack[-1] == -y:
-                    stack.pop()
-                else:
-                    stack.append(y)
-        out.append(tuple(stack))
-    return tuple(out)
+def _join(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The free reduction of a b for freely reduced a and b: only the seam
+    can cancel."""
+    n = min(len(a), len(b))
+    k = 0
+    while k < n and a[-1 - k] == -b[k]:
+        k += 1
+    return a[: len(a) - k] + b[k:]
 
 
 def canonical_key(w: BraidWord) -> tuple[tuple[int, ...], ...]:
     """Freely reduced images of x_1, ..., x_d under w; only for the lift
-    candidate order and the tests' oracle (see the module docstring)."""
-    images = tuple((k,) for k in range(1, w.degree + 1))
-    for letter in w.letters:
-        images = _apply_letter(images, letter)
-    return images
+    candidate order and the tests' oracle (see the module docstring).
+
+    The automorphism is built right to left, psi <- psi o s_x for each
+    letter x from the last: s_i changes only the images of x_i and x_i+1,
+    to psi(x_i) psi(x_i+1) psi(x_i)^-1 and psi(x_i), and s_i^-1 to
+    psi(x_i+1) and psi(x_i+1)^-1 psi(x_i) psi(x_i+1).  The images stay
+    freely reduced, so a letter costs two seam-only joins (``_join``) and
+    one inversion, all linear in the two images it touches; free reduction
+    is unique, so the key is the letter-by-letter substitution's.
+
+    >>> canonical_key(parse_braid("s1 s2^-1", 3))
+    ((1, 3, -1), (1,), (-3, 2, 3))
+    """
+    images = [(k,) for k in range(1, w.degree + 1)]
+    for x in reversed(w.letters):
+        if x > 0:
+            a, b = images[x - 1], images[x]
+            images[x - 1] = _join(_join(a, b), tuple(map(neg, reversed(a))))
+            images[x] = a
+        else:
+            a, b = images[-x - 1], images[-x]
+            images[-x - 1] = b
+            images[-x] = _join(_join(tuple(map(neg, reversed(b))), a), b)
+    return tuple(images)
 
 
 def braids_equal(u: BraidWord, v: BraidWord) -> bool:
@@ -206,8 +222,8 @@ def _left_weight(a: list[int], b: list[int]) -> bool:
     transitive closure of the order constraints on strands (timed while the
     normal form re-left-weighted after every letter).  Pushing one simple
     factor at a time, the normal form of a random word of 64 letters makes
-    1.8 calls per letter at d = 4 and 2.2 at d = 8, and of 512 letters at
-    d = 8, 8.4.
+    1.6 calls per letter at d = 4 and 2.1 at d = 8, and of 512 letters at
+    d = 8, 7.9.
     """
     n = len(a)
     pos = [0] * n  # pos[s]: end position in b of the strand starting at s
@@ -243,7 +259,9 @@ class _NormalForm:
     Delta^-1 (Delta s^-1), the Delta^-1 passing every factor and Delta s^-1
     the new P.  The cancel needs no re-left-weighting: a generator that
     left-divides A_r s^-1 also left-divides A_r, so the pair (A_r-1, A_r
-    s^-1) stays left-weighted.
+    s^-1) stays left-weighted.  P's letters are counted, and a P that is one
+    generator s is appended without weighing a pair when s right-divides
+    A_r, as (A_r, s) is then left-weighted.
 
     ``factors`` and ``pending`` hold tau^flip(A_k) and tau^flip(P), so that
     a Delta^-1 passing every factor (x Delta^-1 = Delta^-1 tau(x)) costs one
@@ -258,29 +276,34 @@ class _NormalForm:
         self._identity = list(range(degree))
         self._delta = self._identity[::-1]
         self.pending = self._identity[:]
+        self.length = 0  # the number of letters of P
 
     def letters(self, word: Sequence[Letter]) -> None:
         """Right-multiply by each generator x of word (negative: its inverse)."""
         identity, factors = self._identity, self.factors
         top = self.degree - 2  # gap of s_i: i - 1, or top - (i - 1) under a flip
-        pend, flip = self.pending, self.flip
+        pend, flip, n = self.pending, self.flip, self.length
         for x in word:
             if x > 0:
                 j = top + 1 - x if flip else x - 1
                 if pend[j] < pend[j + 1]:
                     pend[j], pend[j + 1] = pend[j + 1], pend[j]
+                    n += 1
                     continue
-                self._push(pend)
+                self._push(pend, n == 1)
                 pend = identity[:]
                 pend[j], pend[j + 1] = j + 1, j
+                n = 1
                 continue
             j = top + 1 + x if flip else -x - 1
             if pend[j] > pend[j + 1]:
                 pend[j], pend[j + 1] = pend[j + 1], pend[j]
+                n -= 1
                 continue
-            if pend != identity:
-                self._push(pend)
+            if n:
+                self._push(pend, n == 1)
                 pend = identity[:]
+                n = 0
             if factors:
                 last = factors[-1]
                 if last[j] > last[j + 1]:
@@ -294,7 +317,8 @@ class _NormalForm:
             j = top - j
             pend = self._delta[:]
             pend[j], pend[j + 1] = pend[j + 1], pend[j]
-        self.pending, self.flip = pend, flip
+            n = self.degree * (self.degree - 1) // 2 - 1  # the letters of Delta s^-1
+        self.pending, self.flip, self.length = pend, flip, n
 
     def simple(self, a) -> None:
         """Right-multiply by a simple factor given as a position tuple,
@@ -304,17 +328,25 @@ class _NormalForm:
 
     def _flush(self) -> None:
         """Push the pending factor unless it is 1."""
-        if self.pending != self._identity:
-            self._push(self.pending)
-            self.pending = self._identity[:]
+        if self.length:
+            self._push(self.pending, self.length == 1)
+            self.pending, self.length = self._identity[:], 0
 
-    def _push(self, f: list[int]) -> None:
+    def _push(self, f: list[int], atom: bool = False) -> None:
         """Append the simple factor f and re-left-weight the pairs from the
         end, (r, f), (r-1, r), ..., until one is unchanged.  A Delta can only
-        form at the front and an identity only at the end."""
+        form at the front and an identity only at the end.  If f is a
+        generator (``atom``) that right-divides A_r, the pair (A_r, f) is
+        left-weighted already: nothing moves, and no pair is weighed."""
         factors = self.factors
         factors.append(f)
         k = len(factors) - 1
+        if atom and k:
+            j = 0
+            while f[j] < f[j + 1]:
+                j += 1
+            if factors[k - 1][j] > factors[k - 1][j + 1]:
+                return
         while k > 0 and _left_weight(factors[k - 1], factors[k]):
             k -= 1
         if factors[-1] == self._identity:

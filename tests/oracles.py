@@ -338,6 +338,33 @@ def braid_projection_images(d: int, letters) -> tuple[int, ...]:
     return images
 
 
+def free_group_images(d: int, letters) -> tuple[tuple[int, ...], ...]:
+    """The freely reduced images of x_1, ..., x_d in F_d under the braid
+    word, by Artin's substitution letter by letter, left to right: each
+    letter's automorphism (s_i: x_i -> x_i x_i+1 x_i^-1, x_i+1 -> x_i)
+    rewrites every letter of every image, reducing as it goes.  The
+    reference for ``braids.canonical_key``, which composes the other way."""
+    images = tuple((k,) for k in range(1, d + 1))
+    for letter in letters:
+        i = abs(letter)
+        if letter > 0:
+            table = {i: (i, i + 1, -i), -i: (i, -(i + 1), -i), i + 1: (i,), -(i + 1): (-i,)}
+        else:
+            table = {i: (i + 1,), -i: (-(i + 1),), i + 1: (-(i + 1), i, i + 1), -(i + 1): (-(i + 1), -i, i + 1)}
+        out = []
+        for word in images:
+            stack: list[int] = []
+            for x in word:
+                for y in table.get(x, (x,)):
+                    if stack and stack[-1] == -y:
+                        stack.pop()
+                    else:
+                        stack.append(y)
+            out.append(tuple(stack))
+        images = tuple(out)
+    return images
+
+
 def simple_braid_candidates(d: int, target, conjugator_bound: int) -> list:
     """The words of the lift pool ``links._simple_conjugates(d, bound)``
     whose carried projection pair is the two points the target moves."""

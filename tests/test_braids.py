@@ -22,7 +22,7 @@ from branchcover.braids import (
 from branchcover.hurwitz import BRAID, HurwitzSystem
 from branchcover.links import SimpleColoring
 from branchcover.permutations import ParseError, Permutation, compose
-from oracles import braid_projection_images
+from oracles import braid_projection_images, free_group_images
 
 
 def bw(d, *letters):
@@ -46,6 +46,23 @@ class TestCanonical:
 
     def test_braid_relation(self):
         assert canonical_key(bw(3, 1, 2, 1)) == canonical_key(bw(3, 2, 1, 2))
+
+    def test_key_matches_the_substitution_oracle(self):
+        # Two seeded words for every d = 2..9 and length 0..40: mixed-sign,
+        # and respelled with adjacent x x^-1 pairs (not freely reduced).
+        rng = random.Random(35)
+        for d in range(2, 10):
+            gens = range(1, d)
+            assert canonical_key(bw(d)) == free_group_images(d, ()) == tuple((k,) for k in range(1, d + 1))
+            for length in range(41):
+                mixed = [rng.choice(gens) * rng.choice((1, -1)) for _ in range(length)]
+                respelled = mixed[: length // 2]
+                while len(respelled) < length - 1:
+                    x = rng.choice(gens) * rng.choice((1, -1))
+                    at = rng.randint(0, len(respelled))
+                    respelled[at:at] = (x, -x)
+                for letters in (mixed, respelled):
+                    assert canonical_key(bw(d, *letters)) == free_group_images(d, letters)
 
     def test_all_relations_up_to_d6(self):
         for d in range(3, 7):
@@ -76,6 +93,15 @@ class TestConstruction:
                 assert (w.degree, w.letters) == (public.degree, public.letters)
             assert (u * v).letters == free_reduce(u.letters + v.letters)
             assert u.inverse().letters == tuple(-x for x in reversed(u.letters))
+            assert (u ** v).letters == (v.inverse() * u * v).letters
+
+    def test_conjugation_checks_its_operand(self):
+        # The mismatch names the conjugator's degree first, as g^-1 * u does.
+        with pytest.raises(ValueError, match=r"^degree mismatch: 4 vs 3$"):
+            bw(3, 1) ** bw(4, 1)
+        assert bw(3, 1).__pow__(3) is NotImplemented
+        with pytest.raises(TypeError):
+            bw(3, 1) ** 3
 
     @pytest.mark.parametrize("letter", [1.0, True, "1"])
     def test_letters_must_be_ints(self, letter):

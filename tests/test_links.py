@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import re
@@ -483,6 +484,15 @@ class TestLifts:
         assert len(set(keys)) == len(pool) == len({w for w, _ in pool})
         for w, pair in pool:
             assert pair == tuple(sorted(project(w).support()))
+
+    def test_candidate_pool_is_pinned(self):
+        # sha256 over each pool's (letters, pair) list in order, recorded
+        # while canonical_key still substituted letter by letter.
+        h = hashlib.sha256()
+        for d in range(2, 6):
+            for bound in range(4):
+                h.update(repr([(w.letters, pair) for w, pair in _simple_conjugates(d, bound)]).encode())
+        assert h.hexdigest() == "22ac6f97c86777f106ef7b1dd4c89588786a9a9cac8e07ddd8dffc6d3ae23f15"
 
 
 class TestValidation:
