@@ -31,11 +31,12 @@ There is one sweep, ``_sweep``, and it holds the one event rule: it checks
 each event against the live word and splices the event's strands in place.
 Per event it yields the event, the live word before it, the consumed
 strands, the produced (label, sign) strands and the first segment id of
-the produced ones.  Validation, monodromy (which reads each black event's
-prefix in the live word), moves and orientability read these as the sweep
-goes; a move also runs its new events through it, from the word before its
-window.  ``sweep_record`` keeps a copy of every word, with the segment ids
-and labels, for rendering and the test oracles.
+the produced ones; validation and moves read just these.  Monodromy traces
+each black event's two meridian points back through its prefix in the live
+word (an oriented chart reads the prefix as a braid word).  Orientability
+carries each segment's sign class forward, so one pass leaves only a clause
+per white vertex to search.  ``sweep_record`` keeps a copy of every word,
+with the segment ids and labels, for rendering and the test oracles.
 
 Only ``chart_hurwitz_system`` needs the ``hurwitz`` module, and braids only
 for an oriented chart; it imports them itself, so that validating, moving,
@@ -51,7 +52,6 @@ from ._unionfind import ParityUnionFind, UnionFind
 from .permutations import (
     BRAID,
     PERMUTATION,
-    Permutation,
     _Value,
     _check_degree,
     _check_json_object,
@@ -340,10 +340,8 @@ def chart_hurwitz_system(chart: Chart) -> HurwitzSystem:
     d, oriented = chart.degree, chart.oriented
     if oriented:
         from .braids import BraidWord
-    entries: list = []
-    transpositions: dict[tuple[int, int], Permutation] = {}
-    # The prefix P of a black event is the live word left of its position,
-    # read in place.
+    entries: list = []  # meridians, or the point pairs they swap
+    # A black event's prefix P is the live word left of its position.
     for ev, word, consumed, _, _ in _sweep(chart.events, d, oriented):
         if ev.kind != "black":
             continue
@@ -358,16 +356,22 @@ def chart_hurwitz_system(chart: Chart) -> HurwitzSystem:
             pw = BraidWord(d, tuple([l * s for l, s, _ in islice(word, ev.position)]))
             entries.append(pw * BraidWord(d, (lab * sign,)) * pw.inverse())
         else:
-            # pw (lab lab+1) pw^-1 swaps the points pw sends to lab and lab+1;
-            # at[k] is the point pw sends to k + 1.
-            at = list(range(1, d + 1))
-            for l, _, _ in islice(word, ev.position):
-                at[l - 1], at[l] = at[l], at[l - 1]
-            a, b = at[lab - 1], at[lab]
-            pair = (a, b) if a < b else (b, a)
-            if pair not in transpositions:
-                transpositions[pair] = _transposition(d, *pair)
-            entries.append(transpositions[pair])
+            # pw (lab lab+1) pw^-1 swaps the points pw sends to lab and
+            # lab+1; trace the two back through pw, last letter first.
+            x, y, p = lab, lab + 1, ev.position
+            for l, _, _ in word[p - 1 :: -1] if p else ():
+                if l == x:
+                    x += 1
+                elif l == x - 1:
+                    x = l
+                if l == y:
+                    y += 1
+                elif l == y - 1:
+                    y = l
+            entries.append((x, y) if x < y else (y, x))
+    if not oriented:
+        transpositions = {pair: _transposition(d, *pair) for pair in set(entries)}
+        entries = [transpositions[pair] for pair in entries]
     # The sweep checked every label, so the entries need no second check.
     return hurwitz._unchecked(d, tuple(entries), BRAID if oriented else PERMUTATION)
 
@@ -454,10 +458,8 @@ def cup_cap_insert(chart: Chart, at: int, position: int, label: int, sign: int =
     """Insert a trivial circle: cup then cap at the same position; ``sign``
     (1 or -1) is the cup's upper twin's on an oriented chart."""
     _exact_sign(sign, "sign", MoveError)
-    return _rewrite(
-        chart, at, at,
-        [cup(label, position, sign if chart.oriented else None), cap(label, position)],
-    )
+    events = [cup(label, position, sign if chart.oriented else None), cap(label, position)]
+    return _rewrite(chart, at, at, events)
 
 
 def white_pair_cancel(chart: Chart, at: int) -> Chart:
@@ -593,18 +595,29 @@ class OrientationResult(_Value):
 def chart_orientable(chart: Chart) -> OrientationResult:
     """Search for strand signs turning an unoriented chart into a braid chart.
 
-    Cups and caps give their twins opposite signs; crossings and white
-    vertices hand each consumed sign to the produced strand that mirrors it.
-    So the segments fall into sign classes (a parity union-find), and an odd
-    cycle of these relations is a certified negative.  Each white vertex
-    adds one clause: its consumed signs (x0, x1, x2) never alternate, that
-    is NAE(x0, -x1, x2).  The classes are linked through shared clauses,
-    and each linked component is decided on its own: a class that no clause
-    touches gives its least segment +1 without branching, and the classes
-    of a component are searched in least-segment order, + before -.
-    Assigning a class re-checks only the clauses it touches: three equal
-    literals are a contradiction, and two equal ones force the third to the
-    opposite value (unit propagation); a trail undoes both on backtracking.
+    Crossings and white vertices hand each consumed sign to the produced
+    strand that mirrors it; cups and caps give their twins opposite signs.
+    So the segments fall into sign classes, carried along the sweep.  A
+    class is named by the segment that opens it: a black insertion, or a
+    cup for both twins (parities 0 and 1).  Only a cap joins two classes.
+
+    That join never contradicts.  A class runs straight through crossings
+    and white vertices and turns back in sweep time only at cups (minima)
+    and caps (maxima), each turn flipping the parity.  A cap that joins a
+    class to itself closes a curve, on which minima and maxima alternate:
+    the curve turns an even number of times, the cap once, so the path
+    between the cap's twins turns an odd number of times and they already
+    have opposite parity.  Only the clauses can certify a negative.
+
+    Each white vertex adds one clause: its consumed signs (x0, x1, x2) never
+    alternate, that is NAE(x0, -x1, x2).  The classes are linked through
+    shared clauses, and each linked component is decided on its own: a
+    class that no clause touches gives its least segment +1 without
+    branching, and the classes of a component are searched in least-segment
+    order, + before -.  Assigning a class re-checks only the clauses it
+    touches: three equal literals are a contradiction, and two equal ones
+    force the third to the opposite value (unit propagation); a trail
+    undoes both on backtracking.
 
     Propagation removes only partial assignments that no valid assignment
     extends, so each component's first solution is its lexicographically
@@ -619,45 +632,48 @@ def chart_orientable(chart: Chart) -> OrientationResult:
     """
     if chart.oriented:
         raise ChartError("chart is already oriented")
-    # The segment ids each event consumes and produces; the sweep numbers
-    # the segments 0, 1, ... as it produces them.
-    event_io = []
-    segment_count = 0
-    for _, _, consumed, produced, first in _sweep(chart.events, chart.degree, False):
-        segment_count = first + len(produced)
-        event_io.append((tuple([s[2] for s in consumed]), tuple(range(first, segment_count))))
-
-    # Sign classes: parity 1 between two segments means opposite signs.
+    # cls[seg] is (class, parity), one entry per segment in sweep order.
+    cls: list[tuple[int, int]] = []
+    deciding: list[Optional[int]] = []  # per event, the segment whose sign it takes
+    clauses = []  # the consumed (class, parity) of each white vertex
     classes = ParityUnionFind()
-    for ev, (cons, prod) in zip(chart.events, event_io):
-        if ev.kind in ("cup", "cap"):
-            twins = cons if ev.kind == "cap" else prod
-            if not classes.union(twins[0], twins[1], 1):
-                return OrientationResult(False)
-        elif ev.kind in ("crossing", "white"):
-            if not all(classes.union(a, b, 0) for a, b in zip(cons, reversed(prod))):
-                return OrientationResult(False)
+    for ev, _, consumed, _, first in _sweep(chart.events, chart.degree, False):
+        kind = ev.kind
+        deciding.append(first if kind == "cup" or ev.insert else consumed[0][2] if kind == "black" else None)
+        if kind == "crossing":
+            a, b = consumed
+            cls += (cls[b[2]], cls[a[2]])
+        elif kind == "white":
+            a, b, c = [cls[s[2]] for s in consumed]
+            cls += (c, b, a)
+            clauses.append((a, b, c))
+        elif kind == "cap":
+            (ca, pa), (cb, pb) = [cls[s[2]] for s in consumed]
+            classes.union(ca, cb, pa ^ pb ^ 1)  # never contradicts, as the docstring shows
+        elif kind == "cup":
+            cls += ((first, 0), (first, 1))
+        elif ev.insert:
+            cls.append((first, 0))
 
-    roots = [classes.find(seg) for seg in range(segment_count)]  # (root, parity) per segment
+    # roots: (root, parity) per class, in least-segment order; preferred:
+    # the sign of each root that gives the least segment of its classes +1.
+    roots, preferred = dict.fromkeys(c for c, _ in cls), {}
+    for c in roots:
+        root, par = roots[c] = classes.find(c)
+        preferred.setdefault(root, -1 if par else 1)
 
     # Each clause reads its consumed segments as (class root, literal flip);
     # the middle flip is negated, so the literals must not all be equal.
     touching: dict[int, list[list[tuple[int, int]]]] = {}
     links = UnionFind()
-    for ev, (cons, _) in zip(chart.events, event_io):
-        if ev.kind == "white":
-            clause = []
-            for seg, negate in zip(cons, (1, -1, 1)):
-                root, par = roots[seg]
-                clause.append((root, -negate if par else negate))
-            for root in dict.fromkeys(root for root, _ in clause):
-                touching.setdefault(root, []).append(clause)
-                links.union(clause[0][0], root)
-
-    # The sign of each root that gives the least segment of its class +1.
-    first: dict[int, int] = {}
-    for root, par in roots:
-        first.setdefault(root, -1 if par else 1)
+    for literals in clauses:
+        clause = []
+        for (c, p), negate in zip(literals, (1, -1, 1)):
+            root, par = roots[c]
+            clause.append((root, -negate if par ^ p else negate))
+        for root in dict.fromkeys(root for root, _ in clause):
+            touching.setdefault(root, []).append(clause)
+            links.union(clause[0][0], root)
 
     sign: dict[int, int] = {}
     trail: list[int] = []
@@ -701,14 +717,14 @@ def chart_orientable(chart: Chart) -> OrientationResult:
                     k += 1
                 if k == len(order):
                     return True
-                value = first[order[k]]
+                value = preferred[order[k]]
             mark = len(trail)
             if assign(order[k], value):
                 decisions.append((k, mark, value))
                 value = 0
                 continue
             undo(mark)
-            while value != first[order[k]]:  # both signs failed here
+            while value != preferred[order[k]]:  # both signs failed here
                 if not decisions:
                     return False
                 k, mark, value = decisions.pop()
@@ -716,33 +732,25 @@ def chart_orientable(chart: Chart) -> OrientationResult:
             value = -value
 
     components: dict[int, list[int]] = {}
-    for root in first:
+    for root in preferred:
         if root in touching:
             components.setdefault(links.find(root), []).append(root)
         else:
-            sign[root] = first[root]
+            sign[root] = preferred[root]
     if not all(solve(order) for order in components.values()):
         return OrientationResult(False)
 
-    signs = {seg: -sign[root] if par else sign[root] for seg, (root, par) in enumerate(roots)}
-    witness = _orient_with(chart, event_io, signs)
-    return OrientationResult(True, witness, signs)
-
-
-def _orient_with(chart: Chart, event_io: list, signs: dict[int, int]) -> Chart:
-    """``chart`` with the signs of its segments: each black event takes the
-    meridian exponent its strand's sign gives, and each cup its upper twin's."""
+    class_sign = {c: -sign[root] if par else sign[root] for c, (root, par) in roots.items()}
+    signs = {seg: -class_sign[c] if p else class_sign[c] for seg, (c, p) in enumerate(cls)}
+    # Each black event takes the meridian exponent its strand's sign gives
+    # (an inserted strand carries the opposite sign); each cup its upper twin's.
     events = []
-    for ev, (cons, prod) in zip(chart.events, event_io):
-        kind = ev.kind
-        if kind == "black":
-            sign = -signs[prod[0]] if ev.insert else signs[cons[0]]
-            events.append(_unchecked(kind, ev.position, ev.labels, ev.insert, sign))
-        elif kind == "cup":
-            events.append(_unchecked(kind, ev.position, ev.labels, None, signs[prod[0]]))
-        else:
-            events.append(ev)
-    return Chart(chart.degree, True, tuple(events))
+    for ev, seg in zip(chart.events, deciding):
+        if seg is not None:
+            s = -signs[seg] if ev.insert else signs[seg]
+            ev = _unchecked(ev.kind, ev.position, ev.labels, ev.insert, s)
+        events.append(ev)
+    return OrientationResult(True, Chart(chart.degree, True, tuple(events)), signs)
 
 
 # -- serialization and rendering ------------------------------------------
@@ -777,15 +785,8 @@ def chart_from_json(data: dict) -> Chart:
                 raise ChartError(f"event must be an object, got {item!r}")
             if type(item.get("labels")) is not list:
                 raise ChartError(f"event labels must be a list, got {item.get('labels')!r}")
-            events.append(
-                ChartEvent(
-                    item["kind"],
-                    item["position"],
-                    tuple(item["labels"]),
-                    item.get("insert"),
-                    item.get("sign"),
-                )
-            )
+            kind, position, labels = item["kind"], item["position"], tuple(item["labels"])
+            events.append(ChartEvent(kind, position, labels, item.get("insert"), item.get("sign")))
         except (KeyError, TypeError, ChartError) as exc:
             raise ChartError(str(exc), k) from exc
     return Chart(degree, oriented, tuple(events))
@@ -815,9 +816,7 @@ def chart_to_dot(chart: Chart) -> str:
             shape = {"black": "point", "white": "circle", "crossing": "diamond"}[ev.kind]
             label = "" if ev.kind == "black" else ev.kind[0].upper()
             lines.append(f'  {name} [shape={shape}, label="{label}"];')
-            for _, _, seg in consumed:
-                seg_ends[seg].append(name)
-            for seg in prod:
+            for seg in [s[2] for s in consumed] + list(prod):
                 seg_ends[seg].append(name)
     by_edge: dict[int, list[int]] = {}
     for seg in sorted(segment_label):

@@ -18,7 +18,19 @@ import itertools
 import random
 from typing import Iterable
 
-from branchcover.charts import Chart, ChartError, ChartEvent, _sweep, black, cap, crossing, cup, white
+from branchcover._unionfind import ParityUnionFind
+from branchcover.charts import (
+    Chart,
+    ChartError,
+    ChartEvent,
+    _sweep,
+    black,
+    cap,
+    crossing,
+    cup,
+    sweep_record,
+    white,
+)
 from branchcover.hurwitz import HurwitzSystem
 from branchcover.links import LinkError, SimpleColoring, twist_boundary_colors
 from branchcover.permutations import (
@@ -438,6 +450,29 @@ def white_sign_patterns(i: int, j: int) -> dict[tuple[int, int, int], tuple[int,
             produced = tuple(-s for s in reversed(sgn[3:]))
             out[consumed] = produced
     return out
+
+
+def sign_classes(chart) -> dict[int, tuple[int, int]] | None:
+    """The sign classes of an unoriented chart's segments, as (root,
+    parity) per segment in segment order; parity 1 means the sign opposite
+    to the root's.
+
+    A parity union-find over the segment ids of ``sweep_record``: the twins
+    of every cup and cap get opposite signs, and each strand a crossing or
+    white vertex consumes gets the sign of the produced strand mirroring it.
+    None when these relations contradict each other.
+    """
+    record = sweep_record(chart)
+    classes = ParityUnionFind()
+    for ev, (cons, prod) in zip(chart.events, record.event_io):
+        if ev.kind in ("cup", "cap"):
+            twins = prod if ev.kind == "cup" else cons
+            if not classes.union(twins[0], twins[1], 1):
+                return None
+        elif ev.kind in ("crossing", "white"):
+            if not all(classes.union(a, b, 0) for a, b in zip(cons, reversed(prod))):
+                return None
+    return {seg: classes.find(seg) for seg in sorted(record.segment_label)}
 
 
 def pd_orientation(crossings):

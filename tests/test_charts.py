@@ -4,10 +4,13 @@ import itertools
 import operator
 import random
 import re
+import sys
 import time
 
 import pytest
 
+from branchcover import charts
+from branchcover._unionfind import ParityUnionFind
 from branchcover.braids import BraidWord, braids_equal, project
 from branchcover.charts import (
     Chart,
@@ -46,7 +49,7 @@ from branchcover.hurwitz import (
     total_monodromy,
 )
 from branchcover.permutations import Permutation
-from oracles import chart_entries_by_products, random_chart, white_sign_patterns
+from oracles import chart_entries_by_products, random_chart, sign_classes, white_sign_patterns
 
 
 def two_vertex_chart(d=2):
@@ -695,6 +698,85 @@ class TestOrientability:
         with pytest.raises(ChartError):
             chart_orientable(c)
 
+    def test_cap_joins_never_contradict(self, monkeypatch):
+        # The docstring proves that a cap's union of two sign classes never
+        # contradicts the parities already recorded; count every union over
+        # 2,000 seeded charts, half of them ending in the gadget.
+        joins = []
+
+        class Recording(ParityUnionFind):
+            def union(self, a, b, rel):
+                same = self.find(a)[0] == self.find(b)[0]
+                ok = super().union(a, b, rel)
+                joins.append((same, ok))
+                return ok
+
+        monkeypatch.setattr(charts, "ParityUnionFind", Recording)
+        verdicts = [chart_orientable(c).orientable for c in _seeded_charts()]
+        assert all(ok for _, ok in joins)
+        # Both kinds of join occur: a cap closing one class into a curve,
+        # and a cap joining two classes.
+        assert {same for same, _ in joins} == {True, False}
+        assert True in verdicts and False in verdicts
+
+    def test_signs_are_constant_on_oracle_classes(self):
+        # The classes carried along the sweep agree with the oracle's
+        # union-find over every segment: each witness gives each oracle
+        # class one sign up to parity, every white vertex reads an
+        # admissible pattern, and with at most 8 classes the witness is
+        # the least one that brute force over the classes finds.
+        brute = 0
+        for c in _seeded_charts():
+            classes = sign_classes(c)
+            assert classes is not None
+            res = chart_orientable(c)
+            if len(set(root for root, _ in classes.values())) <= 8:
+                assert res.segment_signs == _least_signs_by_classes(c)
+                brute += 1
+            if not res.orientable:
+                continue
+            signs = res.segment_signs
+            by_root = {}
+            for seg, (root, par) in classes.items():
+                value = -signs[seg] if par else signs[seg]
+                assert by_root.setdefault(root, value) == value
+            rec = sweep_record(c)
+            for ev, (cons, prod) in zip(c.events, rec.event_io):
+                if ev.kind == "white":
+                    consumed = tuple(signs[s] for s in cons)
+                    assert white_sign_patterns(*ev.labels).get(consumed) == tuple(signs[s] for s in prod)
+        assert brute >= 500
+
+    # Two charts on which the search backtracks past a decision, shrunk from
+    # seeded random charts by cancelling event pairs while it still did.
+    BACKTRACKING = {
+        "orientable": (
+            black(1, 0, True), black(1, 0, True), black(2, 2, True), cap(1, 0), black(2, 1, True),
+            cap(2, 0), black(2, 0, True), black(2, 1, True), cup(1, 1), cup(1, 4), white(1, 2, 2),
+            black(1, 4, True), cup(1, 6), white(2, 1, 0), black(1, 3, False), white(1, 2, 0),
+            black(1, 1, False), white(2, 1, 1), black(1, 4, False), cap(1, 3), black(2, 2, False),
+            cap(1, 1), black(2, 0, False),
+        ),
+        "nonorientable": (
+            cup(1, 0), cup(1, 0), black(2, 3, True), black(1, 4, False), black(2, 1, True),
+            white(1, 2, 0), white(1, 2, 1), black(2, 1, False), white(2, 1, 0), white(2, 1, 1),
+            black(1, 1, False), white(1, 2, 0), white(2, 1, 0), black(1, 2, False),
+            black(2, 1, False), black(1, 0, False),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", BACKTRACKING)
+    def test_backtrack_past_a_decision(self, name):
+        c = Chart(3, False, self.BACKTRACKING[name])
+        assert validate_chart(c).valid
+        res, backtracked = _runs_line(chart_orientable, "decisions.pop()", c)
+        assert backtracked
+        assert res.orientable == (name == "orientable")
+        assert res.segment_signs == _least_signs_by_classes(c)
+        if res.orientable:
+            assert validate_chart(res.witness).valid
+            assert forget_orientation(res.witness).events == c.events
+
 
 def _small_chart_with_whites(rng):
     while True:
@@ -726,6 +808,68 @@ def _first_valid_signs(chart):
         if ok:
             return sign
     return None
+
+
+@functools.lru_cache(maxsize=None)
+def _seeded_charts():
+    """1,000 seeded random unoriented charts of 8-32 events, each followed
+    by its copy with the non-orientable gadget appended."""
+    rng = random.Random(3600)
+    out = []
+    for _ in range(1000):
+        c = random_chart(rng.choice([3, 4, 5]), rng.randrange(8, 33), rng)
+        out += [c, Chart(c.degree, False, c.events + TestOrientability.NONORIENTABLE)]
+    return tuple(out)
+
+
+def _least_signs_by_classes(chart):
+    """Brute force over the oracle's sign classes: the first choice of
+    signs, in product order over the classes by least segment with + first,
+    for which every white vertex reads an admissible pattern; the segment
+    signs, or None when no choice is admissible.  Product order over the
+    classes is lexicographic order over the segments."""
+    classes = sign_classes(chart)
+    rec = sweep_record(chart)
+    least = {}  # root -> parity of its class's least segment
+    for root, par in classes.values():
+        least.setdefault(root, par)
+    whites = [(ev.labels, cons, prod) for ev, (cons, prod) in zip(chart.events, rec.event_io)
+              if ev.kind == "white"]
+    for combo in itertools.product((1, -1), repeat=len(least)):
+        value = dict(zip(least, combo))  # the sign of each class's least segment
+        signs = {seg: value[root] if par == least[root] else -value[root]
+                 for seg, (root, par) in classes.items()}
+        if all(
+            white_sign_patterns(*labels).get(tuple(signs[s] for s in cons)) == tuple(signs[s] for s in prod)
+            for labels, cons, prod in whites
+        ):
+            return signs
+    return None
+
+
+def _runs_line(fn, marker, *args):
+    """``fn(*args)``, and whether the one line of charts.py holding
+    ``marker`` ran during the call (a line trace of that file alone)."""
+    with open(charts.__file__) as f:
+        targets = [k for k, line in enumerate(f, 1) if marker in line]
+    assert len(targets) == 1, targets
+    hits = []
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno == targets[0]:
+            hits.append(frame.f_lineno)
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code.co_filename == charts.__file__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        result = fn(*args)
+    finally:
+        sys.settrace(previous)
+    return result, bool(hits)
 
 
 class TestSerialization:

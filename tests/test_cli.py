@@ -13,9 +13,9 @@ import pytest
 import branchcover
 from branchcover.charts import Chart, black, chart_orientable, chart_to_json, cup, cap, validate_chart
 from branchcover.cli import _COMMANDS, MOVE_NAMES, _parser, main
-from branchcover.hurwitz import HurwitzSystem, system_to_json
+from branchcover.hurwitz import HurwitzSystem, conjugate_system, hurwitz_move, replay_trace, system_to_json
 from branchcover.links import CORPUS, coloring_to_json, corpus_diagram, enumerate_simple_colorings
-from branchcover.permutations import Permutation
+from branchcover.permutations import Permutation, parse_permutation
 from branchcover.quandles import make_Td, quandle_to_text
 
 
@@ -73,14 +73,30 @@ class TestNormalize:
         data = json.loads(result.output)
         assert data["entries"] == ["(1 2)", "(1 2)", "(1 2)", "(1 2)", "(2 3)", "(2 3)"]
 
-    def test_trace_replayable(self, runner, torus_system_file, tmp_path):
-        trace_file = tmp_path / "trace.json"
-        result = runner.invoke(
-            main, ["normalize", torus_system_file, "--trace-out", str(trace_file)]
-        )
-        assert result.exit_code == 0
-        steps = json.loads(trace_file.read_text())
-        assert all(step["move"] in ("hurwitz", "conjugate") for step in steps)
+    def test_trace_replayable(self, runner, tmp_path):
+        # The torus system scrambled by Hurwitz moves and a conjugation:
+        # the steps read back from the trace file replay it to the printed
+        # normal form.
+        entries = [Permutation.transposition(3, *p) for p in [(1, 2)] * 4 + [(2, 3)] * 2]
+        s = HurwitzSystem.of_permutations(entries, 3)
+        for k, direction in ((4, "forward"), (3, "inverse"), (0, "forward"), (1, "inverse")):
+            s = hurwitz_move(s, k, direction)
+        s = conjugate_system(s, Permutation.transposition(3, 1, 3))
+        system_file, trace_file = tmp_path / "system.json", tmp_path / "trace.json"
+        system_file.write_text(json.dumps(system_to_json(s)))
+        result = runner.invoke(main, ["normalize", str(system_file), "--trace-out", str(trace_file)])
+        assert result.exit_code == 0, result.output
+        steps = []
+        for step in json.loads(trace_file.read_text()):
+            if step["move"] == "hurwitz":
+                steps.append(("H", step["k"], step["direction"]))
+            else:
+                assert step["move"] == "conjugate"
+                steps.append(("C", parse_permutation(step["by"], 3)))
+        printed = json.loads(result.stdout)
+        assert {step[0] for step in steps} == {"H", "C"}
+        assert printed.pop("moves") == len(steps)
+        assert system_to_json(replay_trace(s, steps)) == printed
 
     def test_intransitive_is_domain_error(self, runner, tmp_path):
         s = HurwitzSystem.of_permutations(
