@@ -458,8 +458,10 @@ def cup_cap_insert(chart: Chart, at: int, position: int, label: int, sign: int =
     """Insert a trivial circle: cup then cap at the same position; ``sign``
     (1 or -1) is the cup's upper twin's on an oriented chart."""
     _exact_sign(sign, "sign", MoveError)
-    events = [cup(label, position, sign if chart.oriented else None), cap(label, position)]
-    return _rewrite(chart, at, at, events)
+    return _rewrite(
+        chart, at, at,
+        [cup(label, position, sign if chart.oriented else None), cap(label, position)],
+    )
 
 
 def white_pair_cancel(chart: Chart, at: int) -> Chart:
@@ -597,17 +599,13 @@ def chart_orientable(chart: Chart) -> OrientationResult:
 
     Crossings and white vertices hand each consumed sign to the produced
     strand that mirrors it; cups and caps give their twins opposite signs.
-    So the segments fall into sign classes, carried along the sweep.  A
-    class is named by the segment that opens it: a black insertion, or a
-    cup for both twins (parities 0 and 1).  Only a cap joins two classes.
-
-    That join never contradicts.  A class runs straight through crossings
-    and white vertices and turns back in sweep time only at cups (minima)
-    and caps (maxima), each turn flipping the parity.  A cap that joins a
-    class to itself closes a curve, on which minima and maxima alternate:
-    the curve turns an even number of times, the cap once, so the path
-    between the cap's twins turns an odd number of times and they already
-    have opposite parity.  Only the clauses can certify a negative.
+    So the segments fall into sign classes, carried along the sweep: a black
+    insertion opens one, a cup one for both twins (parities 0 and 1), and
+    only a cap joins two.  That join never contradicts.  A class turns back
+    in sweep time only at cups (minima) and caps (maxima), each turn flipping
+    the parity, and a closed curve has as many minima as maxima.  So a cap
+    closing a class on itself closes an even number of turns, its own
+    included, and its twins already have opposite parity.
 
     Each white vertex adds one clause: its consumed signs (x0, x1, x2) never
     alternate, that is NAE(x0, -x1, x2).  The classes are linked through
@@ -634,12 +632,12 @@ def chart_orientable(chart: Chart) -> OrientationResult:
         raise ChartError("chart is already oriented")
     # cls[seg] is (class, parity), one entry per segment in sweep order.
     cls: list[tuple[int, int]] = []
-    deciding: list[Optional[int]] = []  # per event, the segment whose sign it takes
+    deciding: list[int] = []  # the segment a black vertex or cup takes its sign from
     clauses = []  # the consumed (class, parity) of each white vertex
     classes = ParityUnionFind()
     for ev, _, consumed, _, first in _sweep(chart.events, chart.degree, False):
         kind = ev.kind
-        deciding.append(first if kind == "cup" or ev.insert else consumed[0][2] if kind == "black" else None)
+        deciding.append(consumed[0][2] if kind == "black" and not ev.insert else first)
         if kind == "crossing":
             a, b = consumed
             cls += (cls[b[2]], cls[a[2]])
@@ -746,9 +744,12 @@ def chart_orientable(chart: Chart) -> OrientationResult:
     # (an inserted strand carries the opposite sign); each cup its upper twin's.
     events = []
     for ev, seg in zip(chart.events, deciding):
-        if seg is not None:
+        kind = ev.kind
+        if kind == "black":
             s = -signs[seg] if ev.insert else signs[seg]
-            ev = _unchecked(ev.kind, ev.position, ev.labels, ev.insert, s)
+            ev = _unchecked(kind, ev.position, ev.labels, ev.insert, s)
+        elif kind == "cup":
+            ev = _unchecked(kind, ev.position, ev.labels, None, signs[seg])
         events.append(ev)
     return OrientationResult(True, Chart(chart.degree, True, tuple(events)), signs)
 
@@ -785,8 +786,15 @@ def chart_from_json(data: dict) -> Chart:
                 raise ChartError(f"event must be an object, got {item!r}")
             if type(item.get("labels")) is not list:
                 raise ChartError(f"event labels must be a list, got {item.get('labels')!r}")
-            kind, position, labels = item["kind"], item["position"], tuple(item["labels"])
-            events.append(ChartEvent(kind, position, labels, item.get("insert"), item.get("sign")))
+            events.append(
+                ChartEvent(
+                    item["kind"],
+                    item["position"],
+                    tuple(item["labels"]),
+                    item.get("insert"),
+                    item.get("sign"),
+                )
+            )
         except (KeyError, TypeError, ChartError) as exc:
             raise ChartError(str(exc), k) from exc
     return Chart(degree, oriented, tuple(events))
@@ -816,7 +824,9 @@ def chart_to_dot(chart: Chart) -> str:
             shape = {"black": "point", "white": "circle", "crossing": "diamond"}[ev.kind]
             label = "" if ev.kind == "black" else ev.kind[0].upper()
             lines.append(f'  {name} [shape={shape}, label="{label}"];')
-            for seg in [s[2] for s in consumed] + list(prod):
+            for _, _, seg in consumed:
+                seg_ends[seg].append(name)
+            for seg in prod:
                 seg_ends[seg].append(name)
     by_edge: dict[int, list[int]] = {}
     for seg in sorted(segment_label):

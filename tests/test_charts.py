@@ -777,6 +777,28 @@ class TestOrientability:
             assert validate_chart(res.witness).valid
             assert forget_orientation(res.witness).events == c.events
 
+    @pytest.mark.parametrize("insert", [True, False])
+    def test_insert_is_read_on_black_vertices_only(self, insert):
+        # ChartEvent takes insert on every kind, but only a black vertex
+        # reads it: tagging each cup, cap, crossing and white vertex changes
+        # no verdict and no sign.  The witness keeps every tagged cap,
+        # crossing and white event as given, and gives each cup its sign
+        # with insert=None.
+        plain = [Chart(2, False, (cup(1, 0), cap(1, 0)))] + list(_seeded_charts()[:400])
+        for c in plain:
+            tagged = Chart(c.degree, False, tuple(
+                ev if ev.kind == "black" else ChartEvent(ev.kind, ev.position, ev.labels, insert)
+                for ev in c.events
+            ))
+            res, want = chart_orientable(tagged), chart_orientable(c)
+            assert (res.orientable, res.segment_signs) == (want.orientable, want.segment_signs)
+            if want.orientable:
+                assert res.witness.events == tuple(
+                    ev if ev.kind in ("cap", "crossing", "white") else w
+                    for ev, w in zip(tagged.events, want.witness.events)
+                )
+                assert validate_chart(res.witness).valid
+
 
 def _small_chart_with_whites(rng):
     while True:
